@@ -19,9 +19,10 @@ from .errors import (
     NotTracePreserving,
     PovmIncomplete,
 )
-from .linalg import eig_hermitian, herm_power, hermitian_part
+from .linalg import eig_hermitian, hermitian_part
 from .serialize import matrix_from_json, matrix_to_json
 from .states import DensityMatrix, validate_density, validate_distribution
+from .transport import GeodesicKind, sandwich_operator
 
 TP_TOL = 1e-9
 POVM_PSD_TOL = 1e-10
@@ -158,11 +159,7 @@ def sandwich_pvm(rho: DensityMatrix, sigma: DensityMatrix) -> Povm:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
     if not sigma.full_rank:
         raise NotFullRank("sigma must be full rank")
-    sh = herm_power(sigma.matrix, 0.5)
-    shi = herm_power(sigma.matrix, -0.5)
-    inner = herm_power(hermitian_part(sh @ rho.matrix @ sh), 0.5)
-    t = hermitian_part(shi @ inner @ shi)
-    eig = eig_hermitian(t)
+    eig = eig_hermitian(sandwich_operator(GeodesicKind.SLD, rho, sigma))
     w, u = eig.eigenvalues, eig.eigenvectors
     elements = []
     start = 0

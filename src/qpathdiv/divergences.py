@@ -42,7 +42,7 @@ from .linalg import (
     hermitian_part,
 )
 from .states import DensityMatrix
-from .transport import GeodesicKind, MomentFunction, solve_direction
+from .transport import GeodesicKind, MomentFunction, sandwich_operator, solve_direction
 
 _KL_CUTOFF = 1e-15
 
@@ -80,12 +80,11 @@ def adaptive_gauss_legendre(
     while 2 * n <= config.max_nodes:
         n *= 2
         cur = _gl_estimate(f, n)
-        if abs(cur - prev) <= config.rel_tol * max(1.0, abs(cur)):
+        gap = abs(cur - prev)
+        if gap <= config.rel_tol * max(1.0, abs(cur)):
             return cur, n
         prev = cur
-    raise QuadratureNotConverged(
-        f"estimates still differ by {abs(cur - prev):.3e} at {n} nodes"
-    )
+    raise QuadratureNotConverged(f"estimates still differ by {gap:.3e} at {n} nodes")
 
 
 def _require_full_rank(state: DensityMatrix, name: str) -> None:
@@ -136,20 +135,14 @@ def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMa
         return quantum_relative_entropy(rho, sigma)
     if kind is GeodesicKind.RLD:
         return bs_divergence(rho, sigma)
-    s = sigma.matrix
+    x = sandwich_operator(kind, rho, sigma)
     if kind is GeodesicKind.SLD:
-        sh = herm_power(s, 0.5)
-        shi = herm_power(s, -0.5)
-        inner = herm_power(hermitian_part(sh @ rho.matrix @ sh), 0.5)
-        x = hermitian_part(shi @ inner @ shi)
         return 2.0 * float(np.trace(rho.matrix @ herm_log(x)).real)
-    q = herm_power(s, 0.25)
-    qi = herm_power(s, -0.25)
+    q = herm_power(sigma.matrix, 0.25)
     rh = herm_power(rho.matrix, 0.5)
-    g = hermitian_part(qi @ rh @ qi)
     a = hermitian_part(q @ rh @ q)
     with np.errstate(all="ignore"):
-        glogg = apply_fn(g, lambda v: v * np.log(v))
+        glogg = apply_fn(x, lambda v: v * np.log(v))
     return 2.0 * float(np.trace(a @ glogg).real)
 
 

@@ -14,6 +14,7 @@ Claim modes:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -84,9 +85,11 @@ class ClaimSpec:
     mode: str
 
     def __post_init__(self) -> None:
+        if not self.dims or min(self.dims) < 1:
+            raise ConfigError(f"claim {self.id}: dims must be a non-empty list of positive sizes")
         if self.trials < 1:
             raise ConfigError(f"claim {self.id}: trials must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ConfigError(f"claim {self.id}: tolerance must be > 0")
         if self.mode not in ("equality", "inequality", "counterexample"):
             raise ConfigError(f"claim {self.id}: unknown mode {self.mode!r}")
@@ -633,19 +636,23 @@ def run_theorem2_suite(
 ) -> list[ClaimRecord]:
     """The equivalence suite: equalities hold exactly for the Bogoljubov
     metric, and quantitative failures are exhibited for kinds s and r."""
-    records = []
-    for claim_id in THEOREM2_CLAIMS:
-        spec = default_spec(claim_id)
-        if dims is not None or trials is not None:
-            spec = ClaimSpec(
-                spec.id,
-                tuple(dims) if dims is not None else spec.dims,
-                trials if trials is not None else spec.trials,
-                spec.tolerance,
-                spec.mode,
-            )
-        records.append(run_claim(claim_id, seed, spec))
-    return records
+    entry = {key: value for key, value in (("dims", dims), ("trials", trials)) if value is not None}
+    overrides = {claim_id: entry for claim_id in THEOREM2_CLAIMS}
+    return list(run_all(HarnessConfig(seed, THEOREM2_CLAIMS, overrides)).records)
+
+
+_OVERRIDE_FIELDS = {"dims": lambda v: tuple(int(d) for d in v), "trials": int, "tolerance": float}
+
+
+def _apply_override(spec: ClaimSpec, entry: dict) -> ClaimSpec:
+    """``spec`` with the trials, tolerance and dims that ``entry`` sets."""
+    if not isinstance(entry, dict) or set(entry) - set(_OVERRIDE_FIELDS):
+        raise ConfigError(f"override for {spec.id!r} may only set trials, tolerance, dims")
+    try:
+        changes = {key: _OVERRIDE_FIELDS[key](value) for key, value in entry.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"override for {spec.id!r} is malformed: {exc}") from exc
+    return dataclasses.replace(spec, **changes)
 
 
 @dataclass(frozen=True)
@@ -679,10 +686,7 @@ class HarnessConfig:
         for claim_id, entry in overrides.items():
             if claim_id not in _REGISTRY:
                 raise ConfigError(f"override for unknown claim id {claim_id!r}")
-            if not isinstance(entry, dict) or set(entry) - {"trials", "tolerance", "dims"}:
-                raise ConfigError(
-                    f"override for {claim_id!r} may only set trials, tolerance, dims"
-                )
+            _apply_override(default_spec(claim_id), entry)
         return HarnessConfig(seed=seed, claims=claims, overrides=overrides)
 
     def canonical_json(self) -> str:
@@ -700,17 +704,7 @@ class HarnessConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def resolved_spec(self, claim_id: str) -> ClaimSpec:
-        spec = default_spec(claim_id)
-        entry = self.overrides.get(claim_id)
-        if not entry:
-            return spec
-        return ClaimSpec(
-            id=spec.id,
-            dims=tuple(entry.get("dims", spec.dims)),
-            trials=int(entry.get("trials", spec.trials)),
-            tolerance=float(entry.get("tolerance", spec.tolerance)),
-            mode=spec.mode,
-        )
+        return _apply_override(default_spec(claim_id), self.overrides.get(claim_id, {}))
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ from .errors import DimensionMismatch, DomainError, InvalidShape, NotFullRank
 from .linalg import eig_hermitian, hermitian_part
 from .states import DensityMatrix
 
-# below this log-ratio the Bogoljubov kernel switches to its series branch
-_LOG_RATIO_EPS = 1e-8
-
-
 @dataclass(frozen=True)
 class MetricKind:
     """Selector for the kernel family; use the module constants or factories."""
@@ -119,17 +115,12 @@ def metric_from_json(obj) -> MetricKind:
     raise InvalidShape(f"cannot parse metric from {obj!r}")
 
 
-def _bogoljubov_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # logarithmic mean; three-term series in u = log(b/a) near coincidence
-    # to avoid catastrophic cancellation
-    la, lb = np.log(a), np.log(b)
-    diff = la - lb
-    near = np.abs(diff) < _LOG_RATIO_EPS
-    u = lb - la
-    series = a * (1.0 + u / 2.0 + u * u / 6.0)
+def phi1(u: np.ndarray) -> np.ndarray:
+    """expm1(u) / u, exactly 1 at u = 0: the divided difference of exp,
+    (e^x - e^y) / (x - y) = e^y phi1(x - y), free of cancellation."""
+    u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = np.where(near, 1.0, a - b) / np.where(near, 1.0, diff)
-    return np.where(near, series, exact)
+        return np.where(u == 0.0, 1.0, np.expm1(u) / u)
 
 
 def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
@@ -142,7 +133,10 @@ def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
     if kind.name == "s":
         return (a + b) / 2.0
     if kind.name == "b":
-        return _bogoljubov_kernel(a, b)
+        # logarithmic mean: the divided difference of exp at (log a, log b),
+        # taken at the larger eigenvalue so that it is symmetric
+        hi = np.maximum(a, b)
+        return hi * phi1(np.log(np.minimum(a, b)) - np.log(hi))
     if kind.name == "r":
         return np.broadcast_to(a, (d.size, d.size)).copy()
     if kind.name == "lambda":

@@ -38,8 +38,6 @@ from .states import DensityMatrix, validate_density
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
-_D1_STEP = 1e-4
-_D2_STEP = 1e-3
 
 
 class GeodesicKind(enum.Enum):
@@ -128,112 +126,102 @@ def make_geodesic(
     return Geodesic(base=base, direction=direction, kind=kind, aux_direction=aux)
 
 
+def _log_sum_exp(x: np.ndarray) -> float:
+    top = x.max()
+    return float(top + np.log(np.sum(np.exp(x - top))))
+
+
 class MomentFunction:
     """Log-normalizer mu(theta) of a geodesic, with cached spectral data.
 
     mu(0) = 0, mu is convex, and its second derivative is the Fisher
-    information of the curve under the matching metric.
+    information of the curve under the matching metric. Both derivatives
+    are exact. Kinds s, r and half are the sandwich A F B F A with
+    F = exp(theta G / 2); in G's eigenbasis mu = log sum_ij w_ij
+    exp(theta (g_i + g_j) / 2) with w_ij = Re(B'_ij (A^2)'_ji), a classical
+    log-partition whose mu' and mu'' are the mean and variance of the
+    energies (g_i + g_j) / 2. For kind b, mu'' is the Kubo-Mori variance of L.
     """
 
     def __init__(self, geodesic: Geodesic):
         self.geodesic = geodesic
         kind = geodesic.kind
         sigma = geodesic.base.matrix
-        self._sigma = sigma
-        if kind is GeodesicKind.SLD:
-            eig = eig_hermitian(geodesic.direction)
-            self._gen = eig
-            self._sigma_in_gen = eig.eigenvectors.conj().T @ sigma @ eig.eigenvectors
-        elif kind is GeodesicKind.BOGOLJUBOV:
+        if kind is GeodesicKind.BOGOLJUBOV:
             self._log_sigma = herm_log(sigma)
+            return
+        # (A, A^2, B) and the generator G of each kind's sandwich
+        eye = np.eye(geodesic.base.dim, dtype=complex)
+        if kind is GeodesicKind.SLD:
+            self._outer, outer_sq, self._inner = eye, eye, sigma
         elif kind is GeodesicKind.RLD:
-            eig = eig_hermitian(geodesic.aux_direction)
-            self._gen = eig
-            self._sigma_half = herm_power(sigma, 0.5)
-            self._sigma_in_gen = eig.eigenvectors.conj().T @ sigma @ eig.eigenvectors
+            self._outer, outer_sq, self._inner = herm_power(sigma, 0.5), sigma, eye
         else:
-            eig = eig_hermitian(geodesic.aux_direction)
-            self._gen = eig
-            self._sigma_quarter = herm_power(sigma, 0.25)
             half = herm_power(sigma, 0.5)
-            self._sigma_half = half
-            self._half_in_gen = eig.eigenvectors.conj().T @ half @ eig.eigenvectors
+            self._outer, outer_sq, self._inner = herm_power(sigma, 0.25), half, half
+        self._gen = eig_hermitian(geodesic.direction if kind is GeodesicKind.SLD else geodesic.aux_direction)
+        g = self._gen.eigenvalues
+        v = self._gen.eigenvectors
+        self._energies = (g[:, None] + g[None, :]) / 2.0
+        self._weights = ((v.conj().T @ self._inner @ v) * (v.conj().T @ outer_sq @ v).T).real
 
-    def _shift(self, theta: float) -> float:
-        d = self._gen.eigenvalues
-        return float(d.max() if theta >= 0 else d.min())
+    def _log_spectrum(self, theta: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Kind b: eigenpairs (h, U) of log sigma + theta L, and mu."""
+        h, u = np.linalg.eigh(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
+        return h, u, _log_sum_exp(h)
+
+    def _log_partition(self, theta: float) -> tuple[float, np.ndarray]:
+        """Kinds s, r, half: mu and the normalized weights over eigenpairs."""
+        z = theta * self._energies
+        top = z.max()
+        p = self._weights * np.exp(z - top)
+        total = p.sum()
+        return float(top + np.log(total)), p / total
 
     def __call__(self, theta: float) -> float:
-        kind = self.geodesic.kind
-        if kind is GeodesicKind.BOGOLJUBOV:
-            h = self._log_sigma + theta * self.geodesic.direction
-            w = np.linalg.eigvalsh(hermitian_part(h))
-            top = w.max()
-            return float(top + np.log(np.sum(np.exp(w - top))))
-        d = self._gen.eigenvalues
-        c = self._shift(theta)
-        if kind is GeodesicKind.SLD:
-            weights = np.exp(theta * (d - c))
-            tau = float(np.sum(weights * np.diagonal(self._sigma_in_gen).real))
-            return float(np.log(tau) + theta * c)
-        if kind is GeodesicKind.RLD:
-            weights = np.exp(theta * (d - c))
-            tau = float(np.sum(weights * np.diagonal(self._sigma_in_gen).real))
-            return float(np.log(tau) + theta * c)
-        # half: trace of F s F s with F = exp(theta (K - c)/2) in K's eigenbasis
-        weights = np.exp(theta * (d - c) / 2.0)
-        g = self._half_in_gen
-        tau = float(np.real(np.sum(weights[:, None] * weights[None, :] * g * g.T)))
-        return float(np.log(tau) + theta * c)
+        if self.geodesic.kind is GeodesicKind.BOGOLJUBOV:
+            return self._log_spectrum(theta)[2]
+        return self._log_partition(theta)[0]
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
-        kind = self.geodesic.kind
-        if kind is GeodesicKind.BOGOLJUBOV:
-            h = self._log_sigma + theta * self.geodesic.direction
-            eig = eig_hermitian(hermitian_part(h))
-            top = eig.eigenvalues.max()
-            mu = float(top + np.log(np.sum(np.exp(eig.eigenvalues - top))))
+        if self.geodesic.kind is GeodesicKind.BOGOLJUBOV:
+            eig = eig_hermitian(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
+            mu = _log_sum_exp(eig.eigenvalues)
             u = eig.eigenvectors
             mat = (u * np.exp(eig.eigenvalues - mu)) @ u.conj().T
             return validate_density(hermitian_part(mat)), mu
-        d = self._gen.eigenvalues
+        g = self._gen.eigenvalues
         u = self._gen.eigenvectors
-        c = self._shift(theta)
-        if kind is GeodesicKind.SLD:
-            e = (u * np.exp(theta * (d - c) / 2.0)) @ u.conj().T
-            t = e @ self._sigma @ e
-        elif kind is GeodesicKind.RLD:
-            e = (u * np.exp(theta * (d - c))) @ u.conj().T
-            t = self._sigma_half @ e @ self._sigma_half
-        else:
-            f = (u * np.exp(theta * (d - c) / 2.0)) @ u.conj().T
-            q = self._sigma_quarter
-            t = q @ f @ self._sigma_half @ f @ q
+        top = float(np.max(theta * g))
+        f = (u * np.exp((theta * g - top) / 2.0)) @ u.conj().T
+        a = self._outer
+        t = a @ f @ self._inner @ f @ a
         tau = float(np.trace(t).real)
-        mu = float(np.log(tau) + theta * c)
-        return validate_density(hermitian_part(t / tau)), mu
+        return validate_density(hermitian_part(t / tau)), float(np.log(tau) + top)
 
     def state(self, theta: float) -> DensityMatrix:
         return self.state_and_moment(theta)[0]
 
     def derivative(self, theta: float, order: int) -> float:
-        """Central difference with one Richardson level (steps h and h/2)."""
+        """mu' (order 1) or mu'' (order 2) at theta, in closed form."""
+        if order not in (1, 2):
+            raise DomainError(f"derivative order must be 1 or 2, got {order}")
+        if self.geodesic.kind is GeodesicKind.BOGOLJUBOV:
+            h, u, mu = self._log_spectrum(theta)
+            lp = u.conj().T @ self.geodesic.direction @ u
+            mean = float(np.sum(np.exp(h - mu) * np.diagonal(lp).real))
+            if order == 1:
+                return mean
+            # the larger exponent is factored out, so nothing overflows
+            hi = np.maximum.outer(h, h)
+            lo = np.minimum.outer(h, h)
+            centered = lp - mean * np.eye(h.size)
+            return float(np.sum(np.abs(centered) ** 2 * np.exp(hi - mu) * metrics.phi1(lo - hi)))
+        _, p = self._log_partition(theta)
+        mean = float(np.sum(p * self._energies))
         if order == 1:
-            h = _D1_STEP
-
-            def diff(step: float) -> float:
-                return (self(theta + step) - self(theta - step)) / (2.0 * step)
-
-            return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-        if order == 2:
-            h = _D2_STEP
-            f0 = self(theta)
-
-            def diff(step: float) -> float:
-                return (self(theta + step) - 2.0 * f0 + self(theta - step)) / step**2
-
-            return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
+            return mean
+        return float(np.sum(p * (self._energies - mean) ** 2))
 
 
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:
@@ -247,6 +235,25 @@ def moment_value(geodesic: Geodesic, theta: float) -> float:
 
 def moment_derivative(geodesic: Geodesic, theta: float, order: int) -> float:
     return MomentFunction(geodesic).derivative(theta, order)
+
+
+def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """The positive F with A F B F A = rho on the curve of kind s or half
+    through sigma, so that the curve's generator is 2 log F:
+
+    s     sigma^{-1/2} (sigma^{1/2} rho sigma^{1/2})^{1/2} sigma^{-1/2}
+    half  sigma^{-1/4} rho^{1/2} sigma^{-1/4}
+    """
+    s = sigma.matrix
+    if kind is GeodesicKind.SLD:
+        sh = herm_power(s, 0.5)
+        shi = herm_power(s, -0.5)
+        inner = herm_power(hermitian_part(sh @ rho.matrix @ sh), 0.5)
+        return hermitian_part(shi @ inner @ shi)
+    if kind is GeodesicKind.HALF:
+        qi = herm_power(s, -0.25)
+        return hermitian_part(qi @ herm_power(rho.matrix, 0.5) @ qi)
+    raise DomainError(f"kind {kind.value} has no sandwich operator")
 
 
 def solve_direction(
@@ -265,10 +272,7 @@ def solve_direction(
     s = sigma.matrix
     aux = None
     if kind is GeodesicKind.SLD:
-        sh = herm_power(s, 0.5)
-        shi = herm_power(s, -0.5)
-        inner = herm_power(hermitian_part(sh @ rho.matrix @ sh), 0.5)
-        direction = 2.0 * herm_log(hermitian_part(shi @ inner @ shi))
+        direction = 2.0 * herm_log(sandwich_operator(kind, rho, sigma))
     elif kind is GeodesicKind.BOGOLJUBOV:
         direction = herm_log(rho.matrix) - herm_log(s)
     elif kind is GeodesicKind.RLD:
@@ -277,12 +281,9 @@ def solve_direction(
         aux = herm_log(hermitian_part(shi @ rho.matrix @ shi))
         direction = hermitian_part(shi @ aux @ sh)  # (A + A^*) / 2 with A = shi aux sh
     else:
-        q = herm_power(s, 0.25)
-        qi = herm_power(s, -0.25)
-        rho_half = herm_power(rho.matrix, 0.5)
-        k = herm_log(hermitian_part(qi @ rho_half @ qi))
+        k = herm_log(sandwich_operator(kind, rho, sigma))
         aux = 2.0 * k
-        direction = 2.0 * hermitian_part(qi @ k @ q)  # qi k q + q k qi
+        direction = 2.0 * hermitian_part(herm_power(s, -0.25) @ k @ herm_power(s, 0.25))  # qi k q + q k qi
     g = make_geodesic(kind, sigma, hermitian_part(direction), aux_direction=aux)
     defect = frobenius(e_transport(g, 1.0).matrix - rho.matrix)
     if defect > tol:

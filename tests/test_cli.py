@@ -212,6 +212,14 @@ def test_verify_bad_config(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [{"trials": "abc"}, {"dims": []}, {"tolerance": "x"}])
+def test_verify_malformed_override_exit_code(tmp_path, capsys, entry):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"overrides": {"e-path-additivity": entry}}))
+    assert main(["verify", "--config", str(config_path)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_verify_report_deterministic(tmp_path):
     args = [
         "verify",

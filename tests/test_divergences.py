@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from qpathdiv.errors import (
     SupportViolation,
 )
 from qpathdiv.linalg import tensor_product
+from qpathdiv.serialize import load_state
 from qpathdiv.states import (
     RandomSpec,
     commutation_defect,
@@ -36,6 +40,7 @@ from qpathdiv.states import (
 from qpathdiv.transport import GeodesicKind
 from qpathdiv.metrics import BOGOLJUBOV, HALF, RLD, SLD
 
+FIXTURES = Path(__file__).parent / "fixtures"
 ALL_GEO = list(GeodesicKind)
 ALL_METRIC = [SLD, BOGOLJUBOV, RLD, HALF]
 
@@ -153,6 +158,15 @@ def test_e_quadrature_bogoljubov_matches_relative_entropy(pair_3x3):
     rho, sigma = pair_3x3
     quad = e_divergence_quadrature(GeodesicKind.BOGOLJUBOV, rho, sigma)
     assert abs(quad - quantum_relative_entropy(rho, sigma)) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ALL_GEO)
+def test_e_quadrature_matches_closed_to_roundoff(kind):
+    # exact moment-function curvature leaves only quadrature and roundoff error
+    rho = load_state(FIXTURES / "rho_2x2_seed42.json")
+    sigma = load_state(FIXTURES / "sigma_2x2_seed42.json")
+    quad = e_divergence_quadrature(kind, rho, sigma)
+    assert abs(quad - e_divergence_closed(kind, rho, sigma)) <= 1e-13
 
 
 def test_e_quadrature_half_matches_closed(pair_3x3):
@@ -278,8 +292,11 @@ def test_adaptive_quadrature_polynomial():
 def test_adaptive_quadrature_not_converged():
     # a discontinuous integrand cannot satisfy a 1e-14 agreement demand
     config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=16)
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(QuadratureNotConverged) as info:
         adaptive_gauss_legendre(lambda t: float(t > 0.37), config)
+    # the message reports the last measured gap between estimates
+    reported = float(re.search(r"differ by (\S+) at 16 nodes", str(info.value)).group(1))
+    assert reported > 0.0
 
 
 def test_quadrature_config_validation():

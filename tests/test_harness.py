@@ -56,6 +56,8 @@ def test_claim_spec_validation():
         ClaimSpec("x", (2,), 5, 0.0, "equality")
     with pytest.raises(ConfigError):
         ClaimSpec("x", (2,), 5, 1e-6, "sideways")
+    with pytest.raises(ConfigError):
+        ClaimSpec("x", (), 5, 1e-6, "equality")
 
 
 def test_run_claim_deterministic():
@@ -84,11 +86,12 @@ def test_witness_replays_exactly():
         "divergence-ordering-chain",
         "transport-commutation-counterexample-s",
         "m-path-bogoljubov-matches-relative-entropy",
+        "e-path-closed-vs-quadrature-b",
+        "moment-curvature-matches-fisher-info",
     ):
         spec = default_spec(claim_id)
         record = run_claim(claim_id, 55, ClaimSpec(claim_id, spec.dims, 5, spec.tolerance, spec.mode))
-        replayed = replay_witness(claim_id, record.witness)
-        assert abs(replayed - record.witness["measure"]) <= 1e-12
+        assert replay_witness(claim_id, record.witness) == record.witness["measure"]
 
 
 def test_counterexample_mode_requires_large_defect():
@@ -114,6 +117,13 @@ def test_config_validation():
         HarnessConfig.from_dict(
             {"overrides": {"divergence-ordering-chain": {"wrong": 1}}}
         )
+    malformed = (
+        {"trials": "abc"}, {"dims": []}, {"tolerance": "x"},
+        {"dims": 3}, {"dims": [0]}, {"trials": None}, {"tolerance": "nan"},
+    )
+    for entry in malformed:
+        with pytest.raises(ConfigError):
+            HarnessConfig.from_dict({"overrides": {"divergence-ordering-chain": entry}})
 
 
 def test_run_all_filtered_single_claim():

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -54,7 +56,7 @@ def test_kernel_diagonal_is_identity_map(kind):
     d = np.array([0.41, 0.41, 0.18])  # includes an exactly coincident pair
     c = kernel_matrix(kind, d)
     assert np.allclose(np.diagonal(c), d)
-    assert c[0, 1] == pytest.approx(0.41, abs=0)  # series branch hits a exactly
+    assert c[0, 1] == pytest.approx(0.41, abs=0)  # c(a, a) = a exactly
 
 
 def test_bogoljubov_kernel_near_degenerate_branch():
@@ -62,6 +64,21 @@ def test_bogoljubov_kernel_near_degenerate_branch():
     c = kernel_matrix(BOGOLJUBOV, d)
     assert np.isfinite(c).all()
     assert np.isclose(c[0, 1], 0.5, atol=1e-9)
+
+
+@pytest.mark.parametrize("b", [0.5, 0.013, 1e-6])
+def test_bogoljubov_kernel_matches_decimal_reference(b):
+    # 50-digit logarithmic mean, including gaps just above 1e-8
+    gaps = [1e-12, 1e-10, 1e-9, 5e-9, 1.01e-8, 2e-8, 1e-7, 1e-6, 1e-4, 1e-2, 0.1, 0.5]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for gap in gaps:
+            a = b * (1.0 + gap)
+            da, db = decimal.Decimal(a), decimal.Decimal(b)
+            reference = float((da - db) / (da.ln() - db.ln()))
+            c = kernel_matrix(BOGOLJUBOV, np.array([a, b]))
+            assert c[0, 1] == c[1, 0]
+            assert abs(c[0, 1] - reference) <= 1e-14 * reference, gap
 
 
 def test_measure_kind_reduces_to_named_kernels():

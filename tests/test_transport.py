@@ -138,6 +138,26 @@ def test_moment_commuting_matches_classical(kind):
     for theta in (0.4, 1.1):
         classical = np.log(np.sum(p * np.exp(theta * x)))
         assert np.isclose(moment_value(g, theta), classical, atol=1e-12)
+        # mu' and mu'' are the mean and variance of x under p_theta
+        p_theta = p * np.exp(theta * x)
+        p_theta /= p_theta.sum()
+        mean = np.sum(p_theta * x)
+        assert abs(moment_derivative(g, theta, 1) - mean) <= 1e-12
+        assert abs(moment_derivative(g, theta, 2) - np.sum(p_theta * (x - mean) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_moment_derivatives_match_differences(kind):
+    # central differences of mu and of mu' agree with the closed forms to
+    # their own truncation error
+    base = random_density(RandomSpec(3, 55, 0.05))
+    mf = MomentFunction(make_geodesic(kind, base, random_direction(3, 56)))
+    h = 1e-4
+    for theta in (-0.8, 0.0, 0.6, 1.5):
+        d1 = (mf(theta + h) - mf(theta - h)) / (2.0 * h)
+        d2 = (mf.derivative(theta + h, 1) - mf.derivative(theta - h, 1)) / (2.0 * h)
+        assert abs(d1 - mf.derivative(theta, 1)) <= 1e-8
+        assert abs(d2 - mf.derivative(theta, 2)) <= 1e-8
 
 
 def test_moment_derivative_orders():
@@ -162,7 +182,7 @@ def test_moment_first_derivative_at_one_is_relative_entropy():
     sigma = random_density(RandomSpec(3, 72, 0.05))
     g = solve_direction(GeodesicKind.BOGOLJUBOV, rho, sigma)
     d = quantum_relative_entropy(rho, sigma)
-    assert abs(moment_derivative(g, 1.0, 1) - d) <= 1e-6
+    assert abs(moment_derivative(g, 1.0, 1) - d) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -299,5 +319,7 @@ def test_large_theta_does_not_overflow():
         g = make_geodesic(kind, base, l)
         mu = moment_value(g, 400.0)
         assert np.isfinite(mu)
+        assert np.isfinite(moment_derivative(g, 400.0, 1))
+        assert np.isfinite(moment_derivative(g, 400.0, 2))
         out = e_transport(g, 400.0)
         assert np.all(np.isfinite(out.matrix))
