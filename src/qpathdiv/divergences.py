@@ -33,14 +33,7 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .linalg import (
-    SUPPORT_EPS,
-    apply_fn,
-    eig_hermitian,
-    herm_log,
-    herm_power,
-    hermitian_part,
-)
+from .linalg import SUPPORT_EPS, herm_log, hermitian_part
 from .states import DensityMatrix
 from .transport import GeodesicKind, MomentFunction, sandwich_operator, solve_direction
 
@@ -108,11 +101,8 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (log rho - log sigma); rank-deficient rho uses 0 log 0 = 0."""
     _check_pair(rho, sigma)
     _require_full_rank(sigma, "sigma")
-    w = rho.spectrum()
-    support = w > SUPPORT_EPS
-    entropy_term = float(np.sum(w[support] * np.log(w[support])))
-    cross = float(np.trace(rho.matrix @ herm_log(sigma.matrix)).real)
-    return entropy_term - cross
+    cross = float(np.trace(rho.matrix @ sigma.eig.log()).real)
+    return -von_neumann_entropy(rho) - cross
 
 
 def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -120,30 +110,23 @@ def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _check_pair(rho, sigma)
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
-    rh = herm_power(rho.matrix, 0.5)
-    si = herm_power(sigma.matrix, -1.0)
+    rh = rho.eig.power(0.5)
+    si = sigma.eig.power(-1.0)
     m = hermitian_part(rh @ si @ rh)
     return float(np.trace(rho.matrix @ herm_log(m)).real)
 
 
 def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Closed-form exponential-path divergence for the four named kinds."""
+    """Closed-form exponential-path divergence: the relative entropy for kind b,
+    else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log(sandwich_operator)."""
     _check_pair(rho, sigma)
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
-    if kind is GeodesicKind.BOGOLJUBOV:
+    p = kind.sandwich_power
+    if p is None:
         return quantum_relative_entropy(rho, sigma)
-    if kind is GeodesicKind.RLD:
-        return bs_divergence(rho, sigma)
-    x = sandwich_operator(kind, rho, sigma)
-    if kind is GeodesicKind.SLD:
-        return 2.0 * float(np.trace(rho.matrix @ herm_log(x)).real)
-    q = herm_power(sigma.matrix, 0.25)
-    rh = herm_power(rho.matrix, 0.5)
-    a = hermitian_part(q @ rh @ q)
-    with np.errstate(all="ignore"):
-        glogg = apply_fn(x, lambda v: v * np.log(v))
-    return 2.0 * float(np.trace(a @ glogg).real)
+    gen = 2.0 * herm_log(sandwich_operator(kind, rho, sigma))
+    return float(np.trace(rho.matrix @ sigma.eig.power(p) @ gen @ sigma.eig.power(-p)).real)
 
 
 def e_divergence_quadrature(
@@ -289,13 +272,16 @@ def _maximize_dual(
         alpha = 1.0
         base = objective(theta)
         while alpha > 1e-8:
-            candidate = np.clip(theta + alpha * step, box[:, 0], box[:, 1])
+            candidate = theta + alpha * step
             if objective(candidate) >= base - 1e-15:
                 theta = candidate
                 break
             alpha /= 2.0
         else:
             break
+    outside = float(np.max(np.maximum(box[:, 0] - theta, theta - box[:, 1])))
+    if outside > 0.0:
+        raise NotInRange(f"Newton ends {outside:.3e} outside the box", outside)
     residual = float(np.max(np.abs(model.gradient(theta) - eta)))
     if residual > 1e-6 * scale:
         raise NotInRange(

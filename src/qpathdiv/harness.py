@@ -160,7 +160,8 @@ def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: Claim
         trial_seed = derive_seed(global_seed, spec.id, dim, t)
         value, extras = trial_fn(dim, trial_seed)
         extras_list.append(extras)
-        if best_for_mode(value, worst) == value:
+        # a NaN measure is never beaten: the first one is the witness and fails the claim
+        if not math.isnan(worst) and (math.isnan(value) or best_for_mode(value, worst) == value):
             worst = value
             witness = {"trial": t, "dim": dim, "seed": trial_seed, "measure": value, **extras}
     if spec.mode == "equality":

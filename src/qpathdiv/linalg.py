@@ -58,8 +58,38 @@ class HermitianEigen:
         return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
+        return self._with_eigenvalues(self.eigenvalues)
+
+    def power(self, p: float) -> np.ndarray:
+        """H^p, with H^0 = I. A fractional p > 0 needs the spectrum above
+        -SUPPORT_EPS and clips it at 0; a negative p needs it above SUPPORT_EPS."""
+        if p == 0:
+            return np.eye(self.dim, dtype=complex)
+        if p < 0:
+            return self._with_eigenvalues(self._positive_spectrum(f"power {p}") ** p)
+        d = self.eigenvalues
+        if p != int(p):
+            low = float(d.min())
+            if low < -SUPPORT_EPS:
+                raise DomainError(f"power {p} undefined: eigenvalue {low:.3e} below -{SUPPORT_EPS:g}")
+            d = np.maximum(d, 0.0)
+        return self._with_eigenvalues(d**p)
+
+    def log(self) -> np.ndarray:
+        """log(H); the spectrum must lie above SUPPORT_EPS."""
+        return self._with_eigenvalues(np.log(self._positive_spectrum("log")))
+
+    def _positive_spectrum(self, what: str) -> np.ndarray:
+        low = float(self.eigenvalues.min())
+        if low <= SUPPORT_EPS:
+            raise DomainError(
+                f"{what} undefined: eigenvalue {low:.3e} at or below support threshold {SUPPORT_EPS:g}"
+            )
+        return self.eigenvalues
+
+    def _with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * values) @ u.conj().T
 
 
 def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
@@ -102,31 +132,18 @@ def apply_fn(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray], tol: float = 
     if not np.all(np.isfinite(fd)):
         bad = eig.eigenvalues[~np.isfinite(np.asarray(fd, dtype=complex))]
         raise DomainError(f"function undefined at eigenvalue(s) {bad}")
-    return (eig.eigenvectors * fd) @ eig.eigenvectors.conj().T
+    return eig._with_eigenvalues(fd)
 
 
 def herm_exp(h: np.ndarray) -> np.ndarray:
     return apply_fn(h, np.exp)
 
 
-def herm_log(h: np.ndarray, support_eps: float = SUPPORT_EPS) -> np.ndarray:
+def herm_log(h: np.ndarray) -> np.ndarray:
     """log(H) for Hermitian H with spectrum above the support threshold."""
-    eig = eig_hermitian(h)
-    low = float(eig.eigenvalues.min())
-    if low <= support_eps:
-        raise DomainError(
-            f"log undefined: eigenvalue {low:.3e} at or below support threshold {support_eps:g}"
-        )
-    return (eig.eigenvectors * np.log(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    return eig_hermitian(h).log()
 
 
-def herm_power(h: np.ndarray, p: float, support_eps: float = SUPPORT_EPS) -> np.ndarray:
-    """H^p for Hermitian H; fractional or negative p require spectrum > support threshold."""
-    eig = eig_hermitian(h)
-    needs_positive = (p != int(p)) or p < 0
-    low = float(eig.eigenvalues.min())
-    if needs_positive and low <= support_eps:
-        raise DomainError(
-            f"power {p} undefined: eigenvalue {low:.3e} at or below support threshold {support_eps:g}"
-        )
-    return (eig.eigenvectors * eig.eigenvalues**p) @ eig.eigenvectors.conj().T
+def herm_power(h: np.ndarray, p: float) -> np.ndarray:
+    """H^p for Hermitian H, with the domain rules of HermitianEigen.power."""
+    return eig_hermitian(h).power(p)

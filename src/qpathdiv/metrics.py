@@ -149,12 +149,6 @@ def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(a == b, a, c)
 
 
-def _full_rank_eig(rho: DensityMatrix):
-    if not rho.full_rank:
-        raise NotFullRank("state is not full rank (eigenvalue at or below 1e-12)")
-    return eig_hermitian(rho.matrix)
-
-
 def _check_dim(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (rho.dim, rho.dim):
@@ -162,23 +156,24 @@ def _check_dim(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _kernel_frame(rho: DensityMatrix, kind: MetricKind, x: np.ndarray):
+    """rho's eigenvectors U, the operand in that basis and the kernel matrix."""
+    x = _check_dim(rho, x)
+    if not rho.full_rank:
+        raise NotFullRank("state is not full rank (eigenvalue at or below 1e-12)")
+    u = rho.eig.eigenvectors
+    return u, u.conj().T @ x @ u, kernel_matrix(kind, rho.eig.eigenvalues)
+
+
 def e_to_m(rho: DensityMatrix, kind: MetricKind, x: np.ndarray) -> np.ndarray:
     """A = E_rho(X): exponential-side operator to mixture-side tangent."""
-    x = _check_dim(rho, x)
-    eig = _full_rank_eig(rho)
-    u = eig.eigenvectors
-    xp = u.conj().T @ x @ u
-    c = kernel_matrix(kind, eig.eigenvalues)
+    u, xp, c = _kernel_frame(rho, kind, x)
     return u @ (c * xp) @ u.conj().T
 
 
 def m_to_e(rho: DensityMatrix, kind: MetricKind, a: np.ndarray) -> np.ndarray:
     """X = E_rho^{-1}(A): entrywise division by the kernel in rho's eigenbasis."""
-    a = _check_dim(rho, a)
-    eig = _full_rank_eig(rho)
-    u = eig.eigenvectors
-    ap = u.conj().T @ a @ u
-    c = kernel_matrix(kind, eig.eigenvalues)
+    u, ap, c = _kernel_frame(rho, kind, a)
     return u @ (ap / c) @ u.conj().T
 
 

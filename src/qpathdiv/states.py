@@ -7,6 +7,7 @@ state anywhere in the package).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (
     NotPSD,
     TraceNotOne,
 )
-from .linalg import SUPPORT_EPS, frobenius, hermitian_part, hermiticity_defect
+from .linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, frobenius, hermitian_part, hermiticity_defect
 
 DENSITY_TOL = 1e-10
 
@@ -35,8 +36,17 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def eig(self) -> HermitianEigen:
+        """The validated eigendecomposition every matrix function of this
+        state is taken from; its arrays are read-only because callers share them."""
+        eig = eig_hermitian(self.matrix)
+        eig.eigenvalues.flags.writeable = False
+        eig.eigenvectors.flags.writeable = False
+        return eig
+
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        return self.eig.eigenvalues
 
 
 @dataclass(frozen=True)

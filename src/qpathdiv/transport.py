@@ -2,19 +2,20 @@
 
 Four metric choices admit closed-form autoparallel curves through a
 full-rank base state sigma with Hermitian direction L (theta is the arc
-parameter, mu the log-normalizer that keeps the trace at one):
+parameter, mu the log-normalizer that keeps the trace at one): kind b is
+e^{-mu} exp(log sigma + theta L), and kinds s, r and half are one family
+e^{-mu} sigma^p F sigma^{1-2p} F sigma^p with F = e^{theta G / 2}:
 
-    s     e^{-mu} e^{theta L / 2} sigma e^{theta L / 2}
-    b     e^{-mu} exp(log sigma + theta L)
-    r     e^{-mu} sigma^{1/2} e^{theta L_r} sigma^{1/2}
-    half  e^{-mu} sigma^{1/4} e^{theta K / 2} sigma^{1/2} e^{theta K / 2} sigma^{1/4}
+    kind  p = GeodesicKind.sandwich_power
+    s     0     G = L
+    r     1/2   the Belavkin-Staszewski curve
+    half  1/4
 
-The auxiliary Hermitian directions L_r and K (= L_half) are fixed by
-requiring that L is the Hermitian part of the transported operator:
-L = (sigma^{-1/2} L_r sigma^{1/2} + sigma^{1/2} L_r sigma^{-1/2}) / 2 and
-the quarter-power analogue for K. All exponentials are evaluated with the
-largest exponent shifted to zero and the shift restored inside mu, so
-large |theta| cannot overflow.
+For p > 0 the auxiliary Hermitian direction G is fixed by requiring that L
+is the Hermitian part of the transported operator,
+L = (sigma^{-p} G sigma^p + sigma^p G sigma^{-p}) / 2. All exponentials are
+evaluated with the largest exponent shifted to zero and the shift restored
+inside mu, so large |theta| cannot overflow.
 """
 
 from __future__ import annotations
@@ -48,11 +49,17 @@ class GeodesicKind(enum.Enum):
 
     @property
     def metric(self) -> metrics.MetricKind:
+        # the kind tags s, b, r and half are the metric tags
+        return metrics.metric_from_json(self.value)
+
+    @property
+    def sandwich_power(self) -> float | None:
+        """p of the curve sigma^p F sigma^{1-2p} F sigma^p; None for kind b."""
         return {
-            GeodesicKind.SLD: metrics.SLD,
-            GeodesicKind.BOGOLJUBOV: metrics.BOGOLJUBOV,
-            GeodesicKind.RLD: metrics.RLD,
-            GeodesicKind.HALF: metrics.HALF,
+            GeodesicKind.SLD: 0.0,
+            GeodesicKind.BOGOLJUBOV: None,
+            GeodesicKind.RLD: 0.5,
+            GeodesicKind.HALF: 0.25,
         }[self]
 
 
@@ -73,15 +80,15 @@ def solve_auxiliary_direction(
 
     In sigma's eigenbasis the relation is entrywise:
     L_ij = aux_ij * (w_ij + 1/w_ij) / 2 with w_ij = (d_j / d_i)^p,
-    p = 1/2 for kind r and p = 1/4 for kind half.
+    p = kind.sandwich_power.
     """
-    if kind not in (GeodesicKind.RLD, GeodesicKind.HALF):
+    p = kind.sandwich_power
+    if not p:
         raise DomainError(f"kind {kind.value} has no auxiliary direction")
     if not sigma.full_rank:
         raise NotFullRank("base state must be full rank")
-    eig = eig_hermitian(sigma.matrix)
+    eig = sigma.eig
     d = eig.eigenvalues
-    p = 0.5 if kind is GeodesicKind.RLD else 0.25
     w = (d[None, :] / d[:, None]) ** p
     weights = 2.0 / (w + 1.0 / w)
     u = eig.eigenvectors
@@ -92,9 +99,9 @@ def solve_auxiliary_direction(
 def _aux_relation_defect(
     kind: GeodesicKind, sigma: DensityMatrix, direction: np.ndarray, aux: np.ndarray
 ) -> float:
-    p = 0.5 if kind is GeodesicKind.RLD else 0.25
-    sp = herm_power(sigma.matrix, p)
-    sm = herm_power(sigma.matrix, -p)
+    p = kind.sandwich_power
+    sp = sigma.eig.power(p)
+    sm = sigma.eig.power(-p)
     rebuilt = (sm @ aux @ sp + sp @ aux @ sm) / 2.0
     return frobenius(rebuilt - direction)
 
@@ -116,7 +123,7 @@ def make_geodesic(
         )
     require_hermitian(direction, tol, name="direction")
     aux = None
-    if kind in (GeodesicKind.RLD, GeodesicKind.HALF):
+    if kind.sandwich_power:
         aux = aux_direction if aux_direction is not None else solve_auxiliary_direction(kind, base, direction)
         defect = _aux_relation_defect(kind, base, direction, aux)
         if defect > AUX_RELATION_TOL:
@@ -137,29 +144,21 @@ class MomentFunction:
     mu(0) = 0, mu is convex, and its second derivative is the Fisher
     information of the curve under the matching metric. Both derivatives
     are exact. Kinds s, r and half are the sandwich A F B F A with
-    F = exp(theta G / 2); in G's eigenbasis mu = log sum_ij w_ij
-    exp(theta (g_i + g_j) / 2) with w_ij = Re(B'_ij (A^2)'_ji), a classical
-    log-partition whose mu' and mu'' are the mean and variance of the
-    energies (g_i + g_j) / 2. For kind b, mu'' is the Kubo-Mori variance of L.
+    A = sigma^p, B = sigma^{1-2p} and F = exp(theta G / 2); in G's eigenbasis
+    mu = log sum_ij w_ij exp(theta (g_i + g_j) / 2) with w_ij = Re(B'_ij (A^2)'_ji),
+    a classical log-partition whose mu' and mu'' are the mean and variance of
+    the energies (g_i + g_j) / 2. For kind b, mu'' is the Kubo-Mori variance of L.
     """
 
     def __init__(self, geodesic: Geodesic):
         self.geodesic = geodesic
-        kind = geodesic.kind
-        sigma = geodesic.base.matrix
-        if kind is GeodesicKind.BOGOLJUBOV:
-            self._log_sigma = herm_log(sigma)
+        eig = geodesic.base.eig
+        p = geodesic.kind.sandwich_power
+        if p is None:
+            self._log_sigma = eig.log()
             return
-        # (A, A^2, B) and the generator G of each kind's sandwich
-        eye = np.eye(geodesic.base.dim, dtype=complex)
-        if kind is GeodesicKind.SLD:
-            self._outer, outer_sq, self._inner = eye, eye, sigma
-        elif kind is GeodesicKind.RLD:
-            self._outer, outer_sq, self._inner = herm_power(sigma, 0.5), sigma, eye
-        else:
-            half = herm_power(sigma, 0.5)
-            self._outer, outer_sq, self._inner = herm_power(sigma, 0.25), half, half
-        self._gen = eig_hermitian(geodesic.direction if kind is GeodesicKind.SLD else geodesic.aux_direction)
+        self._outer, outer_sq, self._inner = eig.power(p), eig.power(2.0 * p), eig.power(1.0 - 2.0 * p)
+        self._gen = eig_hermitian(geodesic.aux_direction if p else geodesic.direction)
         g = self._gen.eigenvalues
         v = self._gen.eigenvectors
         self._energies = (g[:, None] + g[None, :]) / 2.0
@@ -238,22 +237,18 @@ def moment_derivative(geodesic: Geodesic, theta: float, order: int) -> float:
 
 
 def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    """The positive F with A F B F A = rho on the curve of kind s or half
-    through sigma, so that the curve's generator is 2 log F:
+    """The positive F with sigma^p F sigma^{1-2p} F sigma^p = rho, where
+    p = kind.sandwich_power, so that the curve's generator is 2 log F:
 
-    s     sigma^{-1/2} (sigma^{1/2} rho sigma^{1/2})^{1/2} sigma^{-1/2}
-    half  sigma^{-1/4} rho^{1/2} sigma^{-1/4}
+    F = sigma^{p-1/2} (sigma^{1/2-2p} rho sigma^{1/2-2p})^{1/2} sigma^{p-1/2}
     """
-    s = sigma.matrix
-    if kind is GeodesicKind.SLD:
-        sh = herm_power(s, 0.5)
-        shi = herm_power(s, -0.5)
-        inner = herm_power(hermitian_part(sh @ rho.matrix @ sh), 0.5)
-        return hermitian_part(shi @ inner @ shi)
-    if kind is GeodesicKind.HALF:
-        qi = herm_power(s, -0.25)
-        return hermitian_part(qi @ herm_power(rho.matrix, 0.5) @ qi)
-    raise DomainError(f"kind {kind.value} has no sandwich operator")
+    p = kind.sandwich_power
+    if p is None:
+        raise DomainError(f"kind {kind.value} has no sandwich operator")
+    outer = sigma.eig.power(p - 0.5)
+    inner = sigma.eig.power(0.5 - 2.0 * p)
+    root = herm_power(hermitian_part(inner @ rho.matrix @ inner), 0.5)
+    return hermitian_part(outer @ root @ outer)
 
 
 def solve_direction(
@@ -269,22 +264,14 @@ def solve_direction(
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
     if not (rho.full_rank and sigma.full_rank):
         raise NotFullRank("both states must be full rank")
-    s = sigma.matrix
-    aux = None
-    if kind is GeodesicKind.SLD:
-        direction = 2.0 * herm_log(sandwich_operator(kind, rho, sigma))
-    elif kind is GeodesicKind.BOGOLJUBOV:
-        direction = herm_log(rho.matrix) - herm_log(s)
-    elif kind is GeodesicKind.RLD:
-        sh = herm_power(s, 0.5)
-        shi = herm_power(s, -0.5)
-        aux = herm_log(hermitian_part(shi @ rho.matrix @ shi))
-        direction = hermitian_part(shi @ aux @ sh)  # (A + A^*) / 2 with A = shi aux sh
+    p = kind.sandwich_power
+    gen = None
+    if p is None:
+        direction = rho.eig.log() - sigma.eig.log()
     else:
-        k = herm_log(sandwich_operator(kind, rho, sigma))
-        aux = 2.0 * k
-        direction = 2.0 * hermitian_part(herm_power(s, -0.25) @ k @ herm_power(s, 0.25))  # qi k q + q k qi
-    g = make_geodesic(kind, sigma, hermitian_part(direction), aux_direction=aux)
+        gen = 2.0 * herm_log(sandwich_operator(kind, rho, sigma))
+        direction = sigma.eig.power(-p) @ gen @ sigma.eig.power(p)
+    g = make_geodesic(kind, sigma, hermitian_part(direction), aux_direction=gen)
     defect = frobenius(e_transport(g, 1.0).matrix - rho.matrix)
     if defect > tol:
         raise TargetMismatch(

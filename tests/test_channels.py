@@ -187,6 +187,16 @@ def test_sandwich_pvm_achieves_s_divergence(pair_2x2):
     assert abs(induced - target) <= 1e-8
 
 
+def test_sandwich_pvm_pure_rho():
+    # only sigma must be full rank: the inner square root sees a zero eigenvalue
+    pure = validate_density(np.diag([1.0, 0.0]))
+    sigma = random_density(RandomSpec(2, 43, 0.05))
+    pvm = sandwich_pvm(pure, sigma)
+    assert np.max(np.abs(sum(pvm.elements) - np.eye(2))) <= 1e-12
+    for m in pvm.elements:
+        assert np.max(np.abs(m @ m - m)) <= 1e-12
+
+
 def test_sandwich_pvm_requires_full_rank_sigma():
     pure = validate_density(np.diag([1.0, 0.0]))
     with pytest.raises(NotFullRank):

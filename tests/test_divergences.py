@@ -399,6 +399,16 @@ def test_legendre_duality_round_trip():
         assert abs(recovered - model.value(np.array([theta]))) <= 1e-6
 
 
+def test_e_divergence_rld_matches_bs_divergence():
+    worst = 0.0
+    for trial in range(50):
+        dim = 2 + trial % 3
+        rho = random_density(RandomSpec(dim, 50_000 + trial, 0.05))
+        sigma = random_density(RandomSpec(dim, 60_000 + trial, 0.05))
+        worst = max(worst, abs(e_divergence_closed(GeodesicKind.RLD, rho, sigma) - bs_divergence(rho, sigma)))
+    assert worst <= 1e-12
+
+
 def test_legendre_not_in_range():
     # gradient of log(1 + e^t) lives in (0, 1); eta = 1.5 is unreachable
     model = ConvexFunctionModel(

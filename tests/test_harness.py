@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qpathdiv import harness
 from qpathdiv.errors import ConfigError, UnknownClaim
 from qpathdiv.harness import (
     ClaimSpec,
@@ -102,6 +105,24 @@ def test_counterexample_mode_requires_large_defect():
     )
     assert record.passed
     assert record.worst_slack > 1e-3
+
+
+@pytest.mark.parametrize("mode", ["equality", "inequality", "counterexample"])
+def test_nan_measure_fails_claim(monkeypatch, mode):
+    # trial 1 returns NaN between finite measures; it must be the witness
+    measures = iter([1e-12, math.nan, 1e-12, math.nan])
+    spec = ClaimSpec("nan-probe", (2,), 4, 1e-6, mode)
+    monkeypatch.setitem(harness._REGISTRY, "nan-probe", (spec, lambda dim, seed: (next(measures), {}), None))
+    record = run_claim("nan-probe", 1)
+    assert not record.passed
+    assert math.isnan(record.worst_slack)
+    assert record.witness["trial"] == 1
+
+
+def test_legendre_duality_replays_stalled_seed():
+    # at global seed 110 a box-clipped Newton step stalled at the grid corner
+    spec = dataclasses.replace(default_spec("classical-legendre-duality"), trials=1)
+    assert run_claim("classical-legendre-duality", 110, spec).passed
 
 
 def test_config_validation():

@@ -85,6 +85,17 @@ def test_herm_power_negative_needs_positive_spectrum():
         herm_power(np.diag([1.0, 0.0]).astype(complex), -0.5)
 
 
+def test_herm_power_fractional_accepts_zero_eigenvalue():
+    h = np.diag([1.0, 0.0]).astype(complex)
+    assert np.array_equal(herm_power(h, 0.5), h)
+    with pytest.raises(DomainError, match="-1.000e-06"):
+        herm_power(np.diag([1.0, -1e-6]).astype(complex), 0.5)
+
+
+def test_herm_power_zero_is_identity():
+    assert np.array_equal(herm_power(random_hermitian(3, 5), 0.0), np.eye(3))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_exp_log_roundtrip(seed):
     h = random_hermitian(3, seed)

@@ -72,6 +72,16 @@ def test_random_density_validates(seed, dim):
     assert again.full_rank
 
 
+def test_density_eig_is_cached_and_read_only():
+    rho = random_density(RandomSpec(3, 17, 0.05))
+    assert rho.eig is rho.eig
+    assert np.array_equal(rho.spectrum(), rho.eig.eigenvalues)
+    with pytest.raises(ValueError):
+        rho.eig.eigenvalues[0] = 0.5
+    with pytest.raises(ValueError):
+        rho.eig.eigenvectors[0, 0] = 1.0
+
+
 def test_random_density_floor():
     dm = random_density(RandomSpec(4, 1, 0.1))
     assert np.linalg.eigvalsh(dm.matrix).min() >= 0.1 - 1e-12

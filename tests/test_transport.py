@@ -20,6 +20,7 @@ from qpathdiv.transport import (
     make_geodesic,
     moment_derivative,
     moment_value,
+    sandwich_operator,
     solve_auxiliary_direction,
     solve_direction,
     transport_commutation_defect,
@@ -59,10 +60,30 @@ def test_aux_direction_resubstitution(kind):
     base = random_density(RandomSpec(3, 9, 0.05))
     l = random_direction(3, 10)
     aux = solve_auxiliary_direction(kind, base, l)
-    p = 0.5 if kind is GeodesicKind.RLD else 0.25
+    p = kind.sandwich_power
     sp, sm = herm_power(base.matrix, p), herm_power(base.matrix, -p)
     rebuilt = hermitian_part(sm @ aux @ sp)
     assert frobenius(rebuilt - l) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_sandwich_operator_rebuilds_target(kind):
+    # sigma^p F sigma^{1-2p} F sigma^p = rho for every member of the family
+    p = kind.sandwich_power
+    worst = 0.0
+    for trial in range(30):
+        dim = 2 + trial % 3
+        rho = random_density(RandomSpec(dim, 30_000 + trial, 0.05))
+        sigma = random_density(RandomSpec(dim, 40_000 + trial, 0.05))
+        f = sandwich_operator(kind, rho, sigma)
+        a, b = sigma.eig.power(p), sigma.eig.power(1.0 - 2.0 * p)
+        worst = max(worst, frobenius(a @ f @ b @ f @ a - rho.matrix))
+    assert worst <= 1e-12
+
+
+def test_sandwich_operator_wrong_kind():
+    with pytest.raises(DomainError):
+        sandwich_operator(GeodesicKind.BOGOLJUBOV, max_mixed(2), max_mixed(2))
 
 
 def test_aux_direction_wrong_kind():
