@@ -80,14 +80,13 @@ def adaptive_gauss_legendre(
     raise QuadratureNotConverged(f"estimates still differ by {gap:.3e} at {n} nodes")
 
 
-def _require_full_rank(state: DensityMatrix, name: str) -> None:
-    if not state.full_rank:
-        raise NotFullRank(f"{name} must be full rank")
-
-
-def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+def _check_pair(rho: DensityMatrix, sigma: DensityMatrix, rho_full_rank: bool = True) -> None:
+    """Equal dims, a full-rank sigma and, unless waived, a full-rank rho."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
+    for state, name, required in ((rho, "rho", rho_full_rank), (sigma, "sigma", True)):
+        if required and not state.full_rank:
+            raise NotFullRank(f"{name} must be full rank")
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -99,8 +98,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (log rho - log sigma); rank-deficient rho uses 0 log 0 = 0."""
-    _check_pair(rho, sigma)
-    _require_full_rank(sigma, "sigma")
+    _check_pair(rho, sigma, rho_full_rank=False)
     cross = float(np.trace(rho.matrix @ sigma.eig.log()).real)
     return -von_neumann_entropy(rho) - cross
 
@@ -108,8 +106,6 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})."""
     _check_pair(rho, sigma)
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
     rh = rho.eig.power(0.5)
     si = sigma.eig.power(-1.0)
     m = hermitian_part(rh @ si @ rh)
@@ -120,8 +116,6 @@ def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMa
     """Closed-form exponential-path divergence: the relative entropy for kind b,
     else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log(sandwich_operator)."""
     _check_pair(rho, sigma)
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
     p = kind.sandwich_power
     if p is None:
         return quantum_relative_entropy(rho, sigma)
@@ -155,8 +149,6 @@ def m_divergence_detail(
 ) -> tuple[float, int]:
     """m_divergence plus the Gauss-Legendre node count it settled on."""
     _check_pair(rho, sigma)
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
     return adaptive_gauss_legendre(
         lambda t: t * metrics.fisher_info_mixture(rho, sigma, kind, t), config
     )

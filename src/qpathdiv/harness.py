@@ -40,7 +40,7 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import ConfigError, UnknownClaim
-from .linalg import herm_log, hermitian_part, tensor_product
+from .linalg import eig_hermitian, herm_log, hermitian_part, tensor_product
 from .metrics import BOGOLJUBOV, HALF, RLD, SLD, fisher_info_mixture, fisher_info_numeric
 from .states import (
     DensityMatrix,
@@ -462,8 +462,6 @@ class QuantumExponentialFamily:
 
     def state(self, theta: np.ndarray) -> DensityMatrix:
         h = hermitian_part(self._generator(theta))
-        from .linalg import eig_hermitian
-
         eig = eig_hermitian(h)
         w = eig.eigenvalues - eig.eigenvalues.max()
         p = np.exp(w)
@@ -567,8 +565,6 @@ def _exp_family_kl(dim: int, seed: int):
 def _commuting_reduction(dim: int, seed: int):
     rho, sigma = random_commuting_pair(dim, seed, _FLOOR)
     # simultaneous eigenbasis from a generic combination (spectra stay matched)
-    from .linalg import eig_hermitian
-
     eig = eig_hermitian(rho.matrix + 0.618 * sigma.matrix)
     u = eig.eigenvectors
     p = np.diagonal(u.conj().T @ rho.matrix @ u).real

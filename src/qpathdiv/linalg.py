@@ -120,6 +120,25 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     return eig
 
 
+class _CachedEigen:
+    """Descriptor for an instance's read-only ``eig_hermitian(matrix)``, taken
+    on first access and then kept in the instance. It lives in the spectral
+    core, so a profile charges the decomposition to the layer that first asks
+    for it."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        eig = eig_hermitian(obj.matrix)
+        eig.eigenvalues.flags.writeable = False
+        eig.eigenvectors.flags.writeable = False
+        obj.__dict__[self.name] = eig
+        return eig
+
+
 def apply_fn(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray], tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Evaluate a scalar function on a Hermitian matrix via its spectrum.
 

@@ -7,7 +7,6 @@ state anywhere in the package).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import (
     NotPSD,
     TraceNotOne,
 )
-from .linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, frobenius, hermitian_part, hermiticity_defect
+from .linalg import SUPPORT_EPS, _CachedEigen, frobenius, hermitian_part, hermiticity_defect
 
 DENSITY_TOL = 1e-10
 
@@ -36,14 +35,9 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @functools.cached_property
-    def eig(self) -> HermitianEigen:
-        """The validated eigendecomposition every matrix function of this
-        state is taken from; its arrays are read-only because callers share them."""
-        eig = eig_hermitian(self.matrix)
-        eig.eigenvalues.flags.writeable = False
-        eig.eigenvectors.flags.writeable = False
-        return eig
+    # the validated HermitianEigen every matrix function of this state is
+    # taken from, cached; its arrays are read-only because callers share them
+    eig = _CachedEigen()
 
     def spectrum(self) -> np.ndarray:
         return self.eig.eigenvalues

@@ -65,7 +65,8 @@ class GeodesicKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Closed-form autoparallel curve: base state, Hermitian direction, kind."""
+    """Closed-form autoparallel curve: base state, Hermitian direction L, kind,
+    and the auxiliary direction G of a sandwich kind (None for kind b)."""
 
     base: DensityMatrix
     direction: np.ndarray
@@ -83,7 +84,7 @@ def solve_auxiliary_direction(
     p = kind.sandwich_power.
     """
     p = kind.sandwich_power
-    if not p:
+    if p is None or p == 0:
         raise DomainError(f"kind {kind.value} has no auxiliary direction")
     if not sigma.full_rank:
         raise NotFullRank("base state must be full rank")
@@ -96,16 +97,6 @@ def solve_auxiliary_direction(
     return hermitian_part(u @ (weights * lp) @ u.conj().T)
 
 
-def _aux_relation_defect(
-    kind: GeodesicKind, sigma: DensityMatrix, direction: np.ndarray, aux: np.ndarray
-) -> float:
-    p = kind.sandwich_power
-    sp = sigma.eig.power(p)
-    sm = sigma.eig.power(-p)
-    rebuilt = (sm @ aux @ sp + sp @ aux @ sm) / 2.0
-    return frobenius(rebuilt - direction)
-
-
 def make_geodesic(
     kind: GeodesicKind,
     base: DensityMatrix,
@@ -113,7 +104,8 @@ def make_geodesic(
     aux_direction: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> Geodesic:
-    """Build a geodesic, solving and verifying the auxiliary direction."""
+    """Build a geodesic, solving and verifying the auxiliary direction G of
+    a sandwich kind (for kind s, G = L)."""
     if not base.full_rank:
         raise NotFullRank("base state must be full rank")
     direction = np.asarray(direction, dtype=complex)
@@ -122,10 +114,14 @@ def make_geodesic(
             f"direction shape {direction.shape} does not match state dim {base.dim}"
         )
     require_hermitian(direction, tol, name="direction")
+    p = kind.sandwich_power
     aux = None
-    if kind.sandwich_power:
-        aux = aux_direction if aux_direction is not None else solve_auxiliary_direction(kind, base, direction)
-        defect = _aux_relation_defect(kind, base, direction, aux)
+    if p is not None:
+        aux = aux_direction
+        if aux is None:
+            aux = direction if p == 0 else solve_auxiliary_direction(kind, base, direction)
+        sp, sm = base.eig.power(p), base.eig.power(-p)
+        defect = frobenius((sm @ aux @ sp + sp @ aux @ sm) / 2.0 - direction)
         if defect > AUX_RELATION_TOL:
             raise TargetMismatch(
                 f"auxiliary direction violates its defining relation by {defect:.3e}"
@@ -153,12 +149,12 @@ class MomentFunction:
     def __init__(self, geodesic: Geodesic):
         self.geodesic = geodesic
         eig = geodesic.base.eig
-        p = geodesic.kind.sandwich_power
+        p = self._p = geodesic.kind.sandwich_power
         if p is None:
             self._log_sigma = eig.log()
             return
         self._outer, outer_sq, self._inner = eig.power(p), eig.power(2.0 * p), eig.power(1.0 - 2.0 * p)
-        self._gen = eig_hermitian(geodesic.aux_direction if p else geodesic.direction)
+        self._gen = eig_hermitian(geodesic.aux_direction)
         g = self._gen.eigenvalues
         v = self._gen.eigenvectors
         self._energies = (g[:, None] + g[None, :]) / 2.0
@@ -178,12 +174,12 @@ class MomentFunction:
         return float(top + np.log(total)), p / total
 
     def __call__(self, theta: float) -> float:
-        if self.geodesic.kind is GeodesicKind.BOGOLJUBOV:
+        if self._p is None:
             return self._log_spectrum(theta)[2]
         return self._log_partition(theta)[0]
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
-        if self.geodesic.kind is GeodesicKind.BOGOLJUBOV:
+        if self._p is None:
             eig = eig_hermitian(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
             mu = _log_sum_exp(eig.eigenvalues)
             u = eig.eigenvectors
@@ -205,7 +201,7 @@ class MomentFunction:
         """mu' (order 1) or mu'' (order 2) at theta, in closed form."""
         if order not in (1, 2):
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
-        if self.geodesic.kind is GeodesicKind.BOGOLJUBOV:
+        if self._p is None:
             h, u, mu = self._log_spectrum(theta)
             lp = u.conj().T @ self.geodesic.direction @ u
             mean = float(np.sum(np.exp(h - mu) * np.diagonal(lp).real))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpathdiv.errors import DimensionMismatch, DomainError, NotFullRank, NotHermitian
+from qpathdiv.errors import DimensionMismatch, DomainError, NotFullRank, NotHermitian, TargetMismatch
 from qpathdiv.linalg import frobenius, tensor_product
 from qpathdiv.metrics import fisher_info_numeric
 from qpathdiv.states import (
@@ -89,6 +89,18 @@ def test_sandwich_operator_wrong_kind():
 def test_aux_direction_wrong_kind():
     with pytest.raises(DomainError):
         solve_auxiliary_direction(GeodesicKind.SLD, max_mixed(2), PAULI_X)
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_sandwich_geodesic_carries_checked_aux_direction(kind):
+    base = random_density(RandomSpec(3, 9, 0.05))
+    l = random_direction(3, 10)
+    geo = make_geodesic(kind, base, l)
+    if kind is GeodesicKind.SLD:
+        assert np.array_equal(geo.aux_direction, l)
+    with pytest.raises(TargetMismatch):
+        make_geodesic(kind, base, l, aux_direction=2.0 * geo.aux_direction)
+    assert make_geodesic(GeodesicKind.BOGOLJUBOV, base, l).aux_direction is None
 
 
 def test_make_geodesic_rejects_non_hermitian_direction():
