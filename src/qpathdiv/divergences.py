@@ -19,6 +19,7 @@ quantum functional above must reduce to the classical value on the spectra.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,17 +58,26 @@ class QuadratureConfig:
             raise DomainError("max_nodes must allow at least one doubling")
 
 
-def _gl_estimate(f: Callable[[float], float], n: int) -> float:
+@functools.cache
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes on [0, 1] and their weights."""
     x, w = np.polynomial.legendre.leggauss(n)
-    t = (x + 1.0) / 2.0
-    return 0.5 * float(sum(wi * f(ti) for ti, wi in zip(t, w)))
+    t, half_w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = half_w.flags.writeable = False
+    return t, half_w
+
+
+def _gl_estimate(f: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    t, half_w = _gl_nodes(n)
+    return float(half_w @ f(t))
 
 
 def adaptive_gauss_legendre(
-    f: Callable[[float], float], config: QuadratureConfig = QuadratureConfig()
+    f: Callable[[np.ndarray], np.ndarray], config: QuadratureConfig = QuadratureConfig()
 ) -> tuple[float, int]:
     """Integrate f over [0, 1], doubling nodes until successive estimates
-    agree to rel_tol; returns (value, nodes used)."""
+    agree to rel_tol; returns (value, nodes used). ``f`` maps the array of
+    an estimate's nodes to the array of its values."""
     n = config.nodes
     prev = _gl_estimate(f, n)
     while 2 * n <= config.max_nodes:
@@ -137,7 +147,9 @@ def e_divergence_quadrature(
     """
     geo = solve_direction(kind, rho, sigma)
     mf = MomentFunction(geo)
-    value, _ = adaptive_gauss_legendre(lambda th: th * mf.derivative(th, 2), config)
+    value, _ = adaptive_gauss_legendre(
+        lambda ths: np.array([th * mf.derivative(th, 2) for th in ths]), config
+    )
     return value
 
 

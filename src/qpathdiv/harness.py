@@ -521,9 +521,9 @@ def _classical_mixture(dim: int, seed: int):
     p = rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim
     q = rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim
 
-    def weighted_info(t: float) -> float:
-        mix = (1.0 - t) * p + t * q
-        return t * float(np.sum((q - p) ** 2 / mix))
+    def weighted_info(t: np.ndarray) -> np.ndarray:
+        mix = (1.0 - t)[:, None] * p + t[:, None] * q
+        return t * np.sum((q - p) ** 2 / mix, axis=1)
 
     integral, _ = adaptive_gauss_legendre(weighted_info)
     return abs(integral - classical_kl(p, q)), {"kl": classical_kl(p, q)}

@@ -2,7 +2,9 @@
 
 All matrix functions go through a full spectral decomposition; dimensions
 are small (desk scale), so spectral calculus is exact up to eigensolver
-error and handles log and fractional powers uniformly.
+error and handles log and fractional powers uniformly. The spectral core
+takes a single matrix or a stack of shape (..., n, n): a stack is
+decomposed in one call and every matrix in it is validated.
 """
 
 from __future__ import annotations
@@ -24,9 +26,19 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """M^* of a matrix or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _frobenius_each(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of every matrix in a stack."""
+    return np.sqrt((m * m.conj()).real.sum((-2, -1)))
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry of |M - M^*|."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Largest entry of |M - M^*| (over a whole stack: its worst matrix)."""
+    return float(np.abs(m - _adjoint(m)).max())
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> None:
@@ -36,9 +48,9 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ma
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(X + X^*) / 2."""
+    """(X + X^*) / 2, matrixwise over a stack."""
     x = np.asarray(x, dtype=complex)
-    return (x + x.conj().T) / 2
+    return (x + _adjoint(x)) / 2
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -48,14 +60,16 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Spectral decomposition H = U diag(d) U^* with d ascending."""
+    """Spectral decomposition H = U diag(d) U^* with d ascending; over a
+    stack, eigenvalues (..., n) and eigenvectors (..., n, n), and every
+    method works matrixwise."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         return self._with_eigenvalues(self.eigenvalues)
@@ -64,7 +78,7 @@ class HermitianEigen:
         """H^p, with H^0 = I. A fractional p > 0 needs the spectrum above
         -SUPPORT_EPS and clips it at 0; a negative p needs it above SUPPORT_EPS."""
         if p == 0:
-            return np.eye(self.dim, dtype=complex)
+            return np.broadcast_to(np.eye(self.dim, dtype=complex), self.eigenvectors.shape).copy()
         if p < 0:
             return self._with_eigenvalues(self._positive_spectrum(f"power {p}") ** p)
         d = self.eigenvalues
@@ -89,20 +103,22 @@ class HermitianEigen:
 
     def _with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
         u = self.eigenvectors
-        return (u * values) @ u.conj().T
+        return (u * values[..., None, :]) @ _adjoint(u)
 
 
 def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
-    """Eigendecompose a Hermitian matrix, ascending eigenvalues.
+    """Eigendecompose a Hermitian matrix, or a stack (..., n, n) of them in
+    one call, ascending eigenvalues.
 
-    Raises NotHermitian when the symmetry defect exceeds ``tol`` and
-    ConvergenceFailure when the eigensolver fails or the reconstruction
-    U diag(d) U^* misses H by more than 1e-10 relative Frobenius.
+    Every matrix is checked: DomainError for a non-finite entry, NotHermitian
+    when a symmetry defect exceeds ``tol``, and ConvergenceFailure when the
+    eigensolver fails or a reconstruction U diag(d) U^* misses its matrix by
+    more than 1e-10 relative Frobenius. The messages report the worst matrix.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    if not np.isfinite(h).all():
         raise DomainError("matrix has non-finite entries")
     require_hermitian(h, tol)
     try:
@@ -110,12 +126,14 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     eig = HermitianEigen(w, u)
-    scale = max(frobenius(h), 1e-300)
-    defect = frobenius(eig.reconstruct() - h)
-    if defect > RECONSTRUCTION_TOL * scale:
+    scale = _frobenius_each(h) + 1e-300
+    defect = _frobenius_each(eig.reconstruct() - h)
+    if (defect > RECONSTRUCTION_TOL * scale).any():
+        k = int(np.argmax(defect / scale))
+        where = f" (matrix {k} of {defect.size} in the stack)" if defect.ndim else ""
         raise ConvergenceFailure(
-            f"eigendecomposition reconstruction defect {defect:.3e} exceeds "
-            f"{RECONSTRUCTION_TOL:g} * {scale:.3e}"
+            f"eigendecomposition reconstruction defect {defect.flat[k]:.3e} exceeds "
+            f"{RECONSTRUCTION_TOL:g} * {scale.flat[k]:.3e}{where}"
         )
     return eig
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidShape, NotFullRank
-from .linalg import eig_hermitian, hermitian_part
+from .linalg import SUPPORT_EPS, eig_hermitian, hermitian_part
 from .states import DensityMatrix
 
 @dataclass(frozen=True)
@@ -124,12 +124,13 @@ def phi1(u: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
-    """The matrix c(d_i, d_j) over a positive spectrum."""
+    """The matrix c(d_i, d_j) over a positive spectrum; a stack (..., n) of
+    spectra gives a stack (..., n, n) of kernels."""
     d = np.asarray(eigenvalues, dtype=float)
     if np.any(d <= 0):
         raise DomainError(f"kernel needs a strictly positive spectrum, min {d.min():.3e}")
-    a = d[:, None]
-    b = d[None, :]
+    a = d[..., :, None]
+    b = d[..., None, :]
     if kind.name == "s":
         return (a + b) / 2.0
     if kind.name == "b":
@@ -138,11 +139,11 @@ def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
         hi = np.maximum(a, b)
         return hi * phi1(np.log(np.minimum(a, b)) - np.log(hi))
     if kind.name == "r":
-        return np.broadcast_to(a, (d.size, d.size)).copy()
+        return np.broadcast_to(a, d.shape + d.shape[-1:]).copy()
     if kind.name == "lambda":
         c = a**kind.lam * b ** (1.0 - kind.lam)
     else:
-        c = np.zeros((d.size, d.size))
+        c = np.zeros(d.shape + d.shape[-1:])
         for lam, w in kind.points:
             c += w * a**lam * b ** (1.0 - lam)
     # pin coincident eigenvalues so c(a, a) = a holds exactly despite pow roundoff
@@ -160,7 +161,8 @@ def _kernel_frame(rho: DensityMatrix, kind: MetricKind, x: np.ndarray):
     """rho's eigenvectors U, the operand in that basis and the kernel matrix."""
     x = _check_dim(rho, x)
     if not rho.full_rank:
-        raise NotFullRank("state is not full rank (eigenvalue at or below 1e-12)")
+        low = float(rho.spectrum().min())
+        raise NotFullRank(f"state has minimum eigenvalue {low:.3e}, at or below {SUPPORT_EPS:g}", low)
     u = rho.eig.eigenvectors
     return u, u.conj().T @ x @ u, kernel_matrix(kind, rho.eig.eigenvalues)
 
@@ -189,26 +191,50 @@ def m_inner(rho: DensityMatrix, kind: MetricKind, a: np.ndarray, b: np.ndarray) 
     return complex(np.trace(m_to_e(rho, kind, a).conj().T @ b))
 
 
+# Largest stack (nodes * dim^2 entries) that fisher_info_mixture decomposes
+# at once: one call per block keeps the stacked temporaries small at dim 16.
+_STACK_ENTRIES = 8192
+
+
 def fisher_info_mixture(
-    rho: DensityMatrix, sigma: DensityMatrix, kind: MetricKind, t: float
-) -> float:
+    rho: DensityMatrix, sigma: DensityMatrix, kind: MetricKind, t: float | np.ndarray
+) -> float | np.ndarray:
     """Fisher information of the segment (1-t) rho + t sigma at parameter t.
 
     The tangent is the constant sigma - rho, so no differentiation is
     involved; this is the squared mixture-side norm of that tangent at the
-    interpolated state.
+    interpolated state. A float t gives a float; a 1-d array of t gives an
+    array, from stacked eigendecompositions of at most _STACK_ENTRIES entries.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
-    mt = (1.0 - t) * rho.matrix + t * sigma.matrix
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        return float(_mixture_info(rho, sigma, kind, ts[None])[0])
+    if ts.ndim != 1 or ts.size == 0:
+        raise InvalidShape(f"t must be a float or a nonempty 1-d array, got shape {ts.shape}")
+    block = max(1, _STACK_ENTRIES // rho.dim**2)
+    return np.concatenate(
+        [_mixture_info(rho, sigma, kind, ts[i : i + block]) for i in range(0, ts.size, block)]
+    )
+
+
+def _mixture_info(rho: DensityMatrix, sigma: DensityMatrix, kind: MetricKind, ts: np.ndarray) -> np.ndarray:
+    """J_t at each t of ts, from one stacked eigendecomposition."""
+    mt = (1.0 - ts)[:, None, None] * rho.matrix + ts[:, None, None] * sigma.matrix
     eig = eig_hermitian(hermitian_part(mt))
-    if float(eig.eigenvalues.min()) <= 1e-12:
-        raise NotFullRank(f"mixture state at t={t:g} is not full rank")
-    delta = sigma.matrix - rho.matrix
+    low = eig.eigenvalues[:, 0]
+    if np.any(low <= SUPPORT_EPS):
+        i = int(np.argmax(low <= SUPPORT_EPS))
+        raise NotFullRank(
+            f"mixture state at t={ts[i]:g} has minimum eigenvalue {low[i]:.3e}, "
+            f"at or below {SUPPORT_EPS:g}",
+            float(low[i]),
+        )
     u = eig.eigenvectors
-    dp = u.conj().T @ delta @ u
+    dp = u.conj().swapaxes(-1, -2) @ (sigma.matrix - rho.matrix) @ u
     c = kernel_matrix(kind, eig.eigenvalues)
-    return float(np.sum(np.abs(dp) ** 2 / c))
+    return np.sum((np.abs(dp) ** 2 / c).reshape(ts.size, -1), axis=1)
 
 
 def fisher_info_numeric(

@@ -162,8 +162,8 @@ class MomentFunction:
 
     def _log_spectrum(self, theta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Kind b: eigenpairs (h, U) of log sigma + theta L, and mu."""
-        h, u = np.linalg.eigh(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
-        return h, u, _log_sum_exp(h)
+        eig = eig_hermitian(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
+        return eig.eigenvalues, eig.eigenvectors, _log_sum_exp(eig.eigenvalues)
 
     def _log_partition(self, theta: float) -> tuple[float, np.ndarray]:
         """Kinds s, r, half: mu and the normalized weights over eigenpairs."""
@@ -180,10 +180,8 @@ class MomentFunction:
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
         if self._p is None:
-            eig = eig_hermitian(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
-            mu = _log_sum_exp(eig.eigenvalues)
-            u = eig.eigenvectors
-            mat = (u * np.exp(eig.eigenvalues - mu)) @ u.conj().T
+            h, u, mu = self._log_spectrum(theta)
+            mat = (u * np.exp(h - mu)) @ u.conj().T
             return validate_density(hermitian_part(mat)), mu
         g = self._gen.eigenvalues
         u = self._gen.eigenvectors

@@ -293,10 +293,33 @@ def test_adaptive_quadrature_not_converged():
     # a discontinuous integrand cannot satisfy a 1e-14 agreement demand
     config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=16)
     with pytest.raises(QuadratureNotConverged) as info:
-        adaptive_gauss_legendre(lambda t: float(t > 0.37), config)
+        adaptive_gauss_legendre(lambda t: (t > 0.37).astype(float), config)
     # the message reports the last measured gap between estimates
     reported = float(re.search(r"differ by (\S+) at 16 nodes", str(info.value)).group(1))
     assert reported > 0.0
+
+
+def test_leggauss_runs_once_per_node_count(monkeypatch):
+    from qpathdiv import divergences
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    divergences._gl_nodes.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    rho = random_density(RandomSpec(2, 901, 0.05))
+    sigma = random_density(RandomSpec(2, 902, 0.05))
+    for _ in range(3):
+        m_divergence(BOGOLJUBOV, rho, sigma)
+    assert calls and len(calls) == len(set(calls))
+    t, half_w = divergences._gl_nodes(calls[0])
+    for table in (t, half_w):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_quadrature_config_validation():
@@ -355,9 +378,8 @@ def test_bregman_max_and_path_characterizations():
 
     delta = theta_bar - theta
 
-    def integrand(t: float) -> float:
-        hess = model.hessian(theta + t * delta)
-        return t * float(delta @ hess @ delta)
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        return np.array([t * float(delta @ model.hessian(theta + t * delta) @ delta) for t in ts])
 
     path_form, _ = adaptive_gauss_legendre(integrand, QuadratureConfig(rel_tol=1e-9))
     assert abs(path_form - direct) <= 1e-6

@@ -156,3 +156,53 @@ def test_tensor_mixed_product(seed):
 
 def test_convergence_failure_is_exported():
     assert issubclass(ConvergenceFailure, Exception)
+
+
+def _stack(dim: int, count: int, seed: int) -> np.ndarray:
+    return np.stack([random_hermitian(dim, seed + k) for k in range(count)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_eig_stack_matches_single_matrices(dim):
+    h = _stack(dim, 5, 300) + 3.0 * np.eye(dim) * np.sqrt(dim)  # positive definite
+    eig = eig_hermitian(h)
+    assert eig.eigenvalues.shape == (5, dim) and eig.dim == dim
+    for k in range(5):
+        single = eig_hermitian(h[k])
+        assert np.array_equal(eig.eigenvalues[k], single.eigenvalues)
+        assert np.allclose(eig.reconstruct()[k], h[k], atol=1e-12)
+        assert np.allclose(eig.power(0.5)[k], single.power(0.5), atol=1e-12)
+        assert np.allclose(eig.power(-1.0)[k], single.power(-1.0), atol=1e-12)
+        assert np.allclose(eig.log()[k], single.log(), atol=1e-12)
+    assert np.array_equal(eig.power(0), np.broadcast_to(np.eye(dim), h.shape))
+
+
+def test_eig_stack_rejects_one_non_hermitian_slice():
+    h = _stack(3, 4, 310)
+    h[2, 0, 1] += 1e-6
+    with pytest.raises(NotHermitian) as info:
+        eig_hermitian(h)
+    assert info.value.defect == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_eig_stack_rejects_one_non_finite_slice():
+    h = _stack(3, 4, 320)
+    h[1, 2, 2] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        eig_hermitian(h)
+
+
+def test_eig_stack_reports_worst_reconstruction_defect(monkeypatch):
+    h = _stack(3, 4, 330)
+    eigh = np.linalg.eigh
+
+    def corrupted(m):
+        w, u = eigh(m)
+        w = w.copy()
+        w[1, 0] += 1e-6  # only slice 1 misses its matrix
+        return w, u
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    # the shifted eigenvalue puts slice 1 off by 1e-6 in Frobenius norm
+    with pytest.raises(ConvergenceFailure, match=r"defect 1\.000e-06 .* \(matrix 1 of 4 "):
+        eig_hermitian(h)

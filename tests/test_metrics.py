@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpathdiv.divergences import adaptive_gauss_legendre
 from qpathdiv.errors import InvalidShape, NotFullRank
 from qpathdiv.linalg import herm_power
 from qpathdiv.metrics import (
@@ -275,3 +274,56 @@ def test_fisher_mixture_not_full_rank():
     other = validate_density(np.diag([0.0, 1.0]))
     with pytest.raises(NotFullRank):
         fisher_info_mixture(pure, other, SLD, 0.0)
+
+
+def test_fisher_mixture_not_full_rank_reports_first_t_and_eigenvalue():
+    rho = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    sigma = validate_density(np.diag([2e-13, 1.0 - 2e-13]))
+    with pytest.raises(NotFullRank, match=r"t=1 has minimum eigenvalue 2\.000e-13") as info:
+        fisher_info_mixture(rho, sigma, SLD, np.array([0.3, 1.0, 0.0]))
+    assert info.value.defect == pytest.approx(2e-13, rel=1e-3)
+    with pytest.raises(NotFullRank, match=r"t=0 has minimum eigenvalue 5\.000e-13") as info:
+        fisher_info_mixture(rho, sigma, SLD, 0.0)
+    assert info.value.defect == pytest.approx(5e-13, rel=1e-3)
+
+
+def test_kernel_frame_not_full_rank_reports_eigenvalue():
+    rho = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    with pytest.raises(NotFullRank, match=r"minimum eigenvalue 5\.000e-13") as info:
+        e_to_m(rho, SLD, PAULI_X)
+    assert info.value.defect == pytest.approx(5e-13, rel=1e-3)
+
+
+@pytest.mark.parametrize("t", [np.full((2, 2), 0.5), np.array([])], ids=["matrix", "empty"])
+def test_fisher_mixture_rejects_malformed_t(pair_3x3, t):
+    rho, sigma = pair_3x3
+    with pytest.raises(InvalidShape):
+        fisher_info_mixture(rho, sigma, SLD, t)
+
+
+STACK_KINDS = ALL_KINDS + [lambda_kind(0.3), measure_kind([(0.0, 0.25), (0.6, 0.75)])]
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=lambda k: k.label())
+def test_kernel_matrix_stack_matches_rows(kind):
+    spectra = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
+    stacked = kernel_matrix(kind, spectra)
+    assert stacked.shape == (3, 3, 3)
+    for row, c in zip(spectra, stacked):
+        assert np.array_equal(c, kernel_matrix(kind, row))
+    # coincident eigenvalues are pinned in every row: c(a, a) = a exactly
+    assert stacked[1, 0, 1] == 0.3 and stacked[2, 1, 2] == 0.25
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=lambda k: k.label())
+def test_fisher_mixture_array_matches_scalar(kind, dim):
+    rho = random_density(RandomSpec(dim, 700 + dim, 0.01))
+    sigma = random_density(RandomSpec(dim, 800 + dim, 0.01))
+    ts = (np.polynomial.legendre.leggauss(64)[0] + 1.0) / 2.0  # two blocks at dim 16
+    stacked = fisher_info_mixture(rho, sigma, kind, ts)
+    assert stacked.shape == ts.shape
+    for t, value in zip(ts, stacked):
+        scalar = fisher_info_mixture(rho, sigma, kind, float(t))
+        assert isinstance(scalar, float)
+        assert abs(value - scalar) <= 1e-14 * abs(scalar)
