@@ -51,8 +51,6 @@ from .transport import (
     e_transport,
     m_geodesic,
     make_geodesic,
-    moment_derivative,
-    moment_value,
     solve_direction,
     transport_commutation_defect,
 )
@@ -97,8 +95,6 @@ __all__ = [
     "make_geodesic",
     "max_mixed",
     "measure",
-    "moment_derivative",
-    "moment_value",
     "partial_trace",
     "quantum_relative_entropy",
     "random_density",

@@ -31,16 +31,13 @@ _EXIT_CLAIM_FAILURE = 4
 
 
 def _parse_metric(text: str) -> metrics.MetricKind:
-    if text in ("s", "b", "r"):
-        return metrics.MetricKind(text)
-    if text == "half":
-        return metrics.HALF
+    """A metric tag s|b|r|half, or lambda=<x>."""
     if text.startswith("lambda="):
         try:
             return metrics.lambda_kind(float(text.split("=", 1)[1]))
         except ValueError as exc:
             raise ValidationError(f"cannot parse metric {text!r}: {exc}") from exc
-    raise ValidationError(f"cannot parse metric {text!r}; use s|b|r|half|lambda=<x>")
+    return metrics.metric_from_json(text)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -145,21 +142,14 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        obj = json.loads(Path(args.config).read_text())
-        config = harness.HarnessConfig.from_dict(obj)
-    else:
-        config = harness.HarnessConfig()
-    if args.seed is not None:
-        config = harness.HarnessConfig(
-            seed=args.seed, claims=config.claims, overrides=config.overrides
-        )
-    if args.claims:
-        requested = tuple(c.strip() for c in args.claims.split(",") if c.strip())
-        validated = harness.HarnessConfig.from_dict(
-            {"seed": config.seed, "claims": list(requested), "overrides": config.overrides}
-        )
-        config = validated
+    obj = json.loads(Path(args.config).read_text()) if args.config else {}
+    # a config that is not an object reaches from_dict unchanged and is rejected there
+    if isinstance(obj, dict):
+        if args.seed is not None:
+            obj["seed"] = args.seed
+        if args.claims:
+            obj["claims"] = [c.strip() for c in args.claims.split(",") if c.strip()]
+    config = harness.HarnessConfig.from_dict(obj)
     report = harness.run_all(config)
     for record in report.records:
         status = "PASS" if record.passed else "FAIL"

@@ -1,4 +1,4 @@
-"""Divergence functionals and the classical convex-duality machinery.
+"""Divergence functionals and the convex-duality layer.
 
 Quantum functionals (all in nats, full-rank second argument throughout):
 
@@ -12,9 +12,16 @@ Quantum functionals (all in nats, full-rank second argument throughout):
   m_divergence               integral of t * J_t along the mixture segment
                              (1-t) rho + t sigma, any metric kind
 
-The classical layer (classical_kl, ExponentialFamily, bregman_divergence,
-legendre_transform) provides independent oracles: on commuting inputs every
-quantum functional above must reduce to the classical value on the spectra.
+Convex duality (ConvexFunctionModel, bregman_divergence, legendre_transform,
+legendre_model) serves two families:
+
+  ExponentialFamily          classical, over a finite alphabet; with
+                             classical_kl it gives independent oracles: on
+                             commuting inputs every quantum functional above
+                             must reduce to the classical value on the spectra
+  QuantumExponentialFamily   states exp(sum_i theta^i X_i - moment) over the
+                             Gell-Mann basis; its Bregman divergences are D
+                             and, through the Legendre dual, m_b
 """
 
 from __future__ import annotations
@@ -29,16 +36,22 @@ from . import metrics
 from .errors import (
     DimensionMismatch,
     DomainError,
+    InvalidShape,
     NotFullRank,
     NotInRange,
     QuadratureNotConverged,
     SupportViolation,
 )
-from .linalg import SUPPORT_EPS, herm_log, hermitian_part
-from .states import DensityMatrix
+from .linalg import SUPPORT_EPS, eig_hermitian, herm_log, hermitian_part, log_sum_exp
+from .states import DensityMatrix, validate_density
 from .transport import GeodesicKind, MomentFunction, sandwich_operator, solve_direction
 
 _KL_CUTOFF = 1e-15
+# Legendre maximizer: grid points per axis of the seeding grid, the Newton
+# stopping tolerance on the gradient residual, and the Newton step budget
+_LEGENDRE_GRID_POINTS = 7
+_LEGENDRE_TOL = 1e-11
+_LEGENDRE_MAX_NEWTON = 80
 
 
 @dataclass(frozen=True)
@@ -197,26 +210,14 @@ def classical_kl(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConvexFunctionModel:
-    """A twice-differentiable strictly convex function with its gradient.
-
-    ``grad`` may be omitted; a central finite difference is used then.
-    """
+    """A twice-differentiable strictly convex function with its gradient."""
 
     dim: int
     value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray], np.ndarray]
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(theta), dtype=float)
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            h = 1e-6 * (1.0 + abs(theta[i]))
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[i] = (self.value(theta + e) - self.value(theta - e)) / (2.0 * h)
-        return out
+        return np.asarray(self.grad(np.asarray(theta, dtype=float)), dtype=float)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -244,29 +245,22 @@ def bregman_divergence(model: ConvexFunctionModel, theta_bar: np.ndarray, theta:
     return out
 
 
-def _maximize_dual(
-    model: ConvexFunctionModel,
-    eta: np.ndarray,
-    box: np.ndarray,
-    grid_points: int,
-    tol: float,
-    max_newton: int,
-) -> tuple[np.ndarray, float]:
+def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float]:
     eta = np.asarray(eta, dtype=float)
     box = np.asarray(box, dtype=float).reshape(model.dim, 2)
 
     def objective(th: np.ndarray) -> float:
         return float(eta @ th - model.value(th))
 
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
+    axes = [np.linspace(lo, hi, _LEGENDRE_GRID_POINTS) for lo, hi in box]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
     theta = min(grid, key=lambda th: -objective(th))
     theta = np.asarray(theta, dtype=float)
 
     scale = 1.0 + float(np.max(np.abs(eta)))
-    for _ in range(max_newton):
+    for _ in range(_LEGENDRE_MAX_NEWTON):
         residual = model.gradient(theta) - eta
-        if float(np.max(np.abs(residual))) <= tol * scale:
+        if float(np.max(np.abs(residual))) <= _LEGENDRE_TOL * scale:
             break
         hess = model.hessian(theta)
         try:
@@ -295,32 +289,18 @@ def _maximize_dual(
     return theta, objective(theta)
 
 
-def legendre_transform(
-    model: ConvexFunctionModel,
-    eta: np.ndarray,
-    box: np.ndarray,
-    grid_points: int = 7,
-    tol: float = 1e-11,
-    max_newton: int = 80,
-) -> float:
+def legendre_transform(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> float:
     """max over theta in box of eta . theta - value(theta).
 
     Damped Newton on the stationarity equation grad(theta) = eta, seeded by
     a coarse grid; NotInRange when no interior solution exists.
     """
-    return _maximize_dual(model, eta, box, grid_points, tol, max_newton)[1]
+    return _maximize_dual(model, eta, box)[1]
 
 
-def legendre_maximizer(
-    model: ConvexFunctionModel,
-    eta: np.ndarray,
-    box: np.ndarray,
-    grid_points: int = 7,
-    tol: float = 1e-11,
-    max_newton: int = 80,
-) -> np.ndarray:
+def legendre_maximizer(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> np.ndarray:
     """The argmax of the Legendre transform (the dual parameter of eta)."""
-    return _maximize_dual(model, eta, box, grid_points, tol, max_newton)[0]
+    return _maximize_dual(model, eta, box)[0]
 
 
 def legendre_model(model: ConvexFunctionModel, box: np.ndarray) -> ConvexFunctionModel:
@@ -347,9 +327,7 @@ class ExponentialFamily:
         return np.log(self.base) + np.asarray(theta, dtype=float) @ self.features
 
     def moment(self, theta: np.ndarray) -> float:
-        z = self._log_unnorm(theta)
-        top = z.max()
-        return float(top + np.log(np.sum(np.exp(z - top))))
+        return log_sum_exp(self._log_unnorm(theta))
 
     def distribution(self, theta: np.ndarray) -> np.ndarray:
         z = self._log_unnorm(theta)
@@ -362,3 +340,75 @@ class ExponentialFamily:
 
     def model(self) -> ConvexFunctionModel:
         return ConvexFunctionModel(dim=self.dim, value=self.moment, grad=self.mean_parameters)
+
+
+def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:
+    """Generalized Gell-Mann basis of the traceless Hermitian matrices,
+    orthogonal with Tr X_i X_j = 2 delta_ij."""
+    basis: list[np.ndarray] = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0
+            basis.append(sym)
+            skew = np.zeros((dim, dim), dtype=complex)
+            skew[i, j] = -1j
+            skew[j, i] = 1j
+            basis.append(skew)
+    for level in range(1, dim):
+        d = np.zeros(dim)
+        d[:level] = 1.0
+        d[level] = -level
+        basis.append(np.diag(d * np.sqrt(2.0 / (level * (level + 1)))).astype(complex))
+    return basis
+
+
+class QuantumExponentialFamily:
+    """States exp(sum_i theta^i X_i - moment) over the Gell-Mann basis X_i
+    of the traceless Hermitian dim x dim matrices.
+
+    The moment function is shifted so moment(0) = 0; then its Legendre
+    transform evaluated at the mixture coordinates of a state equals that
+    state's entropy deficit from the maximally mixed state.
+    """
+
+    def __init__(self, dim: int):
+        if dim < 2:
+            raise InvalidShape(f"a quantum exponential family needs dim >= 2, got {dim}")
+        self.dim = dim
+        self.basis = traceless_hermitian_basis(dim)
+
+    @property
+    def k(self) -> int:
+        return len(self.basis)
+
+    def _generator(self, theta: np.ndarray) -> np.ndarray:
+        return sum(t * x for t, x in zip(np.asarray(theta, dtype=float), self.basis))
+
+    def moment(self, theta: np.ndarray) -> float:
+        # eigenvalues only, unvalidated: the Legendre dual evaluates this at
+        # every grid point and line-search step
+        return float(log_sum_exp(np.linalg.eigvalsh(self._generator(theta))) - np.log(self.dim))
+
+    def state(self, theta: np.ndarray) -> DensityMatrix:
+        eig = eig_hermitian(hermitian_part(self._generator(theta)))
+        w = eig.eigenvalues - eig.eigenvalues.max()
+        p = np.exp(w)
+        p /= p.sum()
+        u = eig.eigenvectors
+        return validate_density((u * p) @ u.conj().T)
+
+    def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
+        return self.mixture_coordinates(self.state(theta))
+
+    def mixture_coordinates(self, state: DensityMatrix) -> np.ndarray:
+        """eta_i = Tr rho X_i."""
+        return np.array([float(np.trace(state.matrix @ x).real) for x in self.basis])
+
+    def state_from_mixture(self, eta: np.ndarray) -> DensityMatrix:
+        """I / dim + sum_i eta_i X_i / 2; since Tr X_i X_j = 2 delta_ij, the
+        X_i / 2 are the dual basis."""
+        return validate_density(np.eye(self.dim) / self.dim + self._generator(eta) / 2.0)
+
+    def model(self) -> ConvexFunctionModel:
+        return ConvexFunctionModel(dim=self.k, value=self.moment, grad=self.mean_parameters)

@@ -26,8 +26,9 @@ import numpy as np
 from . import metrics
 from .channels import apply_channel, measure, partial_trace, random_channel, sandwich_pvm
 from .divergences import (
-    ConvexFunctionModel,
+    ExponentialFamily,
     QuadratureConfig,
+    QuantumExponentialFamily,
     adaptive_gauss_legendre,
     bregman_divergence,
     bs_divergence,
@@ -40,7 +41,7 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import ConfigError, UnknownClaim
-from .linalg import eig_hermitian, herm_log, hermitian_part, tensor_product
+from .linalg import eig_hermitian, herm_log, tensor_product
 from .metrics import BOGOLJUBOV, HALF, RLD, SLD, fisher_info_mixture, fisher_info_numeric
 from .states import (
     DensityMatrix,
@@ -400,96 +401,9 @@ def _m_gap_r(dim: int, seed: int):
     return gap, {}
 
 
-# ---------------------------------------------------------------------------
-# convex-duality machinery over traceless Hermitian bases
-# ---------------------------------------------------------------------------
-
-
-def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann basis of the traceless Hermitian matrices."""
-    basis: list[np.ndarray] = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0
-            basis.append(sym)
-            skew = np.zeros((dim, dim), dtype=complex)
-            skew[i, j] = -1j
-            skew[j, i] = 1j
-            basis.append(skew)
-    for level in range(1, dim):
-        d = np.zeros(dim)
-        d[:level] = 1.0
-        d[level] = -level
-        basis.append(np.diag(d * np.sqrt(2.0 / (level * (level + 1)))).astype(complex))
-    return basis
-
-
-def dual_basis(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Y^i with Tr Y^i X_j = delta_ij under the trace inner product."""
-    k = len(basis)
-    gram = np.array([[float(np.trace(a @ b).real) for b in basis] for a in basis])
-    inv = np.linalg.inv(gram)
-    return [sum(inv[i, j] * basis[j] for j in range(k)) for i in range(k)]
-
-
-@dataclass(frozen=True)
-class QuantumExponentialFamily:
-    """States exp(sum_i theta^i X_i - moment) over a traceless Hermitian basis.
-
-    The moment function is shifted so moment(0) = 0; then its Legendre
-    transform evaluated at the mixture coordinates of a state equals that
-    state's entropy deficit from the maximally mixed state.
-    """
-
-    basis: tuple[np.ndarray, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis[0].shape[0]
-
-    def _generator(self, theta: np.ndarray) -> np.ndarray:
-        return sum(t * x for t, x in zip(np.asarray(theta, dtype=float), self.basis))
-
-    def moment(self, theta: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(self._generator(theta))
-        top = w.max()
-        return float(top + np.log(np.sum(np.exp(w - top))) - np.log(self.dim))
-
-    def state(self, theta: np.ndarray) -> DensityMatrix:
-        h = hermitian_part(self._generator(theta))
-        eig = eig_hermitian(h)
-        w = eig.eigenvalues - eig.eigenvalues.max()
-        p = np.exp(w)
-        p /= p.sum()
-        u = eig.eigenvectors
-        return validate_density((u * p) @ u.conj().T)
-
-    def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
-        rho = self.state(theta)
-        return np.array([float(np.trace(rho.matrix @ x).real) for x in self.basis])
-
-    def mixture_coordinates(self, state: DensityMatrix) -> np.ndarray:
-        return np.array([float(np.trace(state.matrix @ x).real) for x in self.basis])
-
-    def state_from_mixture(self, eta: np.ndarray) -> DensityMatrix:
-        duals = dual_basis(list(self.basis))
-        mat = np.eye(self.dim, dtype=complex) / self.dim
-        for value, y in zip(np.asarray(eta, dtype=float), duals):
-            mat = mat + value * y
-        return validate_density(mat)
-
-    def model(self) -> ConvexFunctionModel:
-        return ConvexFunctionModel(dim=self.k, value=self.moment, grad=self.mean_parameters)
-
-
 @_register("potential-duality-bogoljubov", dims=(2,), trials=25, tolerance=1e-6, mode="equality")
 def _potential_duality(dim: int, seed: int):
-    family = QuantumExponentialFamily(basis=tuple(traceless_hermitian_basis(dim)))
+    family = QuantumExponentialFamily(dim)
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = rng.uniform(-0.8, 0.8, size=family.k)
     theta_bar = rng.uniform(-0.8, 0.8, size=family.k)
@@ -500,8 +414,8 @@ def _potential_duality(dim: int, seed: int):
     natural_defect = abs(d - bregman_divergence(mu_model, theta_bar, theta))
     box = np.array([[-3.0, 3.0]] * family.k)
     nu_model = legendre_model(mu_model, box)
-    eta = family.mean_parameters(theta)
-    eta_bar = family.mean_parameters(theta_bar)
+    eta = family.mixture_coordinates(rho)
+    eta_bar = family.mixture_coordinates(rho_bar)
     m_b = m_divergence(BOGOLJUBOV, rho_bar, rho)
     mixture_defect = abs(m_b - bregman_divergence(nu_model, eta, eta_bar))
     entropy_defect = abs(
@@ -533,8 +447,6 @@ def _random_classical_family(seed: int, alphabet: int, k: int = 2):
     rng = np.random.Generator(np.random.PCG64(seed))
     base = rng.dirichlet(np.ones(alphabet)) * 0.9 + 0.1 / alphabet
     features = rng.uniform(-1.0, 1.0, size=(k, alphabet))
-    from .divergences import ExponentialFamily
-
     return ExponentialFamily(base=base, features=features), rng
 
 
@@ -667,7 +579,7 @@ class HarnessConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         seed = obj.get("seed", DEFAULT_GLOBAL_SEED)
-        if not isinstance(seed, int) or seed < 0:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
         claims = obj.get("claims")
         if claims is not None:

@@ -53,6 +53,12 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + _adjoint(x)) / 2
 
 
+def log_sum_exp(x: np.ndarray) -> float:
+    """log sum exp(x), with the largest entry factored out so nothing overflows."""
+    top = x.max()
+    return float(top + np.log(np.sum(np.exp(x - top))))
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

@@ -33,6 +33,7 @@ from .linalg import (
     herm_log,
     herm_power,
     hermitian_part,
+    log_sum_exp,
     require_hermitian,
 )
 from .states import DensityMatrix, validate_density
@@ -129,11 +130,6 @@ def make_geodesic(
     return Geodesic(base=base, direction=direction, kind=kind, aux_direction=aux)
 
 
-def _log_sum_exp(x: np.ndarray) -> float:
-    top = x.max()
-    return float(top + np.log(np.sum(np.exp(x - top))))
-
-
 class MomentFunction:
     """Log-normalizer mu(theta) of a geodesic, with cached spectral data.
 
@@ -163,7 +159,7 @@ class MomentFunction:
     def _log_spectrum(self, theta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Kind b: eigenpairs (h, U) of log sigma + theta L, and mu."""
         eig = eig_hermitian(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
-        return eig.eigenvalues, eig.eigenvectors, _log_sum_exp(eig.eigenvalues)
+        return eig.eigenvalues, eig.eigenvectors, log_sum_exp(eig.eigenvalues)
 
     def _log_partition(self, theta: float) -> tuple[float, np.ndarray]:
         """Kinds s, r, half: mu and the normalized weights over eigenpairs."""
@@ -220,14 +216,6 @@ class MomentFunction:
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:
     """The state an amount theta along the curve; theta = 0 gives the base."""
     return MomentFunction(geodesic).state(theta)
-
-
-def moment_value(geodesic: Geodesic, theta: float) -> float:
-    return MomentFunction(geodesic)(theta)
-
-
-def moment_derivative(geodesic: Geodesic, theta: float, order: int) -> float:
-    return MomentFunction(geodesic).derivative(theta, order)
 
 
 def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:

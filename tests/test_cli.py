@@ -140,12 +140,13 @@ def test_geodesic_direction_mode(tmp_path, capsys):
 
 
 def test_fisher_grid(capsys):
-    assert main(["fisher", RHO_FIXTURE, SIGMA_FIXTURE, "--metric", "b", "--points", "0.2,0.5,0.8"]) == 0
-    rows = _rows_from_csv(capsys.readouterr().out)
-    assert len(rows) == 3
-    for r in rows:
-        assert float(r["fisher_mixture"]) >= 0
-        assert abs(float(r["fisher_mixture"]) - float(r["fisher_numeric"])) <= 1e-6
+    for metric in ("b", "half"):
+        assert main(["fisher", RHO_FIXTURE, SIGMA_FIXTURE, "--metric", metric, "--points", "0.2,0.5,0.8"]) == 0
+        rows = _rows_from_csv(capsys.readouterr().out)
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r["fisher_mixture"]) >= 0
+            assert abs(float(r["fisher_mixture"]) - float(r["fisher_numeric"])) <= 1e-6
 
 
 def test_fisher_lambda_metric(capsys):
@@ -210,6 +211,36 @@ def test_verify_bad_config(tmp_path, capsys):
     config_path.write_text(json.dumps({"seed": 7, "bogus": True}))
     assert main(["verify", "--config", str(config_path)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        (None, ["--seed", "-1"]),
+        (None, ["--seed", "-1", "--claims", "e-path-additivity"]),
+        ({"seed": True}, []),
+        ([1, 2], ["--seed", "3"]),
+    ],
+    ids=["negative-seed", "negative-seed-with-claims", "boolean-seed", "config-not-an-object"],
+)
+def test_verify_rejects_bad_seed_or_config(tmp_path, capsys, config, flags):
+    args = ["verify", *flags]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        args += ["--config", str(config_path)]
+    assert main(args) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_verify_dim_one_override_exit_code(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"overrides": {"potential-duality-bogoljubov": {"dims": [1], "trials": 1}}})
+    )
+    args = ["verify", "--claims", "potential-duality-bogoljubov", "--config", str(config_path)]
+    assert main(args) == 2
+    assert "InvalidShape" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", [{"trials": "abc"}, {"dims": []}, {"tolerance": "x"}])

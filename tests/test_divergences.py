@@ -8,6 +8,7 @@ from qpathdiv.divergences import (
     ConvexFunctionModel,
     ExponentialFamily,
     QuadratureConfig,
+    QuantumExponentialFamily,
     adaptive_gauss_legendre,
     bregman_divergence,
     bs_divergence,
@@ -19,10 +20,12 @@ from qpathdiv.divergences import (
     legendre_transform,
     m_divergence,
     quantum_relative_entropy,
+    traceless_hermitian_basis,
     von_neumann_entropy,
 )
 from qpathdiv.errors import (
     DomainError,
+    InvalidShape,
     NotFullRank,
     NotInRange,
     QuadratureNotConverged,
@@ -419,6 +422,41 @@ def test_legendre_duality_round_trip():
     for theta in (-1.0, 0.0, 1.2):
         recovered = legendre_transform(nu, np.array([theta]), eta_box)
         assert abs(recovered - model.value(np.array([theta]))) <= 1e-6
+
+
+def test_traceless_basis_and_dual():
+    # Tr X_i X_j = 2 delta_ij is what makes X_i / 2 the dual basis
+    for dim in (2, 3, 4):
+        basis = traceless_hermitian_basis(dim)
+        assert len(basis) == dim * dim - 1
+        for x in basis:
+            assert abs(np.trace(x)) <= 1e-12
+            assert np.linalg.norm(x - x.conj().T) <= 1e-12
+        gram = np.array([[np.trace(a @ b) for b in basis] for a in basis])
+        assert np.abs(gram - 2.0 * np.eye(len(basis))).max() <= 1e-12
+
+
+def test_quantum_exponential_family_round_trip():
+    family = QuantumExponentialFamily(2)
+    theta = np.array([0.3, -0.5, 0.7])
+    assert family.moment(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
+    state = family.state(theta)
+    eta = family.mixture_coordinates(state)
+    assert np.allclose(eta, family.mean_parameters(theta), atol=1e-12)
+    rebuilt = family.state_from_mixture(eta)
+    assert np.linalg.norm(rebuilt.matrix - state.matrix) <= 1e-10
+    for dim in (2, 3, 4):
+        family = QuantumExponentialFamily(dim)
+        for seed in range(5):
+            rho = random_density(RandomSpec(dim, 70_000 + 10 * dim + seed, 0.05))
+            rebuilt = family.state_from_mixture(family.mixture_coordinates(rho))
+            assert np.abs(rebuilt.matrix - rho.matrix).max() <= 1e-12
+
+
+def test_quantum_exponential_family_needs_dim_two():
+    for dim in (0, 1):
+        with pytest.raises(InvalidShape):
+            QuantumExponentialFamily(dim)
 
 
 def test_e_divergence_rld_matches_bs_divergence():

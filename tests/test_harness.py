@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from qpathdiv import harness
@@ -10,17 +9,14 @@ from qpathdiv.errors import ConfigError, UnknownClaim
 from qpathdiv.harness import (
     ClaimSpec,
     HarnessConfig,
-    QuantumExponentialFamily,
     THEOREM2_CLAIMS,
     default_spec,
     derive_seed,
-    dual_basis,
     registered_claims,
     replay_witness,
     run_all,
     run_claim,
     run_theorem2_suite,
-    traceless_hermitian_basis,
 )
 
 SMALL = {"trials": 4}
@@ -195,27 +191,3 @@ def test_theorem2_suite_small():
         "m-path-gap-counterexample-r",
     ):
         assert by_id[claim_id].worst_slack > 1e-3
-
-
-def test_traceless_basis_and_dual():
-    for dim in (2, 3):
-        basis = traceless_hermitian_basis(dim)
-        assert len(basis) == dim * dim - 1
-        for x in basis:
-            assert abs(np.trace(x)) <= 1e-12
-            assert np.linalg.norm(x - x.conj().T) <= 1e-12
-        duals = dual_basis(basis)
-        for i, y in enumerate(duals):
-            for j, x in enumerate(basis):
-                assert np.isclose(np.trace(y @ x).real, 1.0 if i == j else 0.0, atol=1e-10)
-
-
-def test_quantum_exponential_family_round_trip():
-    family = QuantumExponentialFamily(basis=tuple(traceless_hermitian_basis(2)))
-    theta = np.array([0.3, -0.5, 0.7])
-    assert family.moment(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
-    state = family.state(theta)
-    eta = family.mixture_coordinates(state)
-    assert np.allclose(eta, family.mean_parameters(theta), atol=1e-12)
-    rebuilt = family.state_from_mixture(eta)
-    assert np.linalg.norm(rebuilt.matrix - state.matrix) <= 1e-10

@@ -18,8 +18,6 @@ from qpathdiv.transport import (
     e_transport,
     m_geodesic,
     make_geodesic,
-    moment_derivative,
-    moment_value,
     sandwich_operator,
     solve_auxiliary_direction,
     solve_direction,
@@ -152,15 +150,15 @@ def test_transport_b_reaches_target():
 def test_moment_zero_at_origin(kind):
     base = random_density(RandomSpec(3, 41, 0.05))
     g = make_geodesic(kind, base, random_direction(3, 42))
-    assert abs(moment_value(g, 0.0)) <= 1e-12
+    assert abs(MomentFunction(g)(0.0)) <= 1e-12
 
 
 def test_moment_linear_example():
     # base I/2, direction I: the curve stays put and mu(theta) = theta
     g = make_geodesic(GeodesicKind.SLD, max_mixed(2), np.eye(2, dtype=complex))
     for theta in (0.3, 1.0, 2.5):
-        assert np.isclose(moment_value(g, theta), theta, atol=1e-12)
-    assert np.isclose(moment_derivative(g, 1.0, 1), 1.0, atol=1e-8)
+        assert np.isclose(MomentFunction(g)(theta), theta, atol=1e-12)
+    assert np.isclose(MomentFunction(g).derivative(1.0, 1), 1.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -170,13 +168,13 @@ def test_moment_commuting_matches_classical(kind):
     g = make_geodesic(kind, validate_density(np.diag(p)), np.diag(x).astype(complex))
     for theta in (0.4, 1.1):
         classical = np.log(np.sum(p * np.exp(theta * x)))
-        assert np.isclose(moment_value(g, theta), classical, atol=1e-12)
+        assert np.isclose(MomentFunction(g)(theta), classical, atol=1e-12)
         # mu' and mu'' are the mean and variance of x under p_theta
         p_theta = p * np.exp(theta * x)
         p_theta /= p_theta.sum()
         mean = np.sum(p_theta * x)
-        assert abs(moment_derivative(g, theta, 1) - mean) <= 1e-12
-        assert abs(moment_derivative(g, theta, 2) - np.sum(p_theta * (x - mean) ** 2)) <= 1e-12
+        assert abs(MomentFunction(g).derivative(theta, 1) - mean) <= 1e-12
+        assert abs(MomentFunction(g).derivative(theta, 2) - np.sum(p_theta * (x - mean) ** 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -197,7 +195,7 @@ def test_moment_derivative_orders():
     base = random_density(RandomSpec(2, 51, 0.05))
     g = make_geodesic(GeodesicKind.BOGOLJUBOV, base, random_direction(2, 52))
     with pytest.raises(DomainError):
-        moment_derivative(g, 0.5, 3)
+        MomentFunction(g).derivative(0.5, 3)
 
 
 def test_moment_second_derivative_nonnegative():
@@ -205,7 +203,7 @@ def test_moment_second_derivative_nonnegative():
     for kind in ALL_KINDS:
         g = make_geodesic(kind, base, random_direction(3, 62))
         for theta in np.linspace(-1.0, 1.0, 9):
-            assert moment_derivative(g, theta, 2) >= -1e-8
+            assert MomentFunction(g).derivative(theta, 2) >= -1e-8
 
 
 def test_moment_first_derivative_at_one_is_relative_entropy():
@@ -215,7 +213,7 @@ def test_moment_first_derivative_at_one_is_relative_entropy():
     sigma = random_density(RandomSpec(3, 72, 0.05))
     g = solve_direction(GeodesicKind.BOGOLJUBOV, rho, sigma)
     d = quantum_relative_entropy(rho, sigma)
-    assert abs(moment_derivative(g, 1.0, 1) - d) <= 1e-12
+    assert abs(MomentFunction(g).derivative(1.0, 1) - d) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -350,9 +348,9 @@ def test_large_theta_does_not_overflow():
     l = random_direction(2, 162) * 3.0
     for kind in ALL_KINDS:
         g = make_geodesic(kind, base, l)
-        mu = moment_value(g, 400.0)
+        mu = MomentFunction(g)(400.0)
         assert np.isfinite(mu)
-        assert np.isfinite(moment_derivative(g, 400.0, 1))
-        assert np.isfinite(moment_derivative(g, 400.0, 2))
+        assert np.isfinite(MomentFunction(g).derivative(400.0, 1))
+        assert np.isfinite(MomentFunction(g).derivative(400.0, 2))
         out = e_transport(g, 400.0)
         assert np.all(np.isfinite(out.matrix))
