@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 from qpathdiv import harness
+from qpathdiv.errors import ConfigError
 
 
 def main() -> int:
@@ -20,12 +21,15 @@ def main() -> int:
     parser.add_argument("--claims", help="comma-separated claim ids (default: all)")
     args = parser.parse_args()
 
-    ids = (
-        tuple(c.strip() for c in args.claims.split(",") if c.strip())
-        if args.claims
-        else harness.registered_claims()
-    )
-    config = harness.HarnessConfig(seed=args.seed, claims=ids)
+    obj = {"seed": args.seed}
+    if args.claims:
+        obj["claims"] = [c.strip() for c in args.claims.split(",") if c.strip()]
+    try:
+        config = harness.HarnessConfig.from_dict(obj)
+    except ConfigError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    ids = config.claims if config.claims is not None else harness.registered_claims()
 
     records = []
     start = time.time()

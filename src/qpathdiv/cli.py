@@ -41,16 +41,24 @@ def _parse_metric(text: str) -> metrics.MetricKind:
 
 
 def _parse_grid(text: str) -> list[float]:
+    """A nonempty grid of finite values: a comma list or start:stop:count."""
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValidationError(f"grid must be start:stop:count, got {text!r}")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            return list(np.linspace(start, stop, count))
-        return [float(x) for x in text.split(",") if x.strip()]
+            given, count = [float(parts[0]), float(parts[1])], int(parts[2])
+        else:
+            given, count = [float(x) for x in text.split(",") if x.strip()], None
+        for v in given:
+            if not math.isfinite(v):
+                raise ValidationError(f"grid {text!r} has the non-finite value {v}")
+        values = given if count is None else list(np.linspace(given[0], given[1], count))
     except ValueError as exc:
         raise ValidationError(f"cannot parse grid {text!r}: {exc}") from exc
+    if not values:
+        raise ValidationError(f"grid {text!r} has no values")
+    return values
 
 
 def _emit(lines: list[str], output: str | None) -> None:
@@ -111,12 +119,11 @@ def _cmd_geodesic(args) -> int:
         geo = transport.make_geodesic(kind, base, direction)
     mf = transport.MomentFunction(geo)
     thetas = _parse_grid(args.thetas)
+    d1s, d2s = (mf.derivative(np.array(thetas), order) for order in (1, 2))
     lines = ["theta,moment,moment_d1,moment_d2,eig_min,eig_max"]
-    for theta in thetas:
+    for theta, d1, d2 in zip(thetas, d1s, d2s):
         state, mu = mf.state_and_moment(theta)
         spectrum = state.spectrum()
-        d1 = mf.derivative(theta, 1)
-        d2 = mf.derivative(theta, 2)
         lines.append(
             f"{_format_value(theta)},{_format_value(mu)},{_format_value(d1)},"
             f"{_format_value(d2)},{_format_value(spectrum.min())},{_format_value(spectrum.max())}"

@@ -156,14 +156,11 @@ def e_divergence_quadrature(
 
     Solves the direction reaching rho from sigma, then integrates
     theta * mu''(theta) over [0, 1] (the curvature of the log-normalizer is
-    the Fisher information along the curve).
+    the Fisher information along the curve). All nodes of an estimate go
+    to MomentFunction.derivative as one array.
     """
-    geo = solve_direction(kind, rho, sigma)
-    mf = MomentFunction(geo)
-    value, _ = adaptive_gauss_legendre(
-        lambda ths: np.array([th * mf.derivative(th, 2) for th in ths]), config
-    )
-    return value
+    mf = MomentFunction(solve_direction(kind, rho, sigma))
+    return adaptive_gauss_legendre(lambda ths: ths * mf.derivative(ths, 2), config)[0]
 
 
 def m_divergence_detail(
@@ -327,7 +324,7 @@ class ExponentialFamily:
         return np.log(self.base) + np.asarray(theta, dtype=float) @ self.features
 
     def moment(self, theta: np.ndarray) -> float:
-        return log_sum_exp(self._log_unnorm(theta))
+        return float(log_sum_exp(self._log_unnorm(theta)))
 
     def distribution(self, theta: np.ndarray) -> np.ndarray:
         z = self._log_unnorm(theta)

@@ -500,11 +500,11 @@ def _moment_curvature(dim: int, seed: int):
     rho, sigma = _pair(dim, seed)
     geo = solve_direction(kind, rho, sigma)
     mf = MomentFunction(geo)
+    thetas = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst = 0.0
-    for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        curvature = mf.derivative(theta, 2)
+    for theta, curvature in zip(thetas, mf.derivative(np.array(thetas), 2)):
         info = fisher_info_numeric(mf.state, theta, kind.metric)
-        worst = max(worst, abs(curvature - info))
+        worst = max(worst, abs(float(curvature) - info))
     return worst, {"kind": kind.value}
 
 

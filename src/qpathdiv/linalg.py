@@ -53,10 +53,11 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + _adjoint(x)) / 2
 
 
-def log_sum_exp(x: np.ndarray) -> float:
-    """log sum exp(x), with the largest entry factored out so nothing overflows."""
-    top = x.max()
-    return float(top + np.log(np.sum(np.exp(x - top))))
+def log_sum_exp(x: np.ndarray) -> float | np.ndarray:
+    """log sum exp(x) over the last axis (one value per row of a stack), with
+    the largest entry factored out so nothing overflows."""
+    top = x.max(axis=-1)
+    return top + np.log(np.sum(np.exp(x - top[..., None]), axis=-1))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -114,7 +114,12 @@ def random_density(spec: RandomSpec) -> DensityMatrix:
 
 
 def random_direction(dim: int, seed: int, traceless: bool = True) -> np.ndarray:
-    """Seeded random Hermitian matrix with unit Frobenius norm."""
+    """Seeded random Hermitian matrix with unit Frobenius norm; a traceless
+    one needs dim >= 2, since at dim 1 only zero is traceless."""
+    low = 2 if traceless else 1
+    if dim < low:
+        what = "traceless direction" if traceless else "direction"
+        raise InvalidShape(f"a unit {what} needs dim >= {low}, got dim {dim}")
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = hermitian_part(g)

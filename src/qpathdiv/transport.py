@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .errors import DimensionMismatch, DomainError, NotFullRank, TargetMismatch
+from .errors import DimensionMismatch, DomainError, InvalidShape, NotFullRank, TargetMismatch
 from .linalg import (
     eig_hermitian,
     frobenius,
@@ -156,29 +156,33 @@ class MomentFunction:
         self._energies = (g[:, None] + g[None, :]) / 2.0
         self._weights = ((v.conj().T @ self._inner @ v) * (v.conj().T @ outer_sq @ v).T).real
 
-    def _log_spectrum(self, theta: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Kind b: eigenpairs (h, U) of log sigma + theta L, and mu."""
-        eig = eig_hermitian(hermitian_part(self._log_sigma + theta * self.geodesic.direction))
+    def _log_spectrum(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kind b: eigenpairs (h, U) of log sigma + theta L and mu, each
+        stacked over ths, from one validated eigendecomposition."""
+        eig = eig_hermitian(hermitian_part(self._log_sigma + ths[:, None, None] * self.geodesic.direction))
         return eig.eigenvalues, eig.eigenvectors, log_sum_exp(eig.eigenvalues)
 
-    def _log_partition(self, theta: float) -> tuple[float, np.ndarray]:
-        """Kinds s, r, half: mu and the normalized weights over eigenpairs."""
-        z = theta * self._energies
-        top = z.max()
-        p = self._weights * np.exp(z - top)
-        total = p.sum()
-        return float(top + np.log(total)), p / total
+    def _log_partition(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kinds s, r, half: mu and the normalized weights over eigenpairs,
+        each stacked over ths."""
+        z = ths[:, None, None] * self._energies
+        top = z.max(axis=(1, 2))
+        p = self._weights * np.exp(z - top[:, None, None])
+        total = p.sum(axis=(1, 2))
+        return top + np.log(total), p / total[:, None, None]
 
     def __call__(self, theta: float) -> float:
+        ths = _theta_array(float(theta))
         if self._p is None:
-            return self._log_spectrum(theta)[2]
-        return self._log_partition(theta)[0]
+            return float(self._log_spectrum(ths)[2][0])
+        return float(self._log_partition(ths)[0][0])
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
+        ths = _theta_array(float(theta))
         if self._p is None:
-            h, u, mu = self._log_spectrum(theta)
+            h, u, mu = (x[0] for x in self._log_spectrum(ths))
             mat = (u * np.exp(h - mu)) @ u.conj().T
-            return validate_density(hermitian_part(mat)), mu
+            return validate_density(hermitian_part(mat)), float(mu)
         g = self._gen.eigenvalues
         u = self._gen.eigenvectors
         top = float(np.max(theta * g))
@@ -191,26 +195,54 @@ class MomentFunction:
     def state(self, theta: float) -> DensityMatrix:
         return self.state_and_moment(theta)[0]
 
-    def derivative(self, theta: float, order: int) -> float:
-        """mu' (order 1) or mu'' (order 2) at theta, in closed form."""
+    def derivative(self, theta: float | np.ndarray, order: int) -> float | np.ndarray:
+        """mu' (order 1) or mu'' (order 2) at theta, in closed form.
+
+        A float theta gives a float; a nonempty 1-d array gives an array.
+        Kind b decomposes the stacked log sigma + theta L in blocks of at
+        most metrics._STACK_ENTRIES entries, one validated eig_hermitian each.
+        """
         if order not in (1, 2):
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
+        ths = _theta_array(theta)
         if self._p is None:
-            h, u, mu = self._log_spectrum(theta)
-            lp = u.conj().T @ self.geodesic.direction @ u
-            mean = float(np.sum(np.exp(h - mu) * np.diagonal(lp).real))
-            if order == 1:
-                return mean
-            # the larger exponent is factored out, so nothing overflows
-            hi = np.maximum.outer(h, h)
-            lo = np.minimum.outer(h, h)
-            centered = lp - mean * np.eye(h.size)
-            return float(np.sum(np.abs(centered) ** 2 * np.exp(hi - mu) * metrics.phi1(lo - hi)))
-        _, p = self._log_partition(theta)
-        mean = float(np.sum(p * self._energies))
+            block = max(1, metrics._STACK_ENTRIES // self.geodesic.base.dim**2)
+            values = np.concatenate(
+                [self._kubo_mori(ths[i : i + block], order) for i in range(0, ths.size, block)]
+            )
+        else:
+            _, p = self._log_partition(ths)
+            values = np.sum(p * self._energies, axis=(1, 2))
+            if order == 2:
+                values = np.sum(p * (self._energies - values[:, None, None]) ** 2, axis=(1, 2))
+        return float(values[0]) if np.ndim(theta) == 0 else values
+
+    def _kubo_mori(self, ths: np.ndarray, order: int) -> np.ndarray:
+        """Kind b: mu' (the mean of L) or mu'' (its Kubo-Mori variance) at each theta of ths."""
+        h, u, mu = self._log_spectrum(ths)
+        lp = u.conj().swapaxes(-1, -2) @ self.geodesic.direction @ u
+        mean = np.sum(np.exp(h - mu[:, None]) * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
         if order == 1:
             return mean
-        return float(np.sum(p * (self._energies - mean) ** 2))
+        # the larger exponent is factored out, so nothing overflows
+        hi = np.maximum(h[:, :, None], h[:, None, :])
+        lo = np.minimum(h[:, :, None], h[:, None, :])
+        centered = lp - mean[:, None, None] * np.eye(h.shape[1])
+        return np.sum(
+            np.abs(centered) ** 2 * np.exp(hi - mu[:, None, None]) * metrics.phi1(lo - hi), axis=(1, 2)
+        )
+
+
+def _theta_array(theta: float | np.ndarray) -> np.ndarray:
+    """theta as a nonempty 1-d array of finite floats; a float gives one entry."""
+    ths = np.asarray(theta, dtype=float)
+    if ths.ndim > 1 or ths.size == 0:
+        raise InvalidShape(f"theta must be a float or a nonempty 1-d array, got shape {ths.shape}")
+    ths = ths.reshape(-1)
+    bad = ~np.isfinite(ths)
+    if bad.any():
+        raise DomainError(f"theta must be finite, got {ths[bad][0]}")
+    return ths
 
 
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:

@@ -166,6 +166,24 @@ def test_geodesic_bad_grid(capsys):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ("nan", "non-finite value nan"),
+        ("0,inf", "non-finite value inf"),
+        ("0:-inf:3", "non-finite value -inf"),
+        (",", "no values"),
+        ("0:1:0", "no values"),
+        ("0:1:-2", "cannot parse grid"),
+    ],
+)
+def test_geodesic_rejects_non_finite_or_empty_grid(capsys, grid, named):
+    args = ["geodesic", RHO_FIXTURE, "--kind", "b", "--target", SIGMA_FIXTURE, "--thetas", grid]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and named in err
+
+
 def test_verify_single_claim(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(
@@ -241,6 +259,14 @@ def test_verify_dim_one_override_exit_code(tmp_path, capsys):
     args = ["verify", "--claims", "potential-duality-bogoljubov", "--config", str(config_path)]
     assert main(args) == 2
     assert "InvalidShape" in capsys.readouterr().err
+
+
+def test_verify_dim_one_direction_override_exit_code(tmp_path, capsys):
+    claim = "transport-commutation-bogoljubov"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"overrides": {claim: {"dims": [1], "trials": 1}}}))
+    assert main(["verify", "--claims", claim, "--config", str(config_path)]) == 2
+    assert "InvalidShape: a unit traceless direction needs dim >= 2, got dim 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", [{"trials": "abc"}, {"dims": []}, {"tolerance": "x"}])

@@ -529,3 +529,46 @@ def test_entropy_helper():
         von_neumann_entropy(validate_density(np.diag([0.5, 0.5]))), np.log(2), atol=1e-12
     )
     assert von_neumann_entropy(validate_density(np.diag([1.0, 0.0]))) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("kind", list(GeodesicKind))
+def test_e_divergence_quadrature_matches_node_by_node(kind, dim):
+    from qpathdiv.transport import MomentFunction, solve_direction
+
+    rho = random_density(RandomSpec(dim, 911, 0.05))
+    sigma = random_density(RandomSpec(dim, 912, 0.05))
+    mf = MomentFunction(solve_direction(kind, rho, sigma))
+    old, _ = adaptive_gauss_legendre(
+        lambda ths: np.array([th * mf.derivative(float(th), 2) for th in ths])
+    )
+    assert e_divergence_quadrature(kind, rho, sigma) == old
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+def test_kind_b_integrand_is_one_eig_per_block(monkeypatch, dim):
+    from qpathdiv import divergences, metrics, transport
+
+    floor = 0.05 if dim < 16 else 0.005
+    rho = random_density(RandomSpec(dim, 921, floor))
+    sigma = random_density(RandomSpec(dim, 922, floor))
+    stacks, estimates = [], []
+    eig, estimate = transport.eig_hermitian, divergences._gl_estimate
+
+    def counted_eig(h):
+        stacks.append(h.shape[0])
+        return eig(h)
+
+    def counted_estimate(f, n):
+        estimates.append(n)
+        return estimate(f, n)
+
+    monkeypatch.setattr(transport, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(divergences, "_gl_estimate", counted_estimate)
+    e_divergence_quadrature(GeodesicKind.BOGOLJUBOV, rho, sigma)
+    block = metrics._STACK_ENTRIES // dim**2
+    expected = [1]  # solve_direction transports once to check its target
+    for n in estimates:
+        expected += [min(block, n - i) for i in range(0, n, block)]
+    assert stacks == expected
+    assert len(stacks) - 1 == sum(-(-n * dim**2 // metrics._STACK_ENTRIES) for n in estimates)

@@ -11,6 +11,7 @@ from qpathdiv.linalg import (
     herm_log,
     herm_power,
     hermitian_part,
+    log_sum_exp,
     tensor_product,
 )
 
@@ -206,3 +207,10 @@ def test_eig_stack_reports_worst_reconstruction_defect(monkeypatch):
     # the shifted eigenvalue puts slice 1 off by 1e-6 in Frobenius norm
     with pytest.raises(ConvergenceFailure, match=r"defect 1\.000e-06 .* \(matrix 1 of 4 "):
         eig_hermitian(h)
+
+
+def test_log_sum_exp_stack_matches_rows():
+    x = np.array([[0.1, -2.0, 3.5], [800.0, 799.0, -5.0]])
+    rows = [log_sum_exp(row) for row in x]
+    assert np.array_equal(log_sum_exp(x), np.array(rows))
+    assert rows[1] == 800.0 + np.log(1.0 + np.exp(-1.0) + np.exp(-805.0))

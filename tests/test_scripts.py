@@ -34,3 +34,10 @@ def test_run_verification_writes_report(tmp_path, monkeypatch, capsys):
     payload = json.loads(report.read_text())
     assert payload["all_pass"] is True
     assert [record["claim_id"] for record in payload["claims"]] == [claim]
+
+
+def test_run_verification_rejects_a_negative_seed(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "report.json"
+    assert _run_script(monkeypatch, "run_verification.py", "--seed", "-1", "--report", str(report)) == 2
+    assert "ConfigError: seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not report.exists()

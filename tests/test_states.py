@@ -163,3 +163,11 @@ def test_state_json_roundtrip(tmp_path):
 def test_matrix_json_rejects_malformed():
     with pytest.raises(InvalidShape):
         serialize.matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
+
+
+def test_random_direction_dim_one_is_rejected():
+    with pytest.raises(InvalidShape, match="dim >= 2, got dim 1"):
+        random_direction(1, 17)
+    with pytest.raises(InvalidShape, match="dim >= 1, got dim 0"):
+        random_direction(0, 17, traceless=False)
+    assert np.isclose(abs(random_direction(1, 17, traceless=False)[0, 0]), 1.0)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qpathdiv.errors import DimensionMismatch, DomainError, NotFullRank, NotHermitian, TargetMismatch
+from qpathdiv.errors import (
+    DimensionMismatch,
+    DomainError,
+    InvalidShape,
+    NotFullRank,
+    NotHermitian,
+    TargetMismatch,
+)
 from qpathdiv.linalg import frobenius, tensor_product
 from qpathdiv.metrics import fisher_info_numeric
 from qpathdiv.states import (
@@ -354,3 +361,63 @@ def test_large_theta_does_not_overflow():
         assert np.isfinite(MomentFunction(g).derivative(400.0, 2))
         out = e_transport(g, 400.0)
         assert np.all(np.isfinite(out.matrix))
+
+
+def _solved_moment(kind, dim, seed):
+    floor = 0.05 if dim < 16 else 0.005
+    rho = random_density(RandomSpec(dim, seed, floor))
+    sigma = random_density(RandomSpec(dim, seed + 1, floor))
+    return MomentFunction(solve_direction(kind, rho, sigma))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_derivative_array_matches_scalar_bitwise(kind, dim, order):
+    mf = _solved_moment(kind, dim, 171)
+    thetas = np.concatenate([np.linspace(-1.0, 1.5, 6), np.polynomial.legendre.leggauss(9)[0]])
+    stacked = mf.derivative(thetas, order)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == thetas.shape
+    singles = [mf.derivative(float(th), order) for th in thetas]
+    assert all(isinstance(v, float) for v in singles)
+    assert np.array_equal(stacked, np.array(singles))
+    one = mf.derivative(thetas[:1], order)
+    assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == singles[0]
+
+
+@pytest.mark.parametrize("entries", [1, 2 * 9, 3 * 9 + 4])
+def test_kind_b_blocks_span_the_theta_array(monkeypatch, entries):
+    from qpathdiv import metrics, transport
+
+    mf = _solved_moment(GeodesicKind.BOGOLJUBOV, 3, 181)
+    thetas = np.linspace(-0.5, 1.5, 7)
+    expected = {order: mf.derivative(thetas, order) for order in (1, 2)}
+    sizes = []
+    eig = transport.eig_hermitian
+
+    def counted(h):
+        sizes.append(h.shape[0])
+        return eig(h)
+
+    monkeypatch.setattr(metrics, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(transport, "eig_hermitian", counted)
+    block = max(1, entries // 9)
+    for order in (1, 2):
+        sizes.clear()
+        assert np.array_equal(mf.derivative(thetas, order), expected[order])
+        assert sizes == [min(block, thetas.size - i) for i in range(0, thetas.size, block)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_derivative_rejects_malformed_theta(kind):
+    mf = _solved_moment(kind, 2, 201)
+    for bad in (np.zeros((2, 2)), np.array([])):
+        with pytest.raises(InvalidShape, match="theta"):
+            mf.derivative(bad, 2)
+    for bad, text in ((np.nan, "nan"), (np.inf, "inf"), (np.array([0.1, 0.2, -np.inf]), "-inf")):
+        for order in (1, 2):
+            with pytest.raises(DomainError, match=f"theta must be finite, got {text}"):
+                mf.derivative(bad, order)
+    for evaluate in (mf, mf.state):
+        with pytest.raises(DomainError, match="theta must be finite, got nan"):
+            evaluate(np.nan)
