@@ -87,8 +87,8 @@ def _cmd_compute(args) -> int:
     for kind in GeodesicKind:
         value = divergences.e_divergence_closed(kind, rho, sigma)
         rows.append((f"e_{kind.value}", value, "closed", None))
-    for kind in GeodesicKind:
-        value, nodes = divergences.m_divergence_detail(kind.metric, rho, sigma, config)
+    m_path = divergences.m_divergence_detail(tuple(kind.metric for kind in GeodesicKind), rho, sigma, config)
+    for kind, (value, nodes) in zip(GeodesicKind, m_path):
         rows.append((f"m_{kind.value}", value, "quadrature", nodes))
     rows = [(name, value / unit, method, nodes) for name, value, method, nodes in rows]
     if args.format == "json":
@@ -117,7 +117,7 @@ def _cmd_geodesic(args) -> int:
     else:
         direction = serialize.load_matrix(args.direction)
         geo = transport.make_geodesic(kind, base, direction)
-    mf = transport.MomentFunction(geo)
+    mf = geo.moment
     thetas = _parse_grid(args.thetas)
     d1s, d2s = (mf.derivative(np.array(thetas), order) for order in (1, 2))
     lines = ["theta,moment,moment_d1,moment_d2,eig_min,eig_max"]

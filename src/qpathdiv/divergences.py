@@ -44,7 +44,7 @@ from .errors import (
 )
 from .linalg import SUPPORT_EPS, eig_hermitian, herm_log, hermitian_part, log_sum_exp
 from .states import DensityMatrix, validate_density
-from .transport import GeodesicKind, MomentFunction, sandwich_operator, solve_direction
+from .transport import GeodesicKind, sandwich_operator, solve_direction
 
 _KL_CUTOFF = 1e-15
 # Legendre maximizer: grid points per axis of the seeding grid, the Newton
@@ -80,27 +80,67 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, half_w
 
 
-def _gl_estimate(f: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+def _gl_estimate(f: Callable[[np.ndarray], np.ndarray], n: int) -> list[float]:
+    """The n-node estimate of each row of f's values; (n,) values are one row."""
     t, half_w = _gl_nodes(n)
-    return float(half_w @ f(t))
+    values = f(t)
+    return [float(half_w @ row) for row in (values if np.ndim(values) == 2 else [values])]
 
 
 def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], config: QuadratureConfig = QuadratureConfig()
-) -> tuple[float, int]:
+    f: Callable[[np.ndarray], np.ndarray],
+    config: QuadratureConfig = QuadratureConfig(),
+    labels: tuple[str, ...] = (),
+) -> tuple:
     """Integrate f over [0, 1], doubling nodes until successive estimates
     agree to rel_tol; returns (value, nodes used). ``f`` maps the array of
-    an estimate's nodes to the array of its values."""
+    an estimate's nodes to the array of its values.
+
+    ``f`` may instead give k rows of values, one per integrand, from one
+    shared evaluation: a (k, n) array, or any object of ndim 2 and length k
+    that ``f(t)[rows]`` reads for a list of row indices. Each row is frozen,
+    with its value and node count, at the first doubling where it converges,
+    and later estimates read only the rows still refining. The result is
+    then (the k (value, nodes) pairs, nodes of the last estimate), and
+    ``labels`` names the rows that did not converge.
+    """
+    rows: list[int] | None = None  # the rows still refining; None for (n,) values
+
+    def refining(t: np.ndarray):
+        nonlocal rows
+        values = f(t)
+        if np.ndim(values) == 1:
+            return values
+        if rows is None:  # the first estimate reads every row
+            rows = list(range(len(values)))
+        return values[rows]
+
     n = config.nodes
-    prev = _gl_estimate(f, n)
-    while 2 * n <= config.max_nodes:
+    first = _gl_estimate(refining, n)
+    one_row = rows is None
+    if one_row:
+        rows = [0]
+    prev = dict(zip(rows, first))
+    done: dict[int, tuple[float, int]] = {}
+    gaps: dict[int, float] = {}
+    while rows and 2 * n <= config.max_nodes:
         n *= 2
-        cur = _gl_estimate(f, n)
-        gap = abs(cur - prev)
-        if gap <= config.rel_tol * max(1.0, abs(cur)):
-            return cur, n
-        prev = cur
-    raise QuadratureNotConverged(f"estimates still differ by {gap:.3e} at {n} nodes")
+        for i, cur in zip(rows, _gl_estimate(refining, n)):
+            gaps[i] = abs(cur - prev[i])
+            if gaps[i] <= config.rel_tol * max(1.0, abs(cur)):
+                done[i] = (cur, n)
+            prev[i] = cur
+        rows = [i for i in rows if i not in done]
+    if rows:
+        raise QuadratureNotConverged(
+            "; ".join(
+                (f"{labels[i]}: " if labels else "") + f"estimates still differ by {gaps[i]:.3e} at {n} nodes"
+                for i in rows
+            )
+        )
+    if one_row:
+        return done[0]
+    return tuple(done[i] for i in range(len(done))), n
 
 
 def _check_pair(rho: DensityMatrix, sigma: DensityMatrix, rho_full_rank: bool = True) -> None:
@@ -159,21 +199,47 @@ def e_divergence_quadrature(
     the Fisher information along the curve). All nodes of an estimate go
     to MomentFunction.derivative as one array.
     """
-    mf = MomentFunction(solve_direction(kind, rho, sigma))
+    mf = solve_direction(kind, rho, sigma).moment
     return adaptive_gauss_legendre(lambda ths: ths * mf.derivative(ths, 2), config)[0]
 
 
 def m_divergence_detail(
-    kind: metrics.MetricKind,
+    kind: metrics.MetricKind | tuple[metrics.MetricKind, ...],
     rho: DensityMatrix,
     sigma: DensityMatrix,
     config: QuadratureConfig = QuadratureConfig(),
-) -> tuple[float, int]:
-    """m_divergence plus the Gauss-Legendre node count it settled on."""
+) -> tuple:
+    """m_divergence plus the Gauss-Legendre node count it settled on.
+
+    A tuple of kinds gives one (value, nodes) per kind from one pass over
+    the mixture states: each estimate decomposes them once for every kind
+    still refining, and each kind keeps its own node count and value.
+    """
     _check_pair(rho, sigma)
-    return adaptive_gauss_legendre(
-        lambda t: t * metrics.fisher_info_mixture(rho, sigma, kind, t), config
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    pairs, _ = adaptive_gauss_legendre(
+        lambda t: _MixtureRows(rho, sigma, kinds, t), config, tuple(f"m_{k.label()}" for k in kinds)
     )
+    return pairs if isinstance(kind, tuple) else pairs[0]
+
+
+@dataclass(frozen=True)
+class _MixtureRows:
+    """t * J_t at the nodes t, one row per kind; reading rows[[i, j]] is one
+    fisher_info_mixture call for kinds i and j only."""
+
+    rho: DensityMatrix
+    sigma: DensityMatrix
+    kinds: tuple[metrics.MetricKind, ...]
+    t: np.ndarray
+    ndim = 2
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, rows: list[int]) -> np.ndarray:
+        kinds = tuple(self.kinds[i] for i in rows)
+        return self.t * metrics.fisher_info_mixture(self.rho, self.sigma, kinds, self.t)
 
 
 def m_divergence(

@@ -197,7 +197,10 @@ _STACK_ENTRIES = 8192
 
 
 def fisher_info_mixture(
-    rho: DensityMatrix, sigma: DensityMatrix, kind: MetricKind, t: float | np.ndarray
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
+    kind: MetricKind | tuple[MetricKind, ...],
+    t: float | np.ndarray,
 ) -> float | np.ndarray:
     """Fisher information of the segment (1-t) rho + t sigma at parameter t.
 
@@ -205,22 +208,32 @@ def fisher_info_mixture(
     involved; this is the squared mixture-side norm of that tangent at the
     interpolated state. A float t gives a float; a 1-d array of t gives an
     array, from stacked eigendecompositions of at most _STACK_ENTRIES entries.
+    A nonempty tuple of kinds adds a leading axis, one row of J_t per kind:
+    the kinds share each decomposition and differ only in the kernel.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not kinds:
+        raise InvalidShape("need at least one metric kind")
     ts = np.asarray(t, dtype=float)
-    if ts.ndim == 0:
-        return float(_mixture_info(rho, sigma, kind, ts[None])[0])
-    if ts.ndim != 1 or ts.size == 0:
+    if ts.ndim > 1 or ts.size == 0:
         raise InvalidShape(f"t must be a float or a nonempty 1-d array, got shape {ts.shape}")
+    flat = ts.reshape(-1)
     block = max(1, _STACK_ENTRIES // rho.dim**2)
-    return np.concatenate(
-        [_mixture_info(rho, sigma, kind, ts[i : i + block]) for i in range(0, ts.size, block)]
-    )
+    rows = np.concatenate(
+        [_mixture_info(rho, sigma, kinds, flat[i : i + block]) for i in range(0, flat.size, block)],
+        axis=1,
+    ).reshape(len(kinds), *ts.shape)
+    if isinstance(kind, tuple):
+        return rows
+    return rows[0] if ts.ndim else float(rows[0])
 
 
-def _mixture_info(rho: DensityMatrix, sigma: DensityMatrix, kind: MetricKind, ts: np.ndarray) -> np.ndarray:
-    """J_t at each t of ts, from one stacked eigendecomposition."""
+def _mixture_info(
+    rho: DensityMatrix, sigma: DensityMatrix, kinds: tuple[MetricKind, ...], ts: np.ndarray
+) -> np.ndarray:
+    """J_t of each kind (rows) at each t of ts, from one stacked eigendecomposition."""
     mt = (1.0 - ts)[:, None, None] * rho.matrix + ts[:, None, None] * sigma.matrix
     eig = eig_hermitian(hermitian_part(mt))
     low = eig.eigenvalues[:, 0]
@@ -232,9 +245,10 @@ def _mixture_info(rho: DensityMatrix, sigma: DensityMatrix, kind: MetricKind, ts
             float(low[i]),
         )
     u = eig.eigenvectors
-    dp = u.conj().swapaxes(-1, -2) @ (sigma.matrix - rho.matrix) @ u
-    c = kernel_matrix(kind, eig.eigenvalues)
-    return np.sum((np.abs(dp) ** 2 / c).reshape(ts.size, -1), axis=1)
+    dp2 = np.abs(u.conj().swapaxes(-1, -2) @ (sigma.matrix - rho.matrix) @ u) ** 2
+    return np.array(
+        [np.sum((dp2 / kernel_matrix(kind, eig.eigenvalues)).reshape(ts.size, -1), axis=1) for kind in kinds]
+    )
 
 
 def fisher_info_numeric(

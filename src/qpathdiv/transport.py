@@ -21,6 +21,7 @@ inside mu, so large |theta| cannot overflow.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,11 @@ class Geodesic:
     direction: np.ndarray
     kind: GeodesicKind
     aux_direction: np.ndarray | None = None
+
+    @functools.cached_property
+    def moment(self) -> MomentFunction:
+        """The curve's moment function, built (and its G decomposed) once."""
+        return MomentFunction(self)
 
 
 def solve_auxiliary_direction(
@@ -143,7 +149,8 @@ class MomentFunction:
     """
 
     def __init__(self, geodesic: Geodesic):
-        self.geodesic = geodesic
+        # no reference back to the geodesic, which caches this object as .moment
+        self._direction = geodesic.direction
         eig = geodesic.base.eig
         p = self._p = geodesic.kind.sandwich_power
         if p is None:
@@ -159,7 +166,7 @@ class MomentFunction:
     def _log_spectrum(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kind b: eigenpairs (h, U) of log sigma + theta L and mu, each
         stacked over ths, from one validated eigendecomposition."""
-        eig = eig_hermitian(hermitian_part(self._log_sigma + ths[:, None, None] * self.geodesic.direction))
+        eig = eig_hermitian(hermitian_part(self._log_sigma + ths[:, None, None] * self._direction))
         return eig.eigenvalues, eig.eigenvectors, log_sum_exp(eig.eigenvalues)
 
     def _log_partition(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +213,7 @@ class MomentFunction:
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
         ths = _theta_array(theta)
         if self._p is None:
-            block = max(1, metrics._STACK_ENTRIES // self.geodesic.base.dim**2)
+            block = max(1, metrics._STACK_ENTRIES // self._direction.shape[0] ** 2)
             values = np.concatenate(
                 [self._kubo_mori(ths[i : i + block], order) for i in range(0, ths.size, block)]
             )
@@ -220,7 +227,7 @@ class MomentFunction:
     def _kubo_mori(self, ths: np.ndarray, order: int) -> np.ndarray:
         """Kind b: mu' (the mean of L) or mu'' (its Kubo-Mori variance) at each theta of ths."""
         h, u, mu = self._log_spectrum(ths)
-        lp = u.conj().swapaxes(-1, -2) @ self.geodesic.direction @ u
+        lp = u.conj().swapaxes(-1, -2) @ self._direction @ u
         mean = np.sum(np.exp(h - mu[:, None]) * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
         if order == 1:
             return mean
@@ -247,7 +254,7 @@ def _theta_array(theta: float | np.ndarray) -> np.ndarray:
 
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:
     """The state an amount theta along the curve; theta = 0 gives the base."""
-    return MomentFunction(geodesic).state(theta)
+    return geodesic.moment.state(theta)
 
 
 def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from qpathdiv import serialize
 from qpathdiv.cli import main
-from qpathdiv.states import RandomSpec, random_commuting_pair, random_density
+from qpathdiv.linalg import hermitian_part
+from qpathdiv.states import RandomSpec, random_commuting_pair, random_density, validate_density
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RHO_FIXTURE = str(FIXTURES / "rho_2x2_seed42.json")
@@ -83,6 +85,21 @@ def test_compute_numerical_exit_code(capsys):
     # an unmeetable refinement demand trips the quadrature failure path
     assert main(["compute", RHO_FIXTURE, SIGMA_FIXTURE, "--rel-tol", "1e-30"]) == 3
     assert "QuadratureNotConverged" in capsys.readouterr().err
+
+
+def test_compute_names_each_m_path_kind_not_converged(tmp_path, capsys):
+    # a commuting pair with one eigenvalue of rho at 1e-8: the boundary
+    # layer at t = 0 defeats 512 Gauss-Legendre nodes
+    rho, sigma = random_commuting_pair(2, 1, 1e-8)
+    w, u = rho.eig.eigenvalues.copy(), rho.eig.eigenvectors
+    w[0] = 1e-8
+    rho = validate_density(hermitian_part((u * (w / w.sum())) @ u.conj().T))
+    argv = ["compute", _write_state(tmp_path / "rho.json", rho), _write_state(tmp_path / "sigma.json", sigma)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "QuadratureNotConverged" in err
+    for kind in ("s", "b", "r"):
+        assert re.search(f"m_{kind}: estimates still differ by \\S+ at 512 nodes", err), err
 
 
 def test_compute_output_file(tmp_path):

@@ -19,6 +19,7 @@ from qpathdiv.divergences import (
     legendre_model,
     legendre_transform,
     m_divergence,
+    m_divergence_detail,
     quantum_relative_entropy,
     traceless_hermitian_basis,
     von_neumann_entropy,
@@ -41,7 +42,7 @@ from qpathdiv.states import (
     validate_density,
 )
 from qpathdiv.transport import GeodesicKind
-from qpathdiv.metrics import BOGOLJUBOV, HALF, RLD, SLD
+from qpathdiv.metrics import BOGOLJUBOV, HALF, RLD, SLD, lambda_kind, measure_kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_GEO = list(GeodesicKind)
@@ -572,3 +573,144 @@ def test_kind_b_integrand_is_one_eig_per_block(monkeypatch, dim):
         expected += [min(block, n - i) for i in range(0, n, block)]
     assert stacks == expected
     assert len(stacks) - 1 == sum(-(-n * dim**2 // metrics._STACK_ENTRIES) for n in estimates)
+
+
+SHARED_KINDS = (SLD, BOGOLJUBOV, RLD, HALF, lambda_kind(0.3), measure_kind([(0.0, 0.25), (0.6, 0.75)]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_m_divergence_kind_tuple_matches_one_kind_calls(dim):
+    floor = 0.05 if dim < 16 else 0.005
+    rho = random_density(RandomSpec(dim, 931 + dim, floor))
+    sigma = random_density(RandomSpec(dim, 941 + dim, floor))
+    for config in (QuadratureConfig(), QuadratureConfig(nodes=64, rel_tol=1e-12, max_nodes=1024)):
+        shared = m_divergence_detail(SHARED_KINDS, rho, sigma, config)
+        assert shared == tuple(m_divergence_detail(kind, rho, sigma, config) for kind in SHARED_KINDS)
+        assert shared[1][0] == m_divergence(BOGOLJUBOV, rho, sigma, config)
+
+
+def test_m_divergence_kinds_freeze_at_their_own_node_counts():
+    # a pair on which the kinds need different refinement
+    rho = random_density(RandomSpec(2, 45, 0.01))
+    sigma = random_density(RandomSpec(2, 46, 0.01))
+    shared = m_divergence_detail(tuple(ALL_METRIC), rho, sigma)
+    assert [nodes for _, nodes in shared] == [128, 64, 128, 64]
+    assert list(shared) == [m_divergence_detail(kind, rho, sigma) for kind in ALL_METRIC]
+
+
+@pytest.mark.parametrize("entries", [None, 1, 18, 31])
+@pytest.mark.parametrize("dim", [2, 16])
+def test_m_path_is_one_eig_per_block_per_estimate(monkeypatch, dim, entries):
+    from qpathdiv import divergences, metrics
+
+    floor = 0.05 if dim < 16 else 0.005
+    rho = random_density(RandomSpec(dim, 951, floor))
+    sigma = random_density(RandomSpec(dim, 952, floor))
+    if entries is not None:
+        monkeypatch.setattr(metrics, "_STACK_ENTRIES", entries)
+    stacks, estimates = [], []
+    eig, estimate = metrics.eig_hermitian, divergences._gl_estimate
+
+    def counted_eig(h):
+        stacks.append(h.shape[0])
+        return eig(h)
+
+    def counted_estimate(f, n):
+        estimates.append(n)
+        return estimate(f, n)
+
+    monkeypatch.setattr(metrics, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(divergences, "_gl_estimate", counted_estimate)
+    block = max(1, metrics._STACK_ENTRIES // dim**2)
+    for kinds in ((SLD,), tuple(ALL_METRIC), SHARED_KINDS):
+        stacks.clear()
+        estimates.clear()
+        shared = m_divergence_detail(kinds, rho, sigma)
+        assert estimates[-1] == max(nodes for _, nodes in shared)
+        assert stacks == [min(block, n - i) for n in estimates for i in range(0, n, block)]
+
+
+def test_m_divergence_rejects_empty_kind_tuple(pair_2x2):
+    with pytest.raises(InvalidShape, match="at least one metric kind"):
+        m_divergence_detail((), *pair_2x2)
+
+
+def test_m_divergence_kind_tuple_not_full_rank_report():
+    # rho is not full rank: the tuple form rejects the pair as one kind does
+    rho = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    sigma = validate_density(np.diag([0.4, 0.6]))
+    reports = []
+    for kind in (SLD, tuple(ALL_METRIC)):
+        with pytest.raises(NotFullRank) as info:
+            m_divergence_detail(kind, rho, sigma)
+        reports.append((str(info.value), info.value.defect))
+    assert reports[0] == reports[1]
+
+
+def test_adaptive_quadrature_rows_freeze_and_are_not_read_again():
+    reads = []
+
+    class Rows:
+        ndim = 2
+
+        def __init__(self, t):
+            self.t = t
+
+        def __len__(self):
+            return 3
+
+        def __getitem__(self, rows):
+            reads.append((self.t.size, list(rows)))
+            # a polynomial, exp and a sharp Runge bump, one per row
+            every = np.array([3.0 * self.t**2, np.exp(self.t), 1.0 / (1.0 + 100.0 * (self.t - 0.5) ** 2)])
+            return every[rows]
+
+    pairs, nodes = adaptive_gauss_legendre(Rows, QuadratureConfig(nodes=4, rel_tol=1e-10, max_nodes=4096))
+    (poly, poly_nodes), (smooth, smooth_nodes), (bump, bump_nodes) = pairs
+    assert (poly_nodes, smooth_nodes, bump_nodes, nodes) == (8, 16, 128, 128)
+    assert abs(poly - 1.0) <= 1e-14 and abs(smooth - (np.e - 1.0)) <= 1e-14
+    assert abs(bump - np.arctan(5.0) / 5.0) <= 1e-10
+    assert reads[:3] == [(4, [0, 1, 2]), (8, [0, 1, 2]), (16, [1, 2])]
+    assert all(rows == [2] for _, rows in reads[3:])
+    # a (k, n) array gives the same pairs, each equal to its row alone
+    array_pairs, _ = adaptive_gauss_legendre(
+        lambda t: np.array([3.0 * t**2, np.exp(t)]), QuadratureConfig(nodes=4, rel_tol=1e-10)
+    )
+    assert array_pairs == (
+        adaptive_gauss_legendre(lambda t: 3.0 * t**2, QuadratureConfig(nodes=4, rel_tol=1e-10)),
+        adaptive_gauss_legendre(np.exp, QuadratureConfig(nodes=4, rel_tol=1e-10)),
+    )
+
+
+def test_adaptive_quadrature_names_each_row_not_converged():
+    config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=16)
+    with pytest.raises(QuadratureNotConverged) as info:
+        adaptive_gauss_legendre(
+            lambda t: np.array([3.0 * t**2, (t > 0.37).astype(float), (t > 0.61).astype(float)]),
+            config,
+            ("poly", "step-a", "step-b"),
+        )
+    message = str(info.value)
+    assert "poly" not in message
+    for label in ("step-a", "step-b"):
+        gap = float(re.search(label + r": estimates still differ by (\S+) at 16 nodes", message).group(1))
+        assert gap > 0.0
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
+    from qpathdiv import transport
+
+    rho = random_density(RandomSpec(3, 961, 0.05))
+    sigma = random_density(RandomSpec(3, 962, 0.05))
+    expected = e_divergence_quadrature(kind, rho, sigma)
+    shapes = []
+    eig = transport.eig_hermitian
+
+    def counted(h):
+        shapes.append(h.shape)
+        return eig(h)
+
+    monkeypatch.setattr(transport, "eig_hermitian", counted)
+    assert e_divergence_quadrature(kind, rho, sigma) == expected
+    assert shapes == [(3, 3)]

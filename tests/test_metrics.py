@@ -327,3 +327,37 @@ def test_fisher_mixture_array_matches_scalar(kind, dim):
         scalar = fisher_info_mixture(rho, sigma, kind, float(t))
         assert isinstance(scalar, float)
         assert abs(value - scalar) <= 1e-14 * abs(scalar)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_fisher_mixture_kind_tuple_matches_one_kind_calls(dim):
+    rho = random_density(RandomSpec(dim, 710 + dim, 0.01))
+    sigma = random_density(RandomSpec(dim, 810 + dim, 0.01))
+    ts = (np.polynomial.legendre.leggauss(64)[0] + 1.0) / 2.0  # two blocks at dim 16
+    kinds = tuple(STACK_KINDS)
+    rows = fisher_info_mixture(rho, sigma, kinds, ts)
+    assert rows.shape == (len(kinds), ts.size)
+    at_point = fisher_info_mixture(rho, sigma, kinds, 0.4)
+    assert at_point.shape == (len(kinds),)
+    for kind, row, value in zip(kinds, rows, at_point):
+        assert np.array_equal(row, fisher_info_mixture(rho, sigma, kind, ts))
+        assert value == fisher_info_mixture(rho, sigma, kind, 0.4)
+
+
+def test_fisher_mixture_rejects_empty_kind_tuple(pair_3x3):
+    rho, sigma = pair_3x3
+    with pytest.raises(InvalidShape, match="at least one metric kind"):
+        fisher_info_mixture(rho, sigma, (), np.array([0.5]))
+
+
+def test_fisher_mixture_kind_tuple_not_full_rank_report():
+    rho = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    sigma = validate_density(np.diag([2e-13, 1.0 - 2e-13]))
+    ts = np.array([0.3, 1.0, 0.0])
+    reports = []
+    for kind in (SLD, (SLD, BOGOLJUBOV, RLD, HALF)):
+        with pytest.raises(NotFullRank) as info:
+            fisher_info_mixture(rho, sigma, kind, ts)
+        reports.append((str(info.value), info.value.defect))
+    assert reports[0] == reports[1]
+    assert "t=1 has minimum eigenvalue 2.000e-13" in reports[1][0]

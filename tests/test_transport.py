@@ -421,3 +421,20 @@ def test_derivative_rejects_malformed_theta(kind):
     for evaluate in (mf, mf.state):
         with pytest.raises(DomainError, match="theta must be finite, got nan"):
             evaluate(np.nan)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_geodesic_caches_its_moment_function_without_a_cycle(kind):
+    import weakref
+
+    rho = random_density(RandomSpec(3, 211, 0.05))
+    sigma = random_density(RandomSpec(3, 212, 0.05))
+    geo = solve_direction(kind, rho, sigma)
+    mf = geo.moment
+    assert geo.moment is mf
+    assert e_transport(geo, 0.5).matrix.tobytes() == mf.state(0.5).matrix.tobytes()
+    assert MomentFunction(geo).derivative(0.5, 2) == mf.derivative(0.5, 2)
+    # freed by reference counting alone once the geodesic goes
+    ref = weakref.ref(mf)
+    del geo, mf
+    assert ref() is None
