@@ -43,7 +43,7 @@ from .errors import (
     SupportViolation,
 )
 from .linalg import SUPPORT_EPS, eig_hermitian, herm_log, hermitian_part, log_sum_exp
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix, check_densities, validate_density
 from .transport import GeodesicKind, sandwich_operator, solve_direction
 
 _KL_CUTOFF = 1e-15
@@ -273,23 +273,26 @@ def classical_kl(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConvexFunctionModel:
-    """A twice-differentiable strictly convex function with its gradient."""
+    """A twice-differentiable strictly convex function with its gradient.
+
+    ``value`` and ``grad`` take a point (dim,) or a stack of points
+    (n, dim), and give () and (dim,), resp. (n,) and (n, dim).
+    """
 
     dim: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], float | np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad(np.asarray(theta, dtype=float)), dtype=float)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
+        """Central differences with steps h_i = 1e-6 (1 + |theta_i|): one
+        gradient call on the 2 dim points theta + h_i e_i, then theta - h_i e_i."""
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            h = 1e-6 * (1.0 + abs(theta[i]))
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[:, i] = (self.gradient(theta + e) - self.gradient(theta - e)) / (2.0 * h)
+        h = 1e-6 * (1.0 + np.abs(theta))
+        g = self.gradient(np.concatenate([theta + np.diag(h), theta - np.diag(h)]))
+        out = ((g[: self.dim] - g[self.dim :]) / (2.0 * h[:, None])).T
         return (out + out.T) / 2.0
 
 
@@ -317,8 +320,14 @@ def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray)
 
     axes = [np.linspace(lo, hi, _LEGENDRE_GRID_POINTS) for lo, hi in box]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
-    theta = min(grid, key=lambda th: -objective(th))
-    theta = np.asarray(theta, dtype=float)
+    values = np.asarray(model.value(grid), dtype=float)
+    if values.shape != (len(grid),):
+        raise DomainError(
+            f"model value of a stack of {len(grid)} points must have shape ({len(grid)},), "
+            f"got {values.shape}"
+        )
+    # the first grid maximizer of eta . theta - value
+    theta = grid[np.argmax((eta @ grid[..., None])[..., 0] - values)]
 
     scale = 1.0 + float(np.max(np.abs(eta)))
     for _ in range(_LEGENDRE_MAX_NEWTON):
@@ -367,17 +376,27 @@ def legendre_maximizer(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndar
 
 
 def legendre_model(model: ConvexFunctionModel, box: np.ndarray) -> ConvexFunctionModel:
-    """The Legendre-transformed model; its gradient is the dual maximizer."""
-    return ConvexFunctionModel(
-        dim=model.dim,
-        value=lambda eta: legendre_transform(model, eta, box),
-        grad=lambda eta: legendre_maximizer(model, eta, box),
-    )
+    """The Legendre-transformed model; its gradient is the dual maximizer.
+    A stack of points runs one maximization per row."""
+
+    def rowwise(part: int) -> Callable[[np.ndarray], float | np.ndarray]:
+        def f(eta: np.ndarray) -> float | np.ndarray:
+            eta = np.asarray(eta, dtype=float)
+            out = [_maximize_dual(model, row, box)[part] for row in eta.reshape(-1, model.dim)]
+            return out[0] if eta.ndim == 1 else np.array(out)
+
+        return f
+
+    return ConvexFunctionModel(dim=model.dim, value=rowwise(1), grad=rowwise(0))
 
 
 @dataclass(frozen=True)
 class ExponentialFamily:
-    """Finite-alphabet exponential family p(w) exp(theta . X(w) - moment)."""
+    """Finite-alphabet exponential family p(w) exp(theta . X(w) - moment).
+
+    moment, distribution and mean_parameters take a point theta (k,) or a
+    stack of points (n, k).
+    """
 
     base: np.ndarray      # nonnegative weights over the alphabet
     features: np.ndarray  # shape (k, alphabet size)
@@ -387,19 +406,19 @@ class ExponentialFamily:
         return self.features.shape[0]
 
     def _log_unnorm(self, theta: np.ndarray) -> np.ndarray:
-        return np.log(self.base) + np.asarray(theta, dtype=float) @ self.features
+        theta = np.asarray(theta, dtype=float)
+        return np.log(self.base) + (theta[..., None, :] @ self.features)[..., 0, :]
 
-    def moment(self, theta: np.ndarray) -> float:
-        return float(log_sum_exp(self._log_unnorm(theta)))
+    def moment(self, theta: np.ndarray) -> float | np.ndarray:
+        return log_sum_exp(self._log_unnorm(theta))
 
     def distribution(self, theta: np.ndarray) -> np.ndarray:
         z = self._log_unnorm(theta)
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
+        w = np.exp(z - z.max(axis=-1, keepdims=True))
+        return w / w.sum(axis=-1, keepdims=True)
 
     def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
-        return self.features @ self.distribution(theta)
+        return (self.features @ self.distribution(theta)[..., None])[..., 0]
 
     def model(self) -> ConvexFunctionModel:
         return ConvexFunctionModel(dim=self.dim, value=self.moment, grad=self.mean_parameters)
@@ -432,7 +451,8 @@ class QuantumExponentialFamily:
 
     The moment function is shifted so moment(0) = 0; then its Legendre
     transform evaluated at the mixture coordinates of a state equals that
-    state's entropy deficit from the maximally mixed state.
+    state's entropy deficit from the maximally mixed state. ``moment`` and
+    ``mean_parameters`` take a point theta (k,) or a stack of points (n, k).
     """
 
     def __init__(self, dim: int):
@@ -446,27 +466,38 @@ class QuantumExponentialFamily:
         return len(self.basis)
 
     def _generator(self, theta: np.ndarray) -> np.ndarray:
-        return sum(t * x for t, x in zip(np.asarray(theta, dtype=float), self.basis))
+        """sum_i theta^i X_i, added in basis order, of a point or of each row of a stack."""
+        theta = np.asarray(theta, dtype=float)
+        out = np.zeros(theta.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        for i, x in enumerate(self.basis):
+            out = out + theta[..., i, None, None] * x
+        return out
 
-    def moment(self, theta: np.ndarray) -> float:
-        # eigenvalues only, unvalidated: the Legendre dual evaluates this at
-        # every grid point and line-search step
-        return float(log_sum_exp(np.linalg.eigvalsh(self._generator(theta))) - np.log(self.dim))
+    def moment(self, theta: np.ndarray) -> float | np.ndarray:
+        # eigenvalues only, and no check: G is Hermitian by construction (real
+        # theta, Hermitian basis); a stack of G is one eigvalsh call, which is
+        # how the Legendre dual seeds its whole grid
+        return log_sum_exp(np.linalg.eigvalsh(self._generator(theta))) - np.log(self.dim)
+
+    def _densities(self, theta: np.ndarray) -> np.ndarray:
+        """exp(G - moment) from one validated eig_hermitian of G (a matrix or a stack)."""
+        eig = eig_hermitian(hermitian_part(self._generator(theta)))
+        p = np.exp(eig.eigenvalues - eig.eigenvalues.max(axis=-1, keepdims=True))
+        return eig._with_eigenvalues(p / p.sum(axis=-1, keepdims=True))
 
     def state(self, theta: np.ndarray) -> DensityMatrix:
-        eig = eig_hermitian(hermitian_part(self._generator(theta)))
-        w = eig.eigenvalues - eig.eigenvalues.max()
-        p = np.exp(w)
-        p /= p.sum()
-        u = eig.eigenvectors
-        return validate_density((u * p) @ u.conj().T)
+        return validate_density(self._densities(theta))
 
     def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
-        return self.mixture_coordinates(self.state(theta))
+        return self._coordinates(check_densities(self._densities(theta))[0])
 
     def mixture_coordinates(self, state: DensityMatrix) -> np.ndarray:
         """eta_i = Tr rho X_i."""
-        return np.array([float(np.trace(state.matrix @ x).real) for x in self.basis])
+        return self._coordinates(state.matrix)
+
+    def _coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """Tr rho X_i of a matrix (k,) or of each matrix of a stack (n, k)."""
+        return np.stack([np.trace(rho @ x, axis1=-2, axis2=-1).real for x in self.basis], axis=-1)
 
     def state_from_mixture(self, eta: np.ndarray) -> DensityMatrix:
         """I / dim + sum_i eta_i X_i / 2; since Tr X_i X_j = 2 delta_ij, the

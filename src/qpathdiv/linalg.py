@@ -36,6 +36,13 @@ def _frobenius_each(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m * m.conj()).real.sum((-2, -1)))
 
 
+def _in_stack(per_matrix: np.ndarray) -> str:
+    """Names the matrix of a stack with the largest per-matrix measure; "" for one matrix."""
+    if np.ndim(per_matrix) == 0:
+        return ""
+    return f" (matrix {int(np.argmax(per_matrix))} of {np.size(per_matrix)} in the stack)"
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry of |M - M^*| (over a whole stack: its worst matrix)."""
     return float(np.abs(m - _adjoint(m)).max())
@@ -137,10 +144,9 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     defect = _frobenius_each(eig.reconstruct() - h)
     if (defect > RECONSTRUCTION_TOL * scale).any():
         k = int(np.argmax(defect / scale))
-        where = f" (matrix {k} of {defect.size} in the stack)" if defect.ndim else ""
         raise ConvergenceFailure(
             f"eigendecomposition reconstruction defect {defect.flat[k]:.3e} exceeds "
-            f"{RECONSTRUCTION_TOL:g} * {scale.flat[k]:.3e}{where}"
+            f"{RECONSTRUCTION_TOL:g} * {scale.flat[k]:.3e}{_in_stack(defect / scale)}"
         )
     return eig
 

@@ -19,7 +19,7 @@ from .errors import (
     NotPSD,
     TraceNotOne,
 )
-from .linalg import SUPPORT_EPS, _CachedEigen, frobenius, hermitian_part, hermiticity_defect
+from .linalg import SUPPORT_EPS, _adjoint, _CachedEigen, _in_stack, frobenius, hermitian_part
 
 DENSITY_TOL = 1e-10
 
@@ -60,30 +60,49 @@ class RandomSpec:
             )
 
 
+def check_densities(
+    m: np.ndarray, tol: float = DENSITY_TOL, support_eps: float = SUPPORT_EPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check the density-matrix invariants of a matrix, or of every matrix in
+    a stack (..., n, n); return the hermitized matrices and the minimum
+    eigenvalue of each.
+
+    Raises InvalidShape for a non-finite entry, and NotHermitian /
+    TraceNotOne / NotPSD naming the violated invariant with the measured
+    defect; on a stack the message names the worst matrix.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise InvalidShape(f"expected a nonempty square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidShape("matrix has non-finite entries" + _in_stack(~np.isfinite(m).all((-2, -1))))
+    asymmetry = np.abs(m - _adjoint(m))
+    herm_defect = float(asymmetry.max())
+    if herm_defect > tol:
+        raise NotHermitian(
+            f"density matrix not Hermitian within {tol:g}{_in_stack(asymmetry.max((-2, -1)))}", herm_defect
+        )
+    trace_defects = abs(np.trace(m, 0, -2, -1) - 1.0)
+    trace_defect = float(trace_defects.max())
+    if trace_defect > tol:
+        raise TraceNotOne(f"trace differs from 1 by more than {tol:g}{_in_stack(trace_defects)}", trace_defect)
+    h = hermitian_part(m)
+    w = np.linalg.eigvalsh(h)  # ascending, so w[..., 0] is each matrix's minimum
+    worst = float(w.min())
+    if worst < -support_eps:
+        raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{support_eps:g}{_in_stack(-w[..., 0])}", -worst)
+    return h, w[..., 0]
+
+
 def validate_density(
     m: np.ndarray, tol: float = DENSITY_TOL, support_eps: float = SUPPORT_EPS
 ) -> DensityMatrix:
-    """Check the density-matrix invariants and wrap the (hermitized) matrix.
-
-    Raises NotHermitian / TraceNotOne / NotPSD naming the violated
-    invariant with the measured defect.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidShape(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidShape("matrix has non-finite entries")
-    herm_defect = hermiticity_defect(m)
-    if herm_defect > tol:
-        raise NotHermitian(f"density matrix not Hermitian within {tol:g}", herm_defect)
-    trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if trace_defect > tol:
-        raise TraceNotOne(f"trace differs from 1 by more than {tol:g}", trace_defect)
-    h = hermitian_part(m)
-    low = float(np.linalg.eigvalsh(h).min())
-    if low < -support_eps:
-        raise NotPSD(f"minimum eigenvalue {low:.3e} below -{support_eps:g}", -low)
-    return DensityMatrix(matrix=h, full_rank=low > support_eps)
+    """Check the density-matrix invariants (check_densities) of one matrix
+    and wrap the hermitized matrix."""
+    if np.ndim(m) != 2:
+        raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
+    h, low = check_densities(m, tol, support_eps)
+    return DensityMatrix(matrix=h, full_rank=float(low) > support_eps)
 
 
 def max_mixed(dim: int) -> DensityMatrix:

@@ -336,13 +336,13 @@ def test_quadrature_config_validation():
 
 
 def test_bregman_zero_at_equal_points():
-    model = ConvexFunctionModel(dim=1, value=lambda t: float(t[0] ** 2 / 2), grad=lambda t: t)
+    model = ConvexFunctionModel(dim=1, value=lambda t: t[..., 0] ** 2 / 2, grad=lambda t: t)
     theta = np.array([0.8])
     assert bregman_divergence(model, theta, theta) == 0.0
 
 
 def test_bregman_quadratic():
-    model = ConvexFunctionModel(dim=1, value=lambda t: float(t[0] ** 2 / 2), grad=lambda t: t)
+    model = ConvexFunctionModel(dim=1, value=lambda t: t[..., 0] ** 2 / 2, grad=lambda t: t)
     assert np.isclose(
         bregman_divergence(model, np.array([1.5]), np.array([0.5])), 0.5, atol=1e-12
     )
@@ -390,7 +390,7 @@ def test_bregman_max_and_path_characterizations():
 
 
 def test_legendre_quadratic_self_dual():
-    model = ConvexFunctionModel(dim=1, value=lambda t: float(t[0] ** 2 / 2), grad=lambda t: t)
+    model = ConvexFunctionModel(dim=1, value=lambda t: t[..., 0] ** 2 / 2, grad=lambda t: t)
     box = np.array([[-10.0, 10.0]])
     for eta in (-1.2, 0.0, 2.5):
         assert np.isclose(
@@ -402,8 +402,8 @@ def test_legendre_binomial_family():
     # mu(t) = log(1 + e^t); dual is the negative binary entropy
     model = ConvexFunctionModel(
         dim=1,
-        value=lambda t: float(np.logaddexp(0.0, t[0])),
-        grad=lambda t: np.array([1.0 / (1.0 + np.exp(-t[0]))]),
+        value=lambda t: np.logaddexp(0.0, t[..., 0]),
+        grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
     )
     box = np.array([[-30.0, 30.0]])
     for eta in (0.2, 0.3, 0.5, 0.8):
@@ -414,8 +414,8 @@ def test_legendre_binomial_family():
 def test_legendre_duality_round_trip():
     model = ConvexFunctionModel(
         dim=1,
-        value=lambda t: float(np.logaddexp(0.0, t[0])),
-        grad=lambda t: np.array([1.0 / (1.0 + np.exp(-t[0]))]),
+        value=lambda t: np.logaddexp(0.0, t[..., 0]),
+        grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
     )
     box = np.array([[-30.0, 30.0]])
     nu = legendre_model(model, box)
@@ -474,8 +474,8 @@ def test_legendre_not_in_range():
     # gradient of log(1 + e^t) lives in (0, 1); eta = 1.5 is unreachable
     model = ConvexFunctionModel(
         dim=1,
-        value=lambda t: float(np.logaddexp(0.0, t[0])),
-        grad=lambda t: np.array([1.0 / (1.0 + np.exp(-t[0]))]),
+        value=lambda t: np.logaddexp(0.0, t[..., 0]),
+        grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
     )
     with pytest.raises(NotInRange):
         legendre_transform(model, np.array([1.5]), np.array([[-20.0, 20.0]]))
@@ -484,8 +484,8 @@ def test_legendre_not_in_range():
 def test_legendre_maximizer_is_dual_parameter():
     model = ConvexFunctionModel(
         dim=1,
-        value=lambda t: float(np.logaddexp(0.0, t[0])),
-        grad=lambda t: np.array([1.0 / (1.0 + np.exp(-t[0]))]),
+        value=lambda t: np.logaddexp(0.0, t[..., 0]),
+        grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
     )
     box = np.array([[-30.0, 30.0]])
     eta = 0.73
@@ -714,3 +714,132 @@ def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
     monkeypatch.setattr(transport, "eig_hermitian", counted)
     assert e_divergence_quadrature(kind, rho, sigma) == expected
     assert shapes == [(3, 3)]
+
+
+def _classical_family(seed: int, alphabet: int = 5, k: int = 3) -> ExponentialFamily:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return ExponentialFamily(
+        base=rng.dirichlet(np.ones(alphabet)) * 0.9 + 0.1 / alphabet,
+        features=rng.uniform(-1.0, 1.0, size=(k, alphabet)),
+    )
+
+
+def test_families_on_a_stack_equal_row_by_row_calls():
+    rng = np.random.Generator(np.random.PCG64(990))
+    families = [_classical_family(991), _classical_family(992, alphabet=3, k=2)]
+    families += [QuantumExponentialFamily(dim) for dim in (2, 3, 4)]
+    for family in families:
+        k = family.dim if isinstance(family, ExponentialFamily) else family.k
+        thetas = rng.uniform(-1.5, 1.5, size=(7, k))
+        moments, means = family.moment(thetas), family.mean_parameters(thetas)
+        assert moments.shape == (7,) and means.shape == (7, k)
+        for row, moment, mean in zip(thetas, moments, means):
+            assert moment == family.moment(row)
+            assert np.array_equal(mean, family.mean_parameters(row))
+        if isinstance(family, ExponentialFamily):
+            dists = family.distribution(thetas)
+            assert all(np.array_equal(p, family.distribution(row)) for row, p in zip(thetas, dists))
+        else:
+            assert all(
+                np.array_equal(family.mean_parameters(row), family.mixture_coordinates(family.state(row)))
+                for row in thetas
+            )
+
+
+def _hessian_column_by_column(model: ConvexFunctionModel, theta: np.ndarray) -> np.ndarray:
+    out = np.zeros((model.dim, model.dim))
+    for i in range(model.dim):
+        h = 1e-6 * (1.0 + abs(theta[i]))
+        e = np.zeros(model.dim)
+        e[i] = h
+        out[:, i] = (model.gradient(theta + e) - model.gradient(theta - e)) / (2.0 * h)
+    return (out + out.T) / 2.0
+
+
+def test_hessian_equals_the_column_loop():
+    rng = np.random.Generator(np.random.PCG64(993))
+    quantum = QuantumExponentialFamily(2)
+    models = [_classical_family(994).model(), quantum.model()]
+    models += [QuantumExponentialFamily(dim).model() for dim in (3, 4)]
+    for model in models:
+        for _ in range(3):
+            theta = rng.uniform(-1.0, 1.0, size=model.dim)
+            assert np.array_equal(model.hessian(theta), _hessian_column_by_column(model, theta))
+    nu = legendre_model(quantum.model(), np.array([[-3.0, 3.0]] * 3))
+    eta = quantum.mean_parameters(np.array([0.2, -0.4, 0.5]))
+    assert np.array_equal(nu.hessian(eta), _hessian_column_by_column(nu, eta))
+
+
+def test_legendre_model_maps_a_stack_row_by_row():
+    model = _classical_family(995, alphabet=3, k=2).model()
+    nu = legendre_model(model, np.array([[-5.0, 5.0]] * 2))
+    etas = model.gradient(np.array([[0.3, -0.2], [-0.6, 0.4], [0.1, 0.9]]))
+    values, grads = nu.value(etas), nu.gradient(etas)
+    assert values.shape == (3,) and grads.shape == (3, 2)
+    for eta, value, grad in zip(etas, values, grads):
+        assert value == nu.value(eta) and isinstance(nu.value(eta), float)
+        assert np.array_equal(grad, nu.gradient(eta))
+
+
+def _seed_of(model_value, eta: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """The point Newton starts from: the first point the gradient is asked for."""
+    seen = []
+
+    def grad(t):
+        seen.append(np.array(t))
+        return np.zeros_like(t)
+
+    model = ConvexFunctionModel(dim=len(eta), value=model_value, grad=grad)
+    legendre_maximizer(model, eta, box)
+    return seen[0]
+
+
+def test_grid_seed_is_the_first_grid_maximizer():
+    box = np.array([[-3.0, 3.0], [-1.0, 2.0]])
+    constant = _seed_of(lambda t: np.zeros(t.shape[:-1]), np.zeros(2), box)
+    assert np.array_equal(constant, box[:, 0])
+    # value (t0^2 - 1)^2 + t1^2 ties at t0 = -1 and t0 = 1 on the grid
+    tied = _seed_of(lambda t: (t[..., 0] ** 2 - 1.0) ** 2 + t[..., 1] ** 2, np.zeros(2), box)
+    assert np.array_equal(tied, [-1.0, 0.0])
+
+
+def test_grid_seed_rejects_a_model_without_one_value_per_point():
+    box = np.array([[-1.0, 1.0]])
+    for value, shape in ((lambda t: np.sum(t**2) / 2, r"\(\)"), (lambda t: t**2 / 2, r"\(7, 1\)")):
+        model = ConvexFunctionModel(dim=1, value=value, grad=lambda t: t)
+        with pytest.raises(DomainError, match=r"stack of 7 points must have shape \(7,\), got " + shape):
+            legendre_transform(model, np.array([0.3]), box)
+
+
+def test_quantum_dual_makes_one_grid_eigvalsh_and_one_eig_per_hessian(monkeypatch):
+    from qpathdiv import divergences
+
+    family = QuantumExponentialFamily(2)
+    eta = family.mean_parameters(np.array([0.4, -0.3, 0.6]))
+    box = np.array([[-3.0, 3.0]] * 3)
+    expected = legendre_maximizer(family.model(), eta, box)
+    eigvalsh, eig, hessian = np.linalg.eigvalsh, divergences.eig_hermitian, ConvexFunctionModel.hessian
+    eigvalsh_shapes, eig_shapes, hessians = [], [], []
+
+    def counted_eigvalsh(m):
+        eigvalsh_shapes.append(np.shape(m))
+        return eigvalsh(m)
+
+    def counted_eig(h):
+        eig_shapes.append(h.shape)
+        return eig(h)
+
+    def counted_hessian(self, theta):
+        hessians.append(len(eig_shapes))
+        return hessian(self, theta)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(divergences, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(ConvexFunctionModel, "hessian", counted_hessian)
+    assert np.array_equal(legendre_maximizer(family.model(), eta, box), expected)
+    assert eigvalsh_shapes[0] == (343, 2, 2)
+    assert eigvalsh_shapes.count((343, 2, 2)) == 1
+    assert hessians and eig_shapes.count((6, 2, 2)) == len(hessians)
+    # each Hessian is one stacked decomposition, taken right after it starts
+    assert all(eig_shapes[i] == (6, 2, 2) for i in hessians)
+    assert set(eig_shapes) == {(2, 2), (6, 2, 2)}

@@ -16,6 +16,7 @@ from qpathdiv.errors import (
 )
 from qpathdiv.states import (
     RandomSpec,
+    check_densities,
     commutation_defect,
     max_mixed,
     random_commuting_pair,
@@ -171,3 +172,57 @@ def test_random_direction_dim_one_is_rejected():
     with pytest.raises(InvalidShape, match="dim >= 1, got dim 0"):
         random_direction(0, 17, traceless=False)
     assert np.isclose(abs(random_direction(1, 17, traceless=False)[0, 0]), 1.0)
+
+
+def _state_stack(n: int, dim: int, seed: int) -> np.ndarray:
+    return np.stack([random_density(RandomSpec(dim, seed + i, 0.05)).matrix for i in range(n)])
+
+
+def test_check_densities_stack_matches_validate_density():
+    stack = _state_stack(3, 3, 800)
+    h, low = check_densities(stack)
+    for k in range(len(stack)):
+        single = validate_density(stack[k])
+        assert np.array_equal(h[k], single.matrix)
+        assert low[k] == np.linalg.eigvalsh(single.matrix).min()
+    h_one, low_one = check_densities(stack[0])
+    assert np.array_equal(h_one, h[0]) and low_one.shape == ()
+
+
+def test_check_densities_names_the_bad_matrix_of_a_stack():
+    good = _state_stack(3, 2, 810)
+    cases = [
+        (NotHermitian, 1e-6, lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-6)),
+        (TraceNotOne, 0.2, lambda m: m.__setitem__((0, 0), m[0, 0] + 0.2)),
+        (NotPSD, 0.1, lambda m: m.__setitem__(slice(None), np.diag([1.1, -0.1]))),
+    ]
+    for error, defect, corrupt in cases:
+        stack = good.copy()
+        corrupt(stack[1])
+        with pytest.raises(error, match=r"\(matrix 1 of 3 in the stack\)") as info:
+            check_densities(stack)
+        assert info.value.defect == pytest.approx(defect, rel=1e-6)
+        with pytest.raises(error) as single:
+            validate_density(stack[1])
+        assert "in the stack" not in str(single.value)
+        assert single.value.defect == info.value.defect
+    stack = good.copy()
+    stack[2, 1, 0] = np.inf
+    with pytest.raises(InvalidShape, match=r"non-finite entries \(matrix 2 of 3 in the stack\)"):
+        check_densities(stack)
+
+
+def test_check_densities_reports_the_worst_matrix():
+    stack = np.stack([np.diag([1.05, -0.05]), np.diag([0.5, 0.5]), np.diag([1.2, -0.2])]).astype(complex)
+    with pytest.raises(NotPSD, match=r"-2\.000e-01 below .*\(matrix 2 of 3 in the stack\)"):
+        check_densities(stack)
+
+
+def test_validate_density_rejects_a_stack_and_an_empty_matrix():
+    with pytest.raises(InvalidShape, match="expected a square matrix"):
+        validate_density(_state_stack(2, 2, 820))
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+        with pytest.raises(InvalidShape, match=r"nonempty square matrix .* got shape \((3, )?0, 0\)"):
+            check_densities(empty)
+    with pytest.raises(InvalidShape):
+        validate_density(np.zeros((0, 0)))
