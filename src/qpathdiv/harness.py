@@ -42,7 +42,7 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import ConfigError, UnknownClaim
-from .linalg import eig_hermitian, herm_log, tensor_product
+from .linalg import eig_hermitian, herm_log, hermitian_part, tensor_product
 from .metrics import BOGOLJUBOV, HALF, RLD, SLD, fisher_info_mixture, fisher_info_numeric
 from .states import (
     DensityMatrix,
@@ -491,6 +491,33 @@ def _commuting_reduction(dim: int, seed: int):
     values += [value for value, _ in m_divergence_detail(_METRIC_KINDS, rho, sigma, _TIGHT_QUADRATURE)]
     worst = max(abs(v - kl) for v in values)
     return worst, {"classical_kl": kl}
+
+
+_NEAR_BOUNDARY_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10)
+
+
+@_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=6, tolerance=1e-9, mode="equality")
+def _near_boundary(dim: int, seed: int):
+    # every trial runs all floors, so each (dim, floor) is hit once per pass
+    # over the dims; the smallest eigenvalue of rho is pinned at the floor in
+    # the shared eigenbasis (random_commuting_pair's floor only lifts)
+    base, sigma = random_commuting_pair(dim, seed, _FLOOR)
+    u = base.eig.eigenvectors
+    w = base.eig.eigenvalues
+    q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
+    worst, worst_floor = -math.inf, None
+    for floor in _NEAR_BOUNDARY_FLOORS:
+        w_pinned = np.concatenate([[floor], w[1:] * ((1.0 - floor) / w[1:].sum())])
+        rho = validate_density(hermitian_part((u * w_pinned) @ u.conj().T))
+        p = np.diagonal(u.conj().T @ rho.matrix @ u).real
+        kl = classical_kl(p, q)
+        values = [value for value, _ in m_divergence_detail(_METRIC_KINDS, rho, sigma)]
+        for kind in _GEODESIC_KINDS:
+            values += [e_divergence_quadrature(kind, rho, sigma), e_divergence_closed(kind, rho, sigma)]
+        defect = max(abs(v - kl) for v in values) / max(1.0, kl)
+        if defect > worst:
+            worst, worst_floor = defect, floor
+    return worst, {"floor": worst_floor}
 
 
 @_register("moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality")
