@@ -77,7 +77,7 @@ def _cmd_compute(args) -> int:
     rho = serialize.load_state(args.rho)
     sigma = serialize.load_state(args.sigma)
     config = divergences.QuadratureConfig(
-        nodes=args.nodes, rel_tol=args.rel_tol, max_nodes=max(512, 2 * args.nodes)
+        nodes=args.nodes, rel_tol=args.rel_tol, max_nodes=max(512, 4 * args.nodes)
     )
     unit = math.log(2.0) if args.bits else 1.0
     rows = [

@@ -496,7 +496,7 @@ def _commuting_reduction(dim: int, seed: int):
 _NEAR_BOUNDARY_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10)
 
 
-@_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=6, tolerance=1e-9, mode="equality")
+@_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=24, tolerance=1e-9, mode="equality")
 def _near_boundary(dim: int, seed: int):
     # every trial runs all floors, so each (dim, floor) is hit once per pass
     # over the dims; the smallest eigenvalue of rho is pinned at the floor in

@@ -58,7 +58,7 @@ def test_compute_json_format_and_bits(capsys):
     assert payload["unit"] == "bits"
     by_id = {r["id"]: r for r in payload["rows"]}
     assert by_id["m_s"]["method"] == "quadrature"
-    assert by_id["m_s"]["nodes"] >= 64
+    assert by_id["m_s"]["nodes"] in (57, 113, 225, 449)  # a cumulative level count
     assert by_id["D"]["method"] == "closed"
 
 
@@ -81,25 +81,45 @@ def test_compute_missing_file_exit_code(capsys):
     assert main(["compute", "does-not-exist.json", RHO_FIXTURE]) == 2
 
 
-def test_compute_numerical_exit_code(capsys):
-    # an unmeetable refinement demand trips the quadrature failure path
-    assert main(["compute", RHO_FIXTURE, SIGMA_FIXTURE, "--rel-tol", "1e-30"]) == 3
-    assert "QuadratureNotConverged" in capsys.readouterr().err
+def _pinned(state, floor):
+    """``state`` with its smallest eigenvalue set to ``floor`` (renormalised)."""
+    w, u = state.eig.eigenvalues.copy(), state.eig.eigenvectors
+    w[0] = floor
+    return validate_density(hermitian_part((u * (w / w.sum())) @ u.conj().T))
 
 
-def test_compute_names_each_m_path_kind_not_converged(tmp_path, capsys):
-    # a commuting pair with one eigenvalue of rho at 1e-8: the boundary
-    # layer at t = 0 defeats 512 Gauss-Legendre nodes
-    rho, sigma = random_commuting_pair(2, 1, 1e-8)
-    w, u = rho.eig.eigenvalues.copy(), rho.eig.eigenvectors
-    w[0] = 1e-8
-    rho = validate_density(hermitian_part((u * (w / w.sum())) @ u.conj().T))
+def test_compute_numerical_exit_code(tmp_path, capsys):
+    # sigma with an eigenvalue at 1e-12: the boundary layer at t = 1 is
+    # narrower than the spacing of floats below 1, so no estimate settles
+    rho, sigma = random_commuting_pair(2, 1, 0.05)
+    sigma = _pinned(sigma, 1e-12)
     argv = ["compute", _write_state(tmp_path / "rho.json", rho), _write_state(tmp_path / "sigma.json", sigma)]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "QuadratureNotConverged" in err
-    for kind in ("s", "b", "r"):
-        assert re.search(f"m_{kind}: estimates still differ by \\S+ at 512 nodes", err), err
+    for kind in ("s", "b", "r", "half"):
+        assert re.search(f"m_{kind}: estimates still differ by \\S+ at 449 nodes", err), err
+
+
+def test_compute_m_path_matches_kl_near_the_boundary(tmp_path, capsys):
+    # a commuting pair with one eigenvalue of rho at 1e-8: every m-path
+    # kind resolves the boundary layer at t = 0 and equals the classical KL
+    rho, sigma = random_commuting_pair(2, 1, 1e-8)
+    rho = _pinned(rho, 1e-8)
+    u = rho.eig.eigenvectors
+    p, q = (np.diagonal(u.conj().T @ s.matrix @ u).real for s in (rho, sigma))
+    kl = float(np.sum(p * np.log(p / q)))
+    argv = ["compute", _write_state(tmp_path / "rho.json", rho), _write_state(tmp_path / "sigma.json", sigma)]
+    assert main(argv) == 0
+    rows = {r["id"]: float(r["value"]) for r in _rows_from_csv(capsys.readouterr().out)}
+    for kind in ("s", "b", "r", "half"):
+        assert abs(rows[f"m_{kind}"] - kl) <= 1e-9, kind
+
+
+def test_compute_nodes_beyond_half_of_512(capsys):
+    # 300 nodes start at the 449-node level, and the next level must fit
+    assert main(["compute", RHO_FIXTURE, SIGMA_FIXTURE, "--nodes", "300", "--format", "json"]) == 0
+    assert {r["nodes"] for r in json.loads(capsys.readouterr().out)["rows"]} == {None, 449}
 
 
 def test_compute_output_file(tmp_path):

@@ -290,38 +290,75 @@ def test_classical_mixture_path_integral_trapezoid_oracle():
 def test_adaptive_quadrature_polynomial():
     value, nodes = adaptive_gauss_legendre(lambda t: 3.0 * t**2)
     assert np.isclose(value, 1.0, atol=1e-12)
-    assert nodes == 64
+    assert nodes == 57  # the first call's two estimates agree
+
+
+@pytest.mark.parametrize(
+    "f, exact",
+    [
+        (lambda t: 3.0 * t**2, 1.0),
+        (np.exp, np.e - 1.0),
+        (lambda t: t / (t + 1e-10), 1.0 - 1e-10 * np.log1p(1e10)),
+        (np.sqrt, 2.0 / 3.0),
+        (lambda t: -np.log(t), 1.0),
+    ],
+)
+def test_adaptive_quadrature_known_integrals(f, exact):
+    value, _ = adaptive_gauss_legendre(f, QuadratureConfig(rel_tol=1e-12))
+    assert abs(value - exact) <= 1e-12
+
+
+def test_tanh_sinh_levels_nest():
+    from qpathdiv import divergences
+
+    for level in range(6):
+        nodes = [divergences._ts_level(k)[0] for k in range(level + 1)]
+        union = np.concatenate(nodes)
+        # disjoint levels whose union is the step-2^-level rule
+        assert len(np.unique(union[union < 0.5])) == np.sum(union < 0.5)
+        assert len(union) == divergences._ts_nodes(level)
+        u = np.arange(-divergences._ts_nodes(level) // 2 + 1, divergences._ts_nodes(level) // 2 + 1) / 2.0**level
+        assert np.array_equal(np.sort(union), 1.0 / (1.0 + np.exp(-np.pi * np.sinh(u))))
+    assert [divergences._ts_nodes(k) for k in range(3, 7)] == [57, 113, 225, 449]
+
+
+def test_adaptive_quadrature_evaluates_each_node_once():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return 1.0 / (1.0 + 25.0 * (t - 0.5) ** 2)
+
+    value, nodes = adaptive_gauss_legendre(f)
+    assert abs(value - np.arctan(2.5) / 2.5) <= 1e-8
+    # the first call is levels 0..3 and each later call one new level
+    assert sizes == [57, 56, 112] and sum(sizes) == nodes
 
 
 def test_adaptive_quadrature_not_converged():
     # a discontinuous integrand cannot satisfy a 1e-14 agreement demand
-    config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=16)
+    config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=29)
     with pytest.raises(QuadratureNotConverged) as info:
         adaptive_gauss_legendre(lambda t: (t > 0.37).astype(float), config)
     # the message reports the last measured gap between estimates
-    reported = float(re.search(r"differ by (\S+) at 16 nodes", str(info.value)).group(1))
+    reported = float(re.search(r"differ by (\S+) at 29 nodes", str(info.value)).group(1))
     assert reported > 0.0
 
 
-def test_leggauss_runs_once_per_node_count(monkeypatch):
+def test_level_tables_are_computed_once_and_read_only():
     from qpathdiv import divergences
 
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counted(n):
-        calls.append(n)
-        return leggauss(n)
-
-    divergences._gl_nodes.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    divergences._ts_level.cache_clear()
     rho = random_density(RandomSpec(2, 901, 0.05))
     sigma = random_density(RandomSpec(2, 902, 0.05))
     for _ in range(3):
         m_divergence(BOGOLJUBOV, rho, sigma)
-    assert calls and len(calls) == len(set(calls))
-    t, half_w = divergences._gl_nodes(calls[0])
-    for table in (t, half_w):
+    # each call reads levels 0..4 (113 nodes); only the first computes them
+    assert m_divergence_detail(BOGOLJUBOV, rho, sigma)[1] == 113
+    info = divergences._ts_level.cache_info()
+    assert info.misses == info.currsize == 5 and info.hits == 3 * 5
+    t, w = divergences._ts_level(0)
+    for table in (t, w):
         with pytest.raises(ValueError):
             table[0] = 0.0
 
@@ -333,6 +370,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=8, rel_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(nodes=512, max_nodes=512)
+    with pytest.raises(DomainError):
+        QuadratureConfig(nodes=32, max_nodes=112)  # the level after 57 nodes holds 113
+    assert QuadratureConfig(nodes=32, max_nodes=113).max_nodes == 113
 
 
 def test_bregman_zero_at_equal_points():
@@ -553,26 +593,39 @@ def test_kind_b_integrand_is_one_eig_per_block(monkeypatch, dim):
     floor = 0.05 if dim < 16 else 0.005
     rho = random_density(RandomSpec(dim, 921, floor))
     sigma = random_density(RandomSpec(dim, 922, floor))
-    stacks, estimates = [], []
-    eig, estimate = transport.eig_hermitian, divergences._gl_estimate
+    stacks = []
+    eig = transport.eig_hermitian
 
     def counted_eig(h):
         stacks.append(h.shape[0])
         return eig(h)
 
-    def counted_estimate(f, n):
-        estimates.append(n)
-        return estimate(f, n)
-
     monkeypatch.setattr(transport, "eig_hermitian", counted_eig)
-    monkeypatch.setattr(divergences, "_gl_estimate", counted_estimate)
+    calls = _record_integrand_calls(monkeypatch, divergences)
     e_divergence_quadrature(GeodesicKind.BOGOLJUBOV, rho, sigma)
     block = metrics._STACK_ENTRIES // dim**2
     expected = [1]  # solve_direction transports once to check its target
-    for n in estimates:
+    for n in calls:
         expected += [min(block, n - i) for i in range(0, n, block)]
-    assert stacks == expected
-    assert len(stacks) - 1 == sum(-(-n * dim**2 // metrics._STACK_ENTRIES) for n in estimates)
+    assert calls[0] == 57 and stacks == expected
+    assert len(stacks) - 1 == sum(-(-n * dim**2 // metrics._STACK_ENTRIES) for n in calls)
+
+
+def _record_integrand_calls(monkeypatch, divergences) -> list[int]:
+    """Patch divergences.adaptive_gauss_legendre to record the size of every
+    array it passes to its integrand."""
+    sizes: list[int] = []
+    quadrature = divergences.adaptive_gauss_legendre
+
+    def recorded(f, *args):
+        def counted(t):
+            sizes.append(t.size)
+            return f(t)
+
+        return quadrature(counted, *args)
+
+    monkeypatch.setattr(divergences, "adaptive_gauss_legendre", recorded)
+    return sizes
 
 
 SHARED_KINDS = (SLD, BOGOLJUBOV, RLD, HALF, lambda_kind(0.3), measure_kind([(0.0, 0.25), (0.6, 0.75)]))
@@ -591,10 +644,10 @@ def test_m_divergence_kind_tuple_matches_one_kind_calls(dim):
 
 def test_m_divergence_kinds_freeze_at_their_own_node_counts():
     # a pair on which the kinds need different refinement
-    rho = random_density(RandomSpec(2, 45, 0.01))
-    sigma = random_density(RandomSpec(2, 46, 0.01))
+    rho = random_density(RandomSpec(3, 116, 1e-3))
+    sigma = random_density(RandomSpec(3, 1116, 1e-3))
     shared = m_divergence_detail(tuple(ALL_METRIC), rho, sigma)
-    assert [nodes for _, nodes in shared] == [128, 64, 128, 64]
+    assert [nodes for _, nodes in shared] == [113, 57, 113, 57]
     assert list(shared) == [m_divergence_detail(kind, rho, sigma) for kind in ALL_METRIC]
 
 
@@ -608,26 +661,22 @@ def test_m_path_is_one_eig_per_block_per_estimate(monkeypatch, dim, entries):
     sigma = random_density(RandomSpec(dim, 952, floor))
     if entries is not None:
         monkeypatch.setattr(metrics, "_STACK_ENTRIES", entries)
-    stacks, estimates = [], []
-    eig, estimate = metrics.eig_hermitian, divergences._gl_estimate
+    stacks = []
+    eig = metrics.eig_hermitian
 
     def counted_eig(h):
         stacks.append(h.shape[0])
         return eig(h)
 
-    def counted_estimate(f, n):
-        estimates.append(n)
-        return estimate(f, n)
-
     monkeypatch.setattr(metrics, "eig_hermitian", counted_eig)
-    monkeypatch.setattr(divergences, "_gl_estimate", counted_estimate)
+    calls = _record_integrand_calls(monkeypatch, divergences)
     block = max(1, metrics._STACK_ENTRIES // dim**2)
     for kinds in ((SLD,), tuple(ALL_METRIC), SHARED_KINDS):
         stacks.clear()
-        estimates.clear()
+        calls.clear()
         shared = m_divergence_detail(kinds, rho, sigma)
-        assert estimates[-1] == max(nodes for _, nodes in shared)
-        assert stacks == [min(block, n - i) for n in estimates for i in range(0, n, block)]
+        assert calls[0] == 57 and sum(calls) == max(nodes for _, nodes in shared)
+        assert stacks == [min(block, n - i) for n in calls for i in range(0, n, block)]
 
 
 def test_m_divergence_rejects_empty_kind_tuple(pair_2x2):
@@ -661,17 +710,17 @@ def test_adaptive_quadrature_rows_freeze_and_are_not_read_again():
 
         def __getitem__(self, rows):
             reads.append((self.t.size, list(rows)))
-            # a polynomial, exp and a sharp Runge bump, one per row
-            every = np.array([3.0 * self.t**2, np.exp(self.t), 1.0 / (1.0 + 100.0 * (self.t - 0.5) ** 2)])
+            # a polynomial, a wide and a sharp Runge bump, one per row
+            every = np.array([3.0 * self.t**2, 1.0 / (1.0 + 4.0 * (self.t - 0.5) ** 2), 1.0 / (1.0 + 100.0 * (self.t - 0.5) ** 2)])
             return every[rows]
 
     pairs, nodes = adaptive_gauss_legendre(Rows, QuadratureConfig(nodes=4, rel_tol=1e-10, max_nodes=4096))
-    (poly, poly_nodes), (smooth, smooth_nodes), (bump, bump_nodes) = pairs
-    assert (poly_nodes, smooth_nodes, bump_nodes, nodes) == (8, 16, 128, 128)
-    assert abs(poly - 1.0) <= 1e-14 and abs(smooth - (np.e - 1.0)) <= 1e-14
+    (poly, poly_nodes), (wide, wide_nodes), (bump, bump_nodes) = pairs
+    assert (poly_nodes, wide_nodes, bump_nodes, nodes) == (57, 113, 449, 449)
+    assert abs(poly - 1.0) <= 1e-14 and abs(wide - np.pi / 4.0) <= 1e-14
     assert abs(bump - np.arctan(5.0) / 5.0) <= 1e-10
-    assert reads[:3] == [(4, [0, 1, 2]), (8, [0, 1, 2]), (16, [1, 2])]
-    assert all(rows == [2] for _, rows in reads[3:])
+    assert reads[:5] == [(15, [0, 1, 2]), (14, [0, 1, 2]), (28, [0, 1, 2]), (56, [1, 2]), (112, [2])]
+    assert all(rows == [2] for _, rows in reads[5:])
     # a (k, n) array gives the same pairs, each equal to its row alone
     array_pairs, _ = adaptive_gauss_legendre(
         lambda t: np.array([3.0 * t**2, np.exp(t)]), QuadratureConfig(nodes=4, rel_tol=1e-10)
@@ -683,7 +732,7 @@ def test_adaptive_quadrature_rows_freeze_and_are_not_read_again():
 
 
 def test_adaptive_quadrature_names_each_row_not_converged():
-    config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=16)
+    config = QuadratureConfig(nodes=4, rel_tol=1e-14, max_nodes=113)
     with pytest.raises(QuadratureNotConverged) as info:
         adaptive_gauss_legendre(
             lambda t: np.array([3.0 * t**2, (t > 0.37).astype(float), (t > 0.61).astype(float)]),
@@ -693,7 +742,7 @@ def test_adaptive_quadrature_names_each_row_not_converged():
     message = str(info.value)
     assert "poly" not in message
     for label in ("step-a", "step-b"):
-        gap = float(re.search(label + r": estimates still differ by (\S+) at 16 nodes", message).group(1))
+        gap = float(re.search(label + r": estimates still differ by (\S+) at 113 nodes", message).group(1))
         assert gap > 0.0
 
 
