@@ -429,12 +429,23 @@ def legendre_maximizer(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndar
 
 def legendre_model(model: ConvexFunctionModel, box: np.ndarray) -> ConvexFunctionModel:
     """The Legendre-transformed model; its gradient is the dual maximizer.
-    A stack of points runs one maximization per row."""
+    A stack of points runs one maximization per row, and ``value`` and
+    ``grad`` share one maximization per distinct point (a memo of this
+    model, keyed by the point's bytes)."""
+    memo: dict[bytes, tuple[np.ndarray, float]] = {}
+
+    def maximize(eta: np.ndarray) -> tuple[np.ndarray, float]:
+        key = eta.tobytes()
+        if key not in memo:
+            theta, value = _maximize_dual(model, eta, box)
+            theta.flags.writeable = False  # every caller at this point gets this array
+            memo[key] = theta, value
+        return memo[key]
 
     def rowwise(part: int) -> Callable[[np.ndarray], float | np.ndarray]:
         def f(eta: np.ndarray) -> float | np.ndarray:
             eta = np.asarray(eta, dtype=float)
-            out = [_maximize_dual(model, row, box)[part] for row in eta.reshape(-1, model.dim)]
+            out = [maximize(row)[part] for row in eta.reshape(-1, model.dim)]
             return out[0] if eta.ndim == 1 else np.array(out)
 
         return f

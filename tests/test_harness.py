@@ -121,6 +121,24 @@ def test_legendre_duality_replays_stalled_seed():
     assert run_claim("classical-legendre-duality", 110, spec).passed
 
 
+@pytest.mark.parametrize("claim", ["potential-duality-bogoljubov", "classical-legendre-duality"])
+def test_legendre_dual_maximizes_once_per_point(monkeypatch, claim):
+    from qpathdiv import divergences
+
+    points = []
+    maximize = divergences._maximize_dual
+
+    def counted(model, eta, box):
+        points.append(eta.tobytes())
+        return maximize(model, eta, box)
+
+    monkeypatch.setattr(divergences, "_maximize_dual", counted)
+    spec = dataclasses.replace(default_spec(claim), trials=1)
+    assert run_claim(claim, spec=spec).passed
+    # value and gradient at eta share one run; eta_bar takes the other
+    assert len(points) == len(set(points)) == 2
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         HarnessConfig.from_dict({"bogus": 1})
