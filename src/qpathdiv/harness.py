@@ -496,28 +496,25 @@ def _commuting_reduction(dim: int, seed: int):
 _NEAR_BOUNDARY_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10)
 
 
-@_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=24, tolerance=1e-9, mode="equality")
+@_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=18, tolerance=1e-9, mode="equality")
 def _near_boundary(dim: int, seed: int):
-    # every trial runs all floors, so each (dim, floor) is hit once per pass
-    # over the dims; the smallest eigenvalue of rho is pinned at the floor in
-    # the shared eigenbasis (random_commuting_pair's floor only lifts)
+    # every trial runs all floors; the smallest eigenvalue of rho is pinned at
+    # the floor in the shared eigenbasis (random_commuting_pair's floor only lifts)
     base, sigma = random_commuting_pair(dim, seed, _FLOOR)
     u = base.eig.eigenvectors
     w = base.eig.eigenvalues
     q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
-    worst, worst_floor = -math.inf, None
+    defects = []
     for floor in _NEAR_BOUNDARY_FLOORS:
         w_pinned = np.concatenate([[floor], w[1:] * ((1.0 - floor) / w[1:].sum())])
         rho = validate_density(hermitian_part((u * w_pinned) @ u.conj().T))
-        p = np.diagonal(u.conj().T @ rho.matrix @ u).real
-        kl = classical_kl(p, q)
+        kl = classical_kl(np.diagonal(u.conj().T @ rho.matrix @ u).real, q)
         values = [value for value, _ in m_divergence_detail(_METRIC_KINDS, rho, sigma)]
         for kind in _GEODESIC_KINDS:
             values += [e_divergence_quadrature(kind, rho, sigma), e_divergence_closed(kind, rho, sigma)]
-        defect = max(abs(v - kl) for v in values) / max(1.0, kl)
-        if defect > worst:
-            worst, worst_floor = defect, floor
-    return worst, {"floor": worst_floor}
+        defects.append(float(np.max(np.abs(np.array(values) - kl))) / max(1.0, kl))
+    worst = int(np.argmax(defects))  # a NaN defect is the first maximum
+    return defects[worst], {"floor": _NEAR_BOUNDARY_FLOORS[worst]}
 
 
 @_register("moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality")
