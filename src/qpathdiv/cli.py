@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="divergence table between two states")
     compute.add_argument("rho", help="state JSON file (first argument, t = 0 end)")
     compute.add_argument("sigma", help="state JSON file (second argument)")
-    compute.add_argument("--nodes", type=int, default=32, help="initial quadrature nodes")
+    compute.add_argument(
+        "--nodes", type=int, default=32, help="least nodes of the first quadrature estimate (32 gives 57)"
+    )
     compute.add_argument("--rel-tol", type=float, default=1e-8, help="quadrature refinement tolerance")
     compute.add_argument("--format", choices=("json", "csv"), default="csv")
     compute.add_argument("--bits", action="store_true", help="report values in bits instead of nats")

@@ -155,14 +155,14 @@ def adaptive_gauss_legendre(
     one_row = rows is None
     if one_row:
         rows = [0]
-    ends = np.cumsum([len(t) for t, _ in tables])
+    splits = np.cumsum([len(t) for t, _ in tables[:-1]])
     # per row: the weighted sum over the levels below `level`, the estimate
     # they give, and the weighted sum of `level` itself
     total: dict[int, float] = {}
     prev: dict[int, float] = {}
     fresh: dict[int, float] = {}
     for i, row in zip(rows, first):
-        parts = [float(row[end - len(w) : end] @ w) for end, (_, w) in zip(ends, tables)]
+        parts = [float(part @ w) for part, (_, w) in zip(np.split(row, splits), tables)]
         total[i] = sum(parts[:-1])
         prev[i] = total[i] * 2.0 ** (1 - level)
         fresh[i] = parts[-1]
@@ -248,7 +248,7 @@ def e_divergence_quadrature(
 
     Solves the direction reaching rho from sigma, then integrates
     theta * mu''(theta) over [0, 1] (the curvature of the log-normalizer is
-    the Fisher information along the curve). All nodes of an estimate go
+    the Fisher information along the curve). All nodes of an integrand call go
     to MomentFunction.derivative as one array.
     """
     mf = solve_direction(kind, rho, sigma).moment
@@ -264,7 +264,7 @@ def m_divergence_detail(
     """m_divergence plus the quadrature node count it settled on.
 
     A tuple of kinds gives one (value, nodes) per kind from one pass over
-    the mixture states: each estimate decomposes them once for every kind
+    the mixture states: each integrand call decomposes them once for every kind
     still refining, and each kind keeps its own node count and value.
     """
     _check_pair(rho, sigma)
