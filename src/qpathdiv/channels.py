@@ -14,14 +14,13 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidShape,
-    NotFullRank,
     NotPSD,
     NotTracePreserving,
     PovmIncomplete,
 )
 from .linalg import eig_hermitian, hermitian_part
 from .serialize import matrix_from_json, matrix_to_json
-from .states import DensityMatrix, validate_density, validate_distribution
+from .states import DensityMatrix, check_pair, validate_density, validate_distribution
 from .transport import GeodesicKind, sandwich_operator
 
 TP_TOL = 1e-9
@@ -155,10 +154,7 @@ def sandwich_pvm(rho: DensityMatrix, sigma: DensityMatrix) -> Povm:
     the induced outcome distributions achieve the closed-form
     exponential-path divergence of kind s as a classical divergence.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
-    if not sigma.full_rank:
-        raise NotFullRank("sigma must be full rank")
+    check_pair(rho, sigma, ("sigma",))
     eig = eig_hermitian(sandwich_operator(GeodesicKind.SLD, rho, sigma))
     w, u = eig.eigenvalues, eig.eigenvectors
     elements = []

@@ -38,13 +38,12 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidShape,
-    NotFullRank,
     NotInRange,
     QuadratureNotConverged,
     SupportViolation,
 )
 from .linalg import SUPPORT_EPS, eig_hermitian, herm_log, hermitian_part, log_sum_exp
-from .states import DensityMatrix, check_densities, validate_density
+from .states import DensityMatrix, check_densities, check_pair, validate_density
 from .transport import GeodesicKind, sandwich_operator, solve_direction
 
 _KL_CUTOFF = 1e-15
@@ -91,8 +90,13 @@ class QuadratureConfig:
             raise DomainError(f"need at least 2 nodes, got {self.nodes}")
         if self.rel_tol <= 0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if _ts_nodes(_first_level(self.nodes) + 1) > self.max_nodes:
-            raise DomainError("max_nodes must allow at least one level beyond the first estimate")
+        first = _first_level(self.nodes)
+        if _ts_nodes(first + 1) > self.max_nodes:
+            raise DomainError(
+                f"max_nodes must allow at least one level beyond the first estimate "
+                f"(max_nodes={self.max_nodes}; the first estimate takes {_ts_nodes(first)} nodes, "
+                f"one level beyond it {_ts_nodes(first + 1)})"
+            )
 
 
 @functools.cache
@@ -130,31 +134,19 @@ def adaptive_gauss_legendre(
     nodes. The node count is the cumulative count of the accepted estimate
     (57, 113, 225 or 449 at the defaults), at most ``config.max_nodes``.
 
-    ``f`` may instead give k rows of values, one per integrand, from one
-    shared evaluation: a (k, n) array, or any object of ndim 2 and length k
-    that ``f(t)[rows]`` reads for a list of row indices. Each row is frozen,
-    with its value and node count, at the first level where it converges,
-    and later calls read only the rows still refining. The result is then
-    (the k (value, nodes) pairs, nodes of the last estimate), and
-    ``labels`` names the rows that did not converge.
+    ``f`` may instead give a (k, n) array, one row per integrand, from one
+    shared evaluation. Each row is frozen, with its value and node count, at
+    the first level where it converges; later calls still evaluate it, but
+    its values are not read. The result is then (the k (value, nodes) pairs,
+    nodes of the last estimate), and ``labels`` names the rows that did not
+    converge.
     """
-    rows: list[int] | None = None  # the rows still refining; None for (n,) values
-
-    def refining(t: np.ndarray):
-        nonlocal rows
-        values = f(t)
-        if np.ndim(values) == 1:
-            return [values]
-        if rows is None:  # the first call reads every row
-            rows = list(range(len(values)))
-        return values[rows]
-
     level = _first_level(config.nodes)
     tables = [_ts_level(k) for k in range(level + 1)]
-    first = refining(np.concatenate([t for t, _ in tables]))
-    one_row = rows is None
-    if one_row:
-        rows = [0]
+    values = f(np.concatenate([t for t, _ in tables]))
+    one_row = np.ndim(values) == 1
+    first = np.atleast_2d(values)
+    rows = list(range(len(first)))
     splits = np.cumsum([len(t) for t, _ in tables[:-1]])
     # per row: the weighted sum over the levels below `level`, the estimate
     # they give, and the weighted sum of `level` itself
@@ -181,7 +173,8 @@ def adaptive_gauss_legendre(
             break
         level += 1
         t, w = _ts_level(level)
-        fresh = {i: float(row @ w) for i, row in zip(rows, refining(t))}
+        values = np.atleast_2d(f(t))
+        fresh = {i: float(values[i] @ w) for i in rows}
     if rows:
         raise QuadratureNotConverged(
             "; ".join(
@@ -195,15 +188,6 @@ def adaptive_gauss_legendre(
     return tuple(done[i] for i in range(len(done))), _ts_nodes(level)
 
 
-def _check_pair(rho: DensityMatrix, sigma: DensityMatrix, rho_full_rank: bool = True) -> None:
-    """Equal dims, a full-rank sigma and, unless waived, a full-rank rho."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
-    for state, name, required in ((rho, "rho", rho_full_rank), (sigma, "sigma", True)):
-        if required and not state.full_rank:
-            raise NotFullRank(f"{name} must be full rank")
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr rho log rho with 0 log 0 = 0."""
     w = rho.spectrum()
@@ -213,14 +197,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (log rho - log sigma); rank-deficient rho uses 0 log 0 = 0."""
-    _check_pair(rho, sigma, rho_full_rank=False)
+    check_pair(rho, sigma, ("sigma",))
     cross = float(np.trace(rho.matrix @ sigma.eig.log()).real)
     return -von_neumann_entropy(rho) - cross
 
 
 def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})."""
-    _check_pair(rho, sigma)
+    check_pair(rho, sigma, ("rho", "sigma"))
     rh = rho.eig.power(0.5)
     si = sigma.eig.power(-1.0)
     m = hermitian_part(rh @ si @ rh)
@@ -230,7 +214,7 @@ def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Closed-form exponential-path divergence: the relative entropy for kind b,
     else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log(sandwich_operator)."""
-    _check_pair(rho, sigma)
+    check_pair(rho, sigma, ("rho", "sigma"))
     p = kind.sandwich_power
     if p is None:
         return quantum_relative_entropy(rho, sigma)
@@ -264,34 +248,17 @@ def m_divergence_detail(
     """m_divergence plus the quadrature node count it settled on.
 
     A tuple of kinds gives one (value, nodes) per kind from one pass over
-    the mixture states: each integrand call decomposes them once for every kind
-    still refining, and each kind keeps its own node count and value.
+    the mixture states: each integrand call decomposes them once for every
+    kind, and each kind keeps its own node count and value.
     """
-    _check_pair(rho, sigma)
+    check_pair(rho, sigma, ("rho", "sigma"))
     kinds = kind if isinstance(kind, tuple) else (kind,)
     pairs, _ = adaptive_gauss_legendre(
-        lambda t: _MixtureRows(rho, sigma, kinds, t), config, tuple(f"m_{k.label()}" for k in kinds)
+        lambda t: t * metrics.fisher_info_mixture(rho, sigma, kinds, t),
+        config,
+        tuple(f"m_{k.label()}" for k in kinds),
     )
     return pairs if isinstance(kind, tuple) else pairs[0]
-
-
-@dataclass(frozen=True)
-class _MixtureRows:
-    """t * J_t at the nodes t, one row per kind; reading rows[[i, j]] is one
-    fisher_info_mixture call for kinds i and j only."""
-
-    rho: DensityMatrix
-    sigma: DensityMatrix
-    kinds: tuple[metrics.MetricKind, ...]
-    t: np.ndarray
-    ndim = 2
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __getitem__(self, rows: list[int]) -> np.ndarray:
-        kinds = tuple(self.kinds[i] for i in rows)
-        return self.t * metrics.fisher_info_mixture(self.rho, self.sigma, kinds, self.t)
 
 
 def m_divergence(

@@ -134,10 +134,15 @@ def registered_claims() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def default_spec(claim_id: str) -> ClaimSpec:
+def _registered(claim_id: str) -> tuple[ClaimSpec, _TrialFn, Callable | None]:
+    """The registry entry of a claim; UnknownClaim when there is none."""
     if claim_id not in _REGISTRY:
         raise UnknownClaim(f"no claim registered under {claim_id!r}")
-    return _REGISTRY[claim_id][0]
+    return _REGISTRY[claim_id]
+
+
+def default_spec(claim_id: str) -> ClaimSpec:
+    return _registered(claim_id)[0]
 
 
 def _pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
@@ -148,9 +153,7 @@ def _pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
 
 def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: ClaimSpec | None = None) -> ClaimRecord:
     """Execute one registered claim; deterministic given (claim, seed)."""
-    if claim_id not in _REGISTRY:
-        raise UnknownClaim(f"no claim registered under {claim_id!r}")
-    default, trial_fn, extra_check = _REGISTRY[claim_id]
+    default, trial_fn, extra_check = _registered(claim_id)
     spec = spec or default
     best_for_mode = max if spec.mode != "inequality" else min
     worst = -math.inf if spec.mode != "inequality" else math.inf
@@ -191,9 +194,7 @@ def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: Claim
 
 def replay_witness(claim_id: str, witness: dict) -> float:
     """Re-run the recorded worst trial; returns the recomputed measure."""
-    if claim_id not in _REGISTRY:
-        raise UnknownClaim(f"no claim registered under {claim_id!r}")
-    _, trial_fn, _ = _REGISTRY[claim_id]
+    _, trial_fn, _ = _registered(claim_id)
     value, _extras = trial_fn(int(witness["dim"]), int(witness["seed"]))
     return value
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, NotHermitian
+from .errors import ConvergenceFailure, DomainError, InvalidShape, NotHermitian
 
 HERMITIAN_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
@@ -58,6 +58,19 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     """(X + X^*) / 2, matrixwise over a stack."""
     x = np.asarray(x, dtype=complex)
     return (x + _adjoint(x)) / 2
+
+
+def point_array(x: float | np.ndarray, name: str) -> np.ndarray:
+    """x as a nonempty 1-d array of finite floats; a float gives one entry.
+    InvalidShape and DomainError name the parameter ``name``."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1 or xs.size == 0:
+        raise InvalidShape(f"{name} must be a float or a nonempty 1-d array, got shape {xs.shape}")
+    xs = xs.reshape(-1)
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {xs[bad][0]}")
+    return xs
 
 
 def log_sum_exp(x: np.ndarray) -> float | np.ndarray:

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidShape, NotFullRank
-from .linalg import SUPPORT_EPS, eig_hermitian, hermitian_part
-from .states import DensityMatrix
+from .linalg import SUPPORT_EPS, eig_hermitian, hermitian_part, point_array
+from .states import DensityMatrix, check_pair
 
 @dataclass(frozen=True)
 class MetricKind:
@@ -191,11 +191,6 @@ def m_inner(rho: DensityMatrix, kind: MetricKind, a: np.ndarray, b: np.ndarray) 
     return complex(np.trace(m_to_e(rho, kind, a).conj().T @ b))
 
 
-# Largest stack (nodes * dim^2 entries) that fisher_info_mixture decomposes
-# at once: one call per block keeps the stacked temporaries small at dim 16.
-_STACK_ENTRIES = 8192
-
-
 def fisher_info_mixture(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -207,33 +202,15 @@ def fisher_info_mixture(
     The tangent is the constant sigma - rho, so no differentiation is
     involved; this is the squared mixture-side norm of that tangent at the
     interpolated state. A float t gives a float; a 1-d array of t gives an
-    array, from stacked eigendecompositions of at most _STACK_ENTRIES entries.
+    array, from one validated eigendecomposition of the stacked states.
     A nonempty tuple of kinds adds a leading axis, one row of J_t per kind:
-    the kinds share each decomposition and differ only in the kernel.
+    the kinds share the decomposition and differ only in the kernel.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
+    check_pair(rho, sigma)
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if not kinds:
         raise InvalidShape("need at least one metric kind")
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1 or ts.size == 0:
-        raise InvalidShape(f"t must be a float or a nonempty 1-d array, got shape {ts.shape}")
-    flat = ts.reshape(-1)
-    block = max(1, _STACK_ENTRIES // rho.dim**2)
-    rows = np.concatenate(
-        [_mixture_info(rho, sigma, kinds, flat[i : i + block]) for i in range(0, flat.size, block)],
-        axis=1,
-    ).reshape(len(kinds), *ts.shape)
-    if isinstance(kind, tuple):
-        return rows
-    return rows[0] if ts.ndim else float(rows[0])
-
-
-def _mixture_info(
-    rho: DensityMatrix, sigma: DensityMatrix, kinds: tuple[MetricKind, ...], ts: np.ndarray
-) -> np.ndarray:
-    """J_t of each kind (rows) at each t of ts, from one stacked eigendecomposition."""
+    ts = point_array(t, "t")
     mt = (1.0 - ts)[:, None, None] * rho.matrix + ts[:, None, None] * sigma.matrix
     eig = eig_hermitian(hermitian_part(mt))
     low = eig.eigenvalues[:, 0]
@@ -246,9 +223,12 @@ def _mixture_info(
         )
     u = eig.eigenvectors
     dp2 = np.abs(u.conj().swapaxes(-1, -2) @ (sigma.matrix - rho.matrix) @ u) ** 2
-    return np.array(
-        [np.sum((dp2 / kernel_matrix(kind, eig.eigenvalues)).reshape(ts.size, -1), axis=1) for kind in kinds]
+    rows = np.array(
+        [np.sum((dp2 / kernel_matrix(k, eig.eigenvalues)).reshape(ts.size, -1), axis=1) for k in kinds]
     )
+    if isinstance(kind, tuple):
+        return rows if np.ndim(t) else rows[:, 0]
+    return rows[0] if np.ndim(t) else float(rows[0, 0])
 
 
 def fisher_info_numeric(

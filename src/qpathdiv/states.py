@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDistribution,
     InvalidShape,
+    NotFullRank,
     NotHermitian,
     NotPSD,
     TraceNotOne,
@@ -171,10 +172,21 @@ def random_commuting_pair(
     return states[0], states[1]
 
 
-def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Frobenius norm of the commutator [rho, sigma]."""
+def check_pair(rho: DensityMatrix, sigma: DensityMatrix, full_rank: tuple[str, ...] = ()) -> None:
+    """Equal dims, and full rank for each state named in ``full_rank``
+    ("rho", "sigma"); NotFullRank names the state and carries its minimum
+    eigenvalue as the defect."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
+    for name, state in (("rho", rho), ("sigma", sigma)):
+        if name in full_rank and not state.full_rank:
+            low = float(state.spectrum().min())
+            raise NotFullRank(f"{name} has minimum eigenvalue {low:.3e}, at or below {SUPPORT_EPS:g}", low)
+
+
+def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Frobenius norm of the commutator [rho, sigma]."""
+    check_pair(rho, sigma)
     a, b = rho.matrix, sigma.matrix
     return frobenius(a @ b - b @ a)
 

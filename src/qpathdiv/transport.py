@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .errors import DimensionMismatch, DomainError, InvalidShape, NotFullRank, TargetMismatch
+from .errors import DimensionMismatch, DomainError, NotFullRank, TargetMismatch
 from .linalg import (
     eig_hermitian,
     frobenius,
@@ -35,9 +35,10 @@ from .linalg import (
     herm_power,
     hermitian_part,
     log_sum_exp,
+    point_array,
     require_hermitian,
 )
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix, check_pair, validate_density
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
@@ -179,13 +180,13 @@ class MomentFunction:
         return top + np.log(total), p / total[:, None, None]
 
     def __call__(self, theta: float) -> float:
-        ths = _theta_array(float(theta))
+        ths = point_array(float(theta), "theta")
         if self._p is None:
             return float(self._log_spectrum(ths)[2][0])
         return float(self._log_partition(ths)[0][0])
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
-        ths = _theta_array(float(theta))
+        ths = point_array(float(theta), "theta")
         if self._p is None:
             h, u, mu = (x[0] for x in self._log_spectrum(ths))
             mat = (u * np.exp(h - mu)) @ u.conj().T
@@ -206,17 +207,14 @@ class MomentFunction:
         """mu' (order 1) or mu'' (order 2) at theta, in closed form.
 
         A float theta gives a float; a nonempty 1-d array gives an array.
-        Kind b decomposes the stacked log sigma + theta L in blocks of at
-        most metrics._STACK_ENTRIES entries, one validated eig_hermitian each.
+        Kind b decomposes the stacked log sigma + theta L with one validated
+        eig_hermitian.
         """
         if order not in (1, 2):
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
-        ths = _theta_array(theta)
+        ths = point_array(theta, "theta")
         if self._p is None:
-            block = max(1, metrics._STACK_ENTRIES // self._direction.shape[0] ** 2)
-            values = np.concatenate(
-                [self._kubo_mori(ths[i : i + block], order) for i in range(0, ths.size, block)]
-            )
+            values = self._kubo_mori(ths, order)
         else:
             _, p = self._log_partition(ths)
             values = np.sum(p * self._energies, axis=(1, 2))
@@ -238,18 +236,6 @@ class MomentFunction:
         return np.sum(
             np.abs(centered) ** 2 * np.exp(hi - mu[:, None, None]) * metrics.phi1(lo - hi), axis=(1, 2)
         )
-
-
-def _theta_array(theta: float | np.ndarray) -> np.ndarray:
-    """theta as a nonempty 1-d array of finite floats; a float gives one entry."""
-    ths = np.asarray(theta, dtype=float)
-    if ths.ndim > 1 or ths.size == 0:
-        raise InvalidShape(f"theta must be a float or a nonempty 1-d array, got shape {ths.shape}")
-    ths = ths.reshape(-1)
-    bad = ~np.isfinite(ths)
-    if bad.any():
-        raise DomainError(f"theta must be finite, got {ths[bad][0]}")
-    return ths
 
 
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:
@@ -281,10 +267,7 @@ def solve_direction(
     ``tol`` raises TargetMismatch (a numerical breakdown, not a user
     error).
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
-    if not (rho.full_rank and sigma.full_rank):
-        raise NotFullRank("both states must be full rank")
+    check_pair(rho, sigma, ("rho", "sigma"))
     p = kind.sandwich_power
     gen = None
     if p is None:
@@ -303,8 +286,7 @@ def solve_direction(
 
 def m_geodesic(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> DensityMatrix:
     """The mixture segment (1-t) rho + t sigma."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
+    check_pair(rho, sigma)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
     return validate_density((1.0 - t) * rho.matrix + t * sigma.matrix)

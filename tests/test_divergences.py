@@ -370,8 +370,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=8, rel_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(nodes=512, max_nodes=512)
-    with pytest.raises(DomainError):
-        QuadratureConfig(nodes=32, max_nodes=112)  # the level after 57 nodes holds 113
+    with pytest.raises(
+        DomainError, match=r"\(max_nodes=112; the first estimate takes 57 nodes, one level beyond it 113\)"
+    ):
+        QuadratureConfig(nodes=32, max_nodes=112)
     assert QuadratureConfig(nodes=32, max_nodes=113).max_nodes == 113
 
 
@@ -588,7 +590,7 @@ def test_e_divergence_quadrature_matches_node_by_node(kind, dim):
 
 @pytest.mark.parametrize("dim", [2, 16])
 def test_kind_b_integrand_is_one_eig_per_block(monkeypatch, dim):
-    from qpathdiv import divergences, metrics, transport
+    from qpathdiv import divergences, transport
 
     floor = 0.05 if dim < 16 else 0.005
     rho = random_density(RandomSpec(dim, 921, floor))
@@ -603,12 +605,8 @@ def test_kind_b_integrand_is_one_eig_per_block(monkeypatch, dim):
     monkeypatch.setattr(transport, "eig_hermitian", counted_eig)
     calls = _record_integrand_calls(monkeypatch, divergences)
     e_divergence_quadrature(GeodesicKind.BOGOLJUBOV, rho, sigma)
-    block = metrics._STACK_ENTRIES // dim**2
-    expected = [1]  # solve_direction transports once to check its target
-    for n in calls:
-        expected += [min(block, n - i) for i in range(0, n, block)]
-    assert calls[0] == 57 and stacks == expected
-    assert len(stacks) - 1 == sum(-(-n * dim**2 // metrics._STACK_ENTRIES) for n in calls)
+    # solve_direction transports once to check its target; then one stack per call
+    assert calls[0] == 57 and stacks == [1] + calls
 
 
 def _record_integrand_calls(monkeypatch, divergences) -> list[int]:
@@ -651,16 +649,13 @@ def test_m_divergence_kinds_freeze_at_their_own_node_counts():
     assert list(shared) == [m_divergence_detail(kind, rho, sigma) for kind in ALL_METRIC]
 
 
-@pytest.mark.parametrize("entries", [None, 1, 18, 31])
 @pytest.mark.parametrize("dim", [2, 16])
-def test_m_path_is_one_eig_per_block_per_estimate(monkeypatch, dim, entries):
+def test_m_path_is_one_eig_per_block_per_estimate(monkeypatch, dim):
     from qpathdiv import divergences, metrics
 
     floor = 0.05 if dim < 16 else 0.005
     rho = random_density(RandomSpec(dim, 951, floor))
     sigma = random_density(RandomSpec(dim, 952, floor))
-    if entries is not None:
-        monkeypatch.setattr(metrics, "_STACK_ENTRIES", entries)
     stacks = []
     eig = metrics.eig_hermitian
 
@@ -670,13 +665,13 @@ def test_m_path_is_one_eig_per_block_per_estimate(monkeypatch, dim, entries):
 
     monkeypatch.setattr(metrics, "eig_hermitian", counted_eig)
     calls = _record_integrand_calls(monkeypatch, divergences)
-    block = max(1, metrics._STACK_ENTRIES // dim**2)
     for kinds in ((SLD,), tuple(ALL_METRIC), SHARED_KINDS):
         stacks.clear()
         calls.clear()
         shared = m_divergence_detail(kinds, rho, sigma)
         assert calls[0] == 57 and sum(calls) == max(nodes for _, nodes in shared)
-        assert stacks == [min(block, n - i) for n in calls for i in range(0, n, block)]
+        # one stack of all the call's mixture states per integrand call
+        assert stacks == calls
 
 
 def test_m_divergence_rejects_empty_kind_tuple(pair_2x2):
@@ -697,30 +692,22 @@ def test_m_divergence_kind_tuple_not_full_rank_report():
 
 
 def test_adaptive_quadrature_rows_freeze_and_are_not_read_again():
-    reads = []
+    sizes = []
 
-    class Rows:
-        ndim = 2
+    def rows(t):
+        sizes.append(t.size)
+        # a polynomial, a wide and a sharp Runge bump, one per row
+        every = np.array([3.0 * t**2, 1.0 / (1.0 + 4.0 * (t - 0.5) ** 2), 1.0 / (1.0 + 100.0 * (t - 0.5) ** 2)])
+        # a row's values after the call that froze it must not be read
+        every[: sum(n in (28, 56) for n in sizes[:-1])] = np.nan
+        return every
 
-        def __init__(self, t):
-            self.t = t
-
-        def __len__(self):
-            return 3
-
-        def __getitem__(self, rows):
-            reads.append((self.t.size, list(rows)))
-            # a polynomial, a wide and a sharp Runge bump, one per row
-            every = np.array([3.0 * self.t**2, 1.0 / (1.0 + 4.0 * (self.t - 0.5) ** 2), 1.0 / (1.0 + 100.0 * (self.t - 0.5) ** 2)])
-            return every[rows]
-
-    pairs, nodes = adaptive_gauss_legendre(Rows, QuadratureConfig(nodes=4, rel_tol=1e-10, max_nodes=4096))
+    pairs, nodes = adaptive_gauss_legendre(rows, QuadratureConfig(nodes=4, rel_tol=1e-10, max_nodes=4096))
     (poly, poly_nodes), (wide, wide_nodes), (bump, bump_nodes) = pairs
     assert (poly_nodes, wide_nodes, bump_nodes, nodes) == (57, 113, 449, 449)
+    assert sizes == [15, 14, 28, 56, 112, 224]
     assert abs(poly - 1.0) <= 1e-14 and abs(wide - np.pi / 4.0) <= 1e-14
     assert abs(bump - np.arctan(5.0) / 5.0) <= 1e-10
-    assert reads[:5] == [(15, [0, 1, 2]), (14, [0, 1, 2]), (28, [0, 1, 2]), (56, [1, 2]), (112, [2])]
-    assert all(rows == [2] for _, rows in reads[5:])
     # a (k, n) array gives the same pairs, each equal to its row alone
     array_pairs, _ = adaptive_gauss_legendre(
         lambda t: np.array([3.0 * t**2, np.exp(t)]), QuadratureConfig(nodes=4, rel_tol=1e-10)

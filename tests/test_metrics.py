@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpathdiv.errors import InvalidShape, NotFullRank
+from qpathdiv.errors import DomainError, InvalidShape, NotFullRank
 from qpathdiv.linalg import herm_power
 from qpathdiv.metrics import (
     BOGOLJUBOV,
@@ -294,11 +294,22 @@ def test_kernel_frame_not_full_rank_reports_eigenvalue():
     assert info.value.defect == pytest.approx(5e-13, rel=1e-3)
 
 
-@pytest.mark.parametrize("t", [np.full((2, 2), 0.5), np.array([])], ids=["matrix", "empty"])
-def test_fisher_mixture_rejects_malformed_t(pair_3x3, t):
+@pytest.mark.parametrize(
+    "t, error, text",
+    [
+        (np.full((2, 2), 0.5), InvalidShape, r"t must be a float or a nonempty 1-d array, got shape \(2, 2\)"),
+        (np.array([]), InvalidShape, r"t must be a float or a nonempty 1-d array, got shape \(0,\)"),
+        (np.nan, DomainError, "t must be finite, got nan"),
+        (np.inf, DomainError, "t must be finite, got inf"),
+        (np.array([0.1, 0.2, -np.inf]), DomainError, "t must be finite, got -inf"),
+    ],
+    ids=["matrix", "empty", "nan", "inf", "array-with-minus-inf"],
+)
+def test_fisher_mixture_rejects_malformed_t(pair_3x3, t, error, text):
     rho, sigma = pair_3x3
-    with pytest.raises(InvalidShape):
-        fisher_info_mixture(rho, sigma, SLD, t)
+    for kind in (SLD, (SLD, RLD)):
+        with pytest.raises(error, match=text):
+            fisher_info_mixture(rho, sigma, kind, t)
 
 
 STACK_KINDS = ALL_KINDS + [lambda_kind(0.3), measure_kind([(0.0, 0.25), (0.6, 0.75)])]

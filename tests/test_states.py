@@ -10,6 +10,7 @@ from qpathdiv.errors import (
     DimensionMismatch,
     InvalidDistribution,
     InvalidShape,
+    NotFullRank,
     NotHermitian,
     NotPSD,
     TraceNotOne,
@@ -226,3 +227,41 @@ def test_validate_density_rejects_a_stack_and_an_empty_matrix():
             check_densities(empty)
     with pytest.raises(InvalidShape):
         validate_density(np.zeros((0, 0)))
+
+
+def test_pair_checks_name_the_state_and_its_minimum_eigenvalue():
+    from qpathdiv.channels import sandwich_pvm
+    from qpathdiv.divergences import (
+        bs_divergence,
+        e_divergence_closed,
+        m_divergence,
+        m_divergence_detail,
+        quantum_relative_entropy,
+    )
+    from qpathdiv.metrics import SLD, fisher_info_mixture
+    from qpathdiv.transport import GeodesicKind, m_geodesic, solve_direction
+
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    full = validate_density(np.diag([0.4, 0.6]))
+    both = [
+        bs_divergence,
+        lambda r, s: e_divergence_closed(GeodesicKind.RLD, r, s),
+        lambda r, s: m_divergence(SLD, r, s),
+        lambda r, s: m_divergence_detail((SLD, SLD), r, s),
+        lambda r, s: solve_direction(GeodesicKind.BOGOLJUBOV, r, s),
+    ]
+    sigma_only = [quantum_relative_entropy, sandwich_pvm]
+    for name, rho, sigma, entries in (("rho", thin, full, both), ("sigma", full, thin, both + sigma_only)):
+        for entry in entries:
+            with pytest.raises(NotFullRank, match=rf"^{name} has minimum eigenvalue 5\.000e-13, at or below 1e-12") as info:
+                entry(rho, sigma)
+            assert info.value.defect == pytest.approx(5e-13, rel=1e-3)
+    three = max_mixed(3)
+    dims = both + sigma_only + [
+        commutation_defect,
+        lambda r, s: fisher_info_mixture(r, s, SLD, 0.5),
+        lambda r, s: m_geodesic(r, s, 0.5),
+    ]
+    for entry in dims:
+        with pytest.raises(DimensionMismatch, match="dims 2 and 3 differ"):
+            entry(full, three)

@@ -385,29 +385,6 @@ def test_derivative_array_matches_scalar_bitwise(kind, dim, order):
     assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == singles[0]
 
 
-@pytest.mark.parametrize("entries", [1, 2 * 9, 3 * 9 + 4])
-def test_kind_b_blocks_span_the_theta_array(monkeypatch, entries):
-    from qpathdiv import metrics, transport
-
-    mf = _solved_moment(GeodesicKind.BOGOLJUBOV, 3, 181)
-    thetas = np.linspace(-0.5, 1.5, 7)
-    expected = {order: mf.derivative(thetas, order) for order in (1, 2)}
-    sizes = []
-    eig = transport.eig_hermitian
-
-    def counted(h):
-        sizes.append(h.shape[0])
-        return eig(h)
-
-    monkeypatch.setattr(metrics, "_STACK_ENTRIES", entries)
-    monkeypatch.setattr(transport, "eig_hermitian", counted)
-    block = max(1, entries // 9)
-    for order in (1, 2):
-        sizes.clear()
-        assert np.array_equal(mf.derivative(thetas, order), expected[order])
-        assert sizes == [min(block, thetas.size - i) for i in range(0, thetas.size, block)]
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivative_rejects_malformed_theta(kind):
     mf = _solved_moment(kind, 2, 201)
