@@ -4,7 +4,8 @@ Subcommands:
   compute    divergence table between two state files
   geodesic   trace a closed-form curve: moment function, derivatives, spectrum
   fisher     Fisher information along the mixture segment of two states
-  verify     run the randomized claim suite and write a report
+  verify     run the randomized claim suite and write a report; each
+             claim's wall seconds go to stderr as it ends
 
 Exit codes: 0 ok, 2 validation/config error, 3 numerical failure,
 4 claim failure. Values are nats unless --bits is given.
@@ -148,6 +149,10 @@ def _cmd_fisher(args) -> int:
     return _EXIT_OK
 
 
+def _print_claim_seconds(record: harness.ClaimRecord, seconds: float) -> None:
+    print(f"{record.claim_id} {seconds:.2f}s", file=sys.stderr, flush=True)
+
+
 def _cmd_verify(args) -> int:
     obj = json.loads(Path(args.config).read_text()) if args.config else {}
     # a config that is not an object reaches from_dict unchanged and is rejected there
@@ -157,7 +162,7 @@ def _cmd_verify(args) -> int:
         if args.claims:
             obj["claims"] = [c.strip() for c in args.claims.split(",") if c.strip()]
     config = harness.HarnessConfig.from_dict(obj)
-    report = harness.run_all(config)
+    report = harness.run_all(config, on_claim=_print_claim_seconds)
     for record in report.records:
         status = "PASS" if record.passed else "FAIL"
         print(f"{status} {record.claim_id} worst_slack={record.worst_slack:.3e} trials={record.trials}")

@@ -389,11 +389,6 @@ def legendre_transform(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndar
     return _maximize_dual(model, eta, box)[1]
 
 
-def legendre_maximizer(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """The argmax of the Legendre transform (the dual parameter of eta)."""
-    return _maximize_dual(model, eta, box)[0]
-
-
 def legendre_model(model: ConvexFunctionModel, box: np.ndarray) -> ConvexFunctionModel:
     """The Legendre-transformed model; its gradient is the dual maximizer.
     A stack of points runs one maximization per row, and ``value`` and

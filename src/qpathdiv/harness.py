@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -374,32 +375,27 @@ _register("transport-commutation-counterexample-r", dims=(2,), trials=60, tolera
 )
 
 
-@_register("e-path-gap-counterexample-s", dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")
-def _e_gap_s(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    gap = quantum_relative_entropy(rho, sigma) - e_divergence_closed(GeodesicKind.SLD, rho, sigma)
-    return gap, {}
+def _gap_trial(path_divergence: Callable[[DensityMatrix, DensityMatrix], float], above: bool) -> _TrialFn:
+    """The gap between D and a path divergence that lies ``above`` it (the
+    path divergence minus D) or below it (D minus the path divergence)."""
+
+    def trial(dim: int, seed: int) -> tuple[float, dict]:
+        rho, sigma = _pair(dim, seed)
+        d, value = quantum_relative_entropy(rho, sigma), path_divergence(rho, sigma)
+        return (value - d if above else d - value), {}
+
+    return trial
 
 
-@_register("e-path-gap-counterexample-r", dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")
-def _e_gap_r(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    gap = e_divergence_closed(GeodesicKind.RLD, rho, sigma) - quantum_relative_entropy(rho, sigma)
-    return gap, {}
-
-
-@_register("m-path-gap-counterexample-s", dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")
-def _m_gap_s(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    gap = quantum_relative_entropy(rho, sigma) - m_divergence(SLD, rho, sigma)
-    return gap, {}
-
-
-@_register("m-path-gap-counterexample-r", dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")
-def _m_gap_r(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    gap = m_divergence(RLD, rho, sigma) - quantum_relative_entropy(rho, sigma)
-    return gap, {}
+for _claim_id, _path_divergence, _above in (
+    ("e-path-gap-counterexample-s", lambda rho, sigma: e_divergence_closed(GeodesicKind.SLD, rho, sigma), False),
+    ("e-path-gap-counterexample-r", lambda rho, sigma: e_divergence_closed(GeodesicKind.RLD, rho, sigma), True),
+    ("m-path-gap-counterexample-s", lambda rho, sigma: m_divergence(SLD, rho, sigma), False),
+    ("m-path-gap-counterexample-r", lambda rho, sigma: m_divergence(RLD, rho, sigma), True),
+):
+    _register(_claim_id, dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")(
+        _gap_trial(_path_divergence, _above)
+    )
 
 
 @_register("potential-duality-bogoljubov", dims=(2,), trials=25, tolerance=1e-6, mode="equality")
@@ -548,32 +544,6 @@ def _numeric_fisher(dim: int, seed: int):
 # suites, config, reports
 # --------------------------------------------------------------------------
 
-THEOREM2_CLAIMS = (
-    "transport-commutation-bogoljubov",
-    "transport-commutation-counterexample-s",
-    "transport-commutation-counterexample-r",
-    "e-path-closed-vs-quadrature-b",
-    "m-path-bogoljubov-matches-relative-entropy",
-    "e-path-gap-counterexample-s",
-    "e-path-gap-counterexample-r",
-    "m-path-gap-counterexample-s",
-    "m-path-gap-counterexample-r",
-    "potential-duality-bogoljubov",
-)
-
-
-def run_theorem2_suite(
-    dims: tuple[int, ...] | None = None,
-    trials: int | None = None,
-    seed: int = DEFAULT_GLOBAL_SEED,
-) -> list[ClaimRecord]:
-    """The equivalence suite: equalities hold exactly for the Bogoljubov
-    metric, and quantitative failures are exhibited for kinds s and r."""
-    entry = {key: value for key, value in (("dims", dims), ("trials", trials)) if value is not None}
-    overrides = {claim_id: entry for claim_id in THEOREM2_CLAIMS}
-    return list(run_all(HarnessConfig(seed, THEOREM2_CLAIMS, overrides)).records)
-
-
 _OVERRIDE_FIELDS = {"dims": lambda v: tuple(int(d) for d in v), "trials": int, "tolerance": float}
 
 
@@ -662,13 +632,23 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def run_all(config: HarnessConfig | None = None) -> VerificationReport:
-    """Run the registered claim list (optionally filtered) into a report."""
+def run_all(
+    config: HarnessConfig | None = None, on_claim: Callable[[ClaimRecord, float], None] | None = None
+) -> VerificationReport:
+    """Run the registered claim list (optionally filtered) into a report.
+    ``on_claim`` gets each record and its wall seconds as that claim ends;
+    the timings stay out of the report."""
     config = config or HarnessConfig()
     ids = config.claims if config.claims is not None else registered_claims()
-    records = tuple(run_claim(cid, config.seed, config.resolved_spec(cid)) for cid in ids)
+    records = []
+    for cid in ids:
+        start = time.perf_counter()
+        record = run_claim(cid, config.seed, config.resolved_spec(cid))
+        if on_claim is not None:
+            on_claim(record, time.perf_counter() - start)
+        records.append(record)
     return VerificationReport(
         global_seed=config.seed,
         config_hash=config.config_hash(),
-        records=records,
+        records=tuple(records),
     )

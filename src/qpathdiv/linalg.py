@@ -43,15 +43,13 @@ def _in_stack(per_matrix: np.ndarray) -> str:
     return f" (matrix {int(np.argmax(per_matrix))} of {np.size(per_matrix)} in the stack)"
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry of |M - M^*| (over a whole stack: its worst matrix)."""
-    return float(np.abs(m - _adjoint(m)).max())
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> None:
-    defect = hermiticity_defect(m)
+    """NotHermitian when the largest entry of |M - M^*| exceeds ``tol``; on a
+    stack the defect is its worst matrix's, and the message names that matrix."""
+    asymmetry = np.abs(m - _adjoint(m))
+    defect = float(asymmetry.max())
     if defect > tol:
-        raise NotHermitian(f"{name} is not Hermitian within {tol:g}", defect)
+        raise NotHermitian(f"{name} is not Hermitian within {tol:g}{_in_stack(asymmetry.max((-2, -1)))}", defect)
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
@@ -196,10 +194,6 @@ def apply_fn(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray], tol: float = 
         bad = eig.eigenvalues[~np.isfinite(np.asarray(fd, dtype=complex))]
         raise DomainError(f"function undefined at eigenvalue(s) {bad}")
     return eig._with_eigenvalues(fd)
-
-
-def herm_exp(h: np.ndarray) -> np.ndarray:
-    return apply_fn(h, np.exp)
 
 
 def herm_log(h: np.ndarray) -> np.ndarray:

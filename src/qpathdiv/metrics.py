@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidShape, NotFullRank
+from .errors import DimensionMismatch, DomainError, InvalidShape
 from .linalg import SUPPORT_EPS, eig_hermitian, hermitian_part, point_array
-from .states import DensityMatrix, check_pair
+from .states import DensityMatrix, check_pair, not_full_rank, require_full_rank
 
 @dataclass(frozen=True)
 class MetricKind:
@@ -160,9 +160,7 @@ def _check_dim(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
 def _kernel_frame(rho: DensityMatrix, kind: MetricKind, x: np.ndarray):
     """rho's eigenvectors U, the operand in that basis and the kernel matrix."""
     x = _check_dim(rho, x)
-    if not rho.full_rank:
-        low = float(rho.spectrum().min())
-        raise NotFullRank(f"state has minimum eigenvalue {low:.3e}, at or below {SUPPORT_EPS:g}", low)
+    require_full_rank(rho, "rho")
     u = rho.eig.eigenvectors
     return u, u.conj().T @ x @ u, kernel_matrix(kind, rho.eig.eigenvalues)
 
@@ -216,11 +214,7 @@ def fisher_info_mixture(
     low = eig.eigenvalues[:, 0]
     if np.any(low <= SUPPORT_EPS):
         i = int(np.argmax(low <= SUPPORT_EPS))
-        raise NotFullRank(
-            f"mixture state at t={ts[i]:g} has minimum eigenvalue {low[i]:.3e}, "
-            f"at or below {SUPPORT_EPS:g}",
-            float(low[i]),
-        )
+        raise not_full_rank(f"mixture state at t={ts[i]:g}", float(low[i]))
     u = eig.eigenvectors
     dp2 = np.abs(u.conj().swapaxes(-1, -2) @ (sigma.matrix - rho.matrix) @ u) ** 2
     rows = np.array(

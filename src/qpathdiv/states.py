@@ -16,11 +16,10 @@ from .errors import (
     InvalidDistribution,
     InvalidShape,
     NotFullRank,
-    NotHermitian,
     NotPSD,
     TraceNotOne,
 )
-from .linalg import SUPPORT_EPS, _adjoint, _CachedEigen, _in_stack, frobenius, hermitian_part
+from .linalg import SUPPORT_EPS, _CachedEigen, _in_stack, frobenius, hermitian_part, require_hermitian
 
 DENSITY_TOL = 1e-10
 
@@ -77,12 +76,7 @@ def check_densities(
         raise InvalidShape(f"expected a nonempty square matrix or a stack of them, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidShape("matrix has non-finite entries" + _in_stack(~np.isfinite(m).all((-2, -1))))
-    asymmetry = np.abs(m - _adjoint(m))
-    herm_defect = float(asymmetry.max())
-    if herm_defect > tol:
-        raise NotHermitian(
-            f"density matrix not Hermitian within {tol:g}{_in_stack(asymmetry.max((-2, -1)))}", herm_defect
-        )
+    require_hermitian(m, tol, name="density matrix")
     trace_defects = abs(np.trace(m, 0, -2, -1) - 1.0)
     trace_defect = float(trace_defects.max())
     if trace_defect > tol:
@@ -172,16 +166,26 @@ def random_commuting_pair(
     return states[0], states[1]
 
 
+def not_full_rank(name: str, low: float) -> NotFullRank:
+    """The NotFullRank of the state called ``name``, whose minimum eigenvalue
+    ``low`` is at or below SUPPORT_EPS; ``low`` is its defect."""
+    return NotFullRank(f"{name} has minimum eigenvalue {low:.3e}, at or below {SUPPORT_EPS:g}", low)
+
+
+def require_full_rank(state: DensityMatrix, name: str) -> None:
+    """Raise not_full_rank(name, ...) unless ``state`` is full rank."""
+    if not state.full_rank:
+        raise not_full_rank(name, float(state.spectrum().min()))
+
+
 def check_pair(rho: DensityMatrix, sigma: DensityMatrix, full_rank: tuple[str, ...] = ()) -> None:
-    """Equal dims, and full rank for each state named in ``full_rank``
-    ("rho", "sigma"); NotFullRank names the state and carries its minimum
-    eigenvalue as the defect."""
+    """Equal dims, and full rank (require_full_rank) for each state named in
+    ``full_rank`` ("rho", "sigma")."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
     for name, state in (("rho", rho), ("sigma", sigma)):
-        if name in full_rank and not state.full_rank:
-            low = float(state.spectrum().min())
-            raise NotFullRank(f"{name} has minimum eigenvalue {low:.3e}, at or below {SUPPORT_EPS:g}", low)
+        if name in full_rank:
+            require_full_rank(state, name)
 
 
 def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:

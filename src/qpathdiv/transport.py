@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .errors import DimensionMismatch, DomainError, NotFullRank, TargetMismatch
+from .errors import DimensionMismatch, DomainError, TargetMismatch
 from .linalg import (
     eig_hermitian,
     frobenius,
@@ -38,7 +38,7 @@ from .linalg import (
     point_array,
     require_hermitian,
 )
-from .states import DensityMatrix, check_pair, validate_density
+from .states import DensityMatrix, check_pair, require_full_rank, validate_density
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
@@ -94,8 +94,7 @@ def solve_auxiliary_direction(
     p = kind.sandwich_power
     if p is None or p == 0:
         raise DomainError(f"kind {kind.value} has no auxiliary direction")
-    if not sigma.full_rank:
-        raise NotFullRank("base state must be full rank")
+    require_full_rank(sigma, "sigma")
     eig = sigma.eig
     d = eig.eigenvalues
     w = (d[None, :] / d[:, None]) ** p
@@ -114,8 +113,7 @@ def make_geodesic(
 ) -> Geodesic:
     """Build a geodesic, solving and verifying the auxiliary direction G of
     a sandwich kind (for kind s, G = L)."""
-    if not base.full_rank:
-        raise NotFullRank("base state must be full rank")
+    require_full_rank(base, "base")
     direction = np.asarray(direction, dtype=complex)
     if direction.shape != (base.dim, base.dim):
         raise DimensionMismatch(

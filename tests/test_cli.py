@@ -7,6 +7,7 @@ import pytest
 
 from qpathdiv import serialize
 from qpathdiv.cli import main
+from qpathdiv.harness import HarnessConfig, run_all
 from qpathdiv.linalg import hermitian_part
 from qpathdiv.states import RandomSpec, random_commuting_pair, random_density, validate_density
 
@@ -240,6 +241,31 @@ def test_verify_single_claim(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["all_pass"] is True
     assert len(payload["claims"]) == 1
+
+
+def test_verify_prints_each_claims_seconds_on_stderr(tmp_path, capsys):
+    claims = ["e-path-additivity", "exponential-family-bregman-matches-kl"]
+    config = {"seed": 3, "overrides": {claim: {"trials": 4} for claim in claims}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--config", str(config_path), "--claims", ",".join(claims), "--report", str(report_path)]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert [line.split()[:2] for line in captured.out.splitlines()] == [["PASS", claim] for claim in claims]
+    timed = [re.fullmatch(r"(\S+) \d+\.\d\ds", line) for line in captured.err.splitlines()]
+    assert [m.group(1) for m in timed] == claims
+    # the timings stay out of the report
+    expected = run_all(HarnessConfig(seed=3, claims=tuple(claims), overrides=config["overrides"]))
+    assert report_path.read_text() == expected.to_json()
+
+
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--seed", "-1", "--report", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: ConfigError: seed must be a nonnegative integer, got -1\n"
+    assert captured.out == "" and not report_path.exists()
 
 
 def test_verify_injected_failure(tmp_path, capsys):

@@ -15,7 +15,6 @@ from qpathdiv.divergences import (
     classical_kl,
     e_divergence_closed,
     e_divergence_quadrature,
-    legendre_maximizer,
     legendre_model,
     legendre_transform,
     m_divergence,
@@ -531,7 +530,7 @@ def test_legendre_maximizer_is_dual_parameter():
     )
     box = np.array([[-30.0, 30.0]])
     eta = 0.73
-    theta = legendre_maximizer(model, np.array([eta]), box)
+    theta = legendre_model(model, box).gradient(np.array([eta]))
     assert np.isclose(theta[0], np.log(eta / (1 - eta)), atol=1e-8)
 
 
@@ -826,7 +825,7 @@ def _seed_of(model_value, eta: np.ndarray, box: np.ndarray) -> np.ndarray:
         return np.zeros_like(t)
 
     model = ConvexFunctionModel(dim=len(eta), value=model_value, grad=grad)
-    legendre_maximizer(model, eta, box)
+    legendre_model(model, box).gradient(eta)
     return seen[0]
 
 
@@ -853,7 +852,7 @@ def test_quantum_dual_makes_one_grid_eigvalsh_and_one_eig_per_hessian(monkeypatc
     family = QuantumExponentialFamily(2)
     eta = family.mean_parameters(np.array([0.4, -0.3, 0.6]))
     box = np.array([[-3.0, 3.0]] * 3)
-    expected = legendre_maximizer(family.model(), eta, box)
+    expected = legendre_model(family.model(), box).gradient(eta)
     eigvalsh, eig, hessian = np.linalg.eigvalsh, divergences.eig_hermitian, ConvexFunctionModel.hessian
     eigvalsh_shapes, eig_shapes, hessians = [], [], []
 
@@ -872,7 +871,7 @@ def test_quantum_dual_makes_one_grid_eigvalsh_and_one_eig_per_hessian(monkeypatc
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(divergences, "eig_hermitian", counted_eig)
     monkeypatch.setattr(ConvexFunctionModel, "hessian", counted_hessian)
-    assert np.array_equal(legendre_maximizer(family.model(), eta, box), expected)
+    assert np.array_equal(legendre_model(family.model(), box).gradient(eta), expected)
     assert eigvalsh_shapes[0] == (343, 2, 2)
     assert eigvalsh_shapes.count((343, 2, 2)) == 1
     assert hessians and eig_shapes.count((6, 2, 2)) == len(hessians)

@@ -9,14 +9,12 @@ from qpathdiv.errors import ConfigError, UnknownClaim
 from qpathdiv.harness import (
     ClaimSpec,
     HarnessConfig,
-    THEOREM2_CLAIMS,
     default_spec,
     derive_seed,
     registered_claims,
     replay_witness,
     run_all,
     run_claim,
-    run_theorem2_suite,
 )
 
 SMALL = {"trials": 4}
@@ -192,8 +190,23 @@ def test_injected_bad_tolerance_fails():
 
 
 def test_theorem2_suite_small():
-    records = run_theorem2_suite(dims=(2,), trials=4, seed=11)
-    assert [r.claim_id for r in records] == list(THEOREM2_CLAIMS)
+    # the equivalence suite: equalities for the Bogoljubov metric, gaps for kinds s and r
+    claims = (
+        "transport-commutation-bogoljubov",
+        "transport-commutation-counterexample-s",
+        "transport-commutation-counterexample-r",
+        "e-path-closed-vs-quadrature-b",
+        "m-path-bogoljubov-matches-relative-entropy",
+        "e-path-gap-counterexample-s",
+        "e-path-gap-counterexample-r",
+        "m-path-gap-counterexample-s",
+        "m-path-gap-counterexample-r",
+        "potential-duality-bogoljubov",
+    )
+    overrides = {claim_id: {"dims": [2], "trials": 4} for claim_id in claims}
+    records = run_all(HarnessConfig(seed=11, claims=claims, overrides=overrides)).records
+    assert [r.claim_id for r in records] == list(claims)
+    assert all(r.dims == (2,) and r.trials == 4 for r in records)
     assert all(r.passed for r in records)
     by_id = {r.claim_id: r for r in records}
     # equalities hold for the Bogoljubov metric ...

@@ -15,6 +15,7 @@ from qpathdiv.errors import (
     NotPSD,
     TraceNotOne,
 )
+from qpathdiv.metrics import SLD, e_to_m
 from qpathdiv.states import (
     RandomSpec,
     check_densities,
@@ -26,6 +27,7 @@ from qpathdiv.states import (
     validate_density,
     validate_distribution,
 )
+from qpathdiv.transport import GeodesicKind, make_geodesic, solve_auxiliary_direction
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -265,3 +267,19 @@ def test_pair_checks_name_the_state_and_its_minimum_eigenvalue():
     for entry in dims:
         with pytest.raises(DimensionMismatch, match="dims 2 and 3 differ"):
             entry(full, three)
+
+
+@pytest.mark.parametrize(
+    "name, entry",
+    [
+        ("base", lambda s: make_geodesic(GeodesicKind.SLD, s, np.diag([1.0, -1.0]))),
+        ("sigma", lambda s: solve_auxiliary_direction(GeodesicKind.RLD, s, PAULI_X)),
+        ("rho", lambda s: e_to_m(s, SLD, PAULI_X)),
+    ],
+    ids=["make_geodesic", "solve_auxiliary_direction", "e_to_m"],
+)
+def test_single_state_checks_name_the_state_and_carry_its_minimum_eigenvalue(name, entry):
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    with pytest.raises(NotFullRank, match=rf"^{name} has minimum eigenvalue 5\.000e-13, at or below 1e-12 ") as info:
+        entry(thin)
+    assert info.value.defect == 5e-13
