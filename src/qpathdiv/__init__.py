@@ -16,7 +16,6 @@ from .divergences import (
     classical_kl,
     e_divergence_closed,
     e_divergence_quadrature,
-    legendre_transform,
     m_divergence,
     quantum_relative_entropy,
     von_neumann_entropy,
@@ -87,7 +86,6 @@ __all__ = [
     "fisher_info_mixture",
     "fisher_info_numeric",
     "hermitian_part",
-    "legendre_transform",
     "m_divergence",
     "m_geodesic",
     "m_inner",

@@ -19,7 +19,6 @@ from .errors import (
     PovmIncomplete,
 )
 from .linalg import eig_hermitian, hermitian_part
-from .serialize import matrix_from_json, matrix_to_json
 from .states import DensityMatrix, check_pair, validate_density, validate_distribution
 from .transport import GeodesicKind, sandwich_operator
 
@@ -165,32 +164,3 @@ def sandwich_pvm(rho: DensityMatrix, sigma: DensityMatrix) -> Povm:
             elements.append(block @ block.conj().T)
             start = i
     return Povm(elements=tuple(elements))
-
-
-def channel_to_json(channel: QuantumChannel) -> dict:
-    return {
-        "dim_in": channel.dim_in,
-        "dim_out": channel.dim_out,
-        "kraus": [matrix_to_json(np.asarray(k)) for k in _padded(channel)],
-    }
-
-
-def _padded(channel: QuantumChannel):
-    # the shared matrix encoding is square; embed rectangular Kraus blocks
-    # into the max dimension with zero padding
-    n = max(channel.dim_in, channel.dim_out)
-    for k in channel.kraus:
-        out = np.zeros((n, n), dtype=complex)
-        out[: k.shape[0], : k.shape[1]] = k
-        yield out
-
-
-def channel_from_json(obj: dict) -> QuantumChannel:
-    try:
-        dim_in = int(obj["dim_in"])
-        dim_out = int(obj["dim_out"])
-        raw = obj["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidShape(f"malformed channel object: {exc}") from exc
-    kraus = tuple(matrix_from_json(m)[:dim_out, :dim_in] for m in raw)
-    return QuantumChannel(kraus=kraus)

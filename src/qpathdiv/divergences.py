@@ -12,8 +12,8 @@ Quantum functionals (all in nats, full-rank second argument throughout):
   m_divergence               integral of t * J_t along the mixture segment
                              (1-t) rho + t sigma, any metric kind
 
-Convex duality (ConvexFunctionModel, bregman_divergence, legendre_transform,
-legendre_model) serves two families:
+Convex duality (ConvexFunctionModel, bregman_divergence, legendre_model)
+serves two families:
 
   ExponentialFamily          classical, over a finite alphabet; with
                              classical_kl it gives independent oracles: on
@@ -145,41 +145,38 @@ def adaptive_gauss_legendre(
     tables = [_ts_level(k) for k in range(level + 1)]
     values = f(np.concatenate([t for t, _ in tables]))
     one_row = np.ndim(values) == 1
-    first = np.atleast_2d(values)
-    rows = list(range(len(first)))
     splits = np.cumsum([len(t) for t, _ in tables[:-1]])
-    # per row: the weighted sum over the levels below `level`, the estimate
-    # they give, and the weighted sum of `level` itself
-    total: dict[int, float] = {}
-    prev: dict[int, float] = {}
-    fresh: dict[int, float] = {}
-    for i, row in zip(rows, first):
-        parts = [float(part @ w) for part, (_, w) in zip(np.split(row, splits), tables)]
-        total[i] = sum(parts[:-1])
-        prev[i] = total[i] * 2.0 ** (1 - level)
-        fresh[i] = parts[-1]
+    # per row, the weighted sum of f over each level so far, in level order
+    sums = [
+        [float(part @ w) for part, (_, w) in zip(np.split(row, splits), tables)]
+        for row in np.atleast_2d(values)
+    ]
+
+    def estimate(i: int) -> tuple[float, float]:
+        """Row i's estimate at ``level`` and its gap to the estimate one level below."""
+        cur = sum(sums[i]) * 2.0**-level
+        return cur, abs(cur - sum(sums[i][:-1]) * 2.0 ** (1 - level))
+
+    rows = list(range(len(sums)))
     done: dict[int, tuple[float, int]] = {}
-    gaps: dict[int, float] = {}
     while True:
         for i in rows:
-            total[i] += fresh[i]
-            cur = total[i] * 2.0**-level
-            gaps[i] = abs(cur - prev[i])
-            if gaps[i] <= config.rel_tol * max(1.0, abs(cur)):
+            cur, gap = estimate(i)
+            if gap <= config.rel_tol * max(1.0, abs(cur)):
                 done[i] = (cur, _ts_nodes(level))
-            prev[i] = cur
         rows = [i for i in rows if i not in done]
         if not rows or _ts_nodes(level + 1) > config.max_nodes:
             break
         level += 1
         t, w = _ts_level(level)
         values = np.atleast_2d(f(t))
-        fresh = {i: float(values[i] @ w) for i in rows}
+        for i in rows:
+            sums[i].append(float(values[i] @ w))
     if rows:
         raise QuadratureNotConverged(
             "; ".join(
                 (f"{labels[i]}: " if labels else "")
-                + f"estimates still differ by {gaps[i]:.3e} at {_ts_nodes(level)} nodes"
+                + f"estimates still differ by {estimate(i)[1]:.3e} at {_ts_nodes(level)} nodes"
                 for i in rows
             )
         )
@@ -331,6 +328,11 @@ def bregman_divergence(model: ConvexFunctionModel, theta_bar: np.ndarray, theta:
 
 
 def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float]:
+    """The maximizer theta over the box of eta . theta - value(theta), and that maximum.
+
+    Damped Newton on the stationarity equation grad(theta) = eta, seeded by
+    a coarse grid; NotInRange when no interior solution exists.
+    """
     eta = np.asarray(eta, dtype=float)
     box = np.asarray(box, dtype=float).reshape(model.dim, 2)
 
@@ -380,17 +382,10 @@ def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray)
     return theta, objective(theta)
 
 
-def legendre_transform(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> float:
-    """max over theta in box of eta . theta - value(theta).
-
-    Damped Newton on the stationarity equation grad(theta) = eta, seeded by
-    a coarse grid; NotInRange when no interior solution exists.
-    """
-    return _maximize_dual(model, eta, box)[1]
-
-
 def legendre_model(model: ConvexFunctionModel, box: np.ndarray) -> ConvexFunctionModel:
-    """The Legendre-transformed model; its gradient is the dual maximizer.
+    """The Legendre-transformed model: its value at eta is the max over theta
+    in the box of eta . theta - model.value(theta), and its gradient is the
+    maximizer (_maximize_dual; NotInRange when no interior solution exists).
     A stack of points runs one maximization per row, and ``value`` and
     ``grad`` share one maximization per distinct point (a memo of this
     model, keyed by the point's bytes)."""

@@ -131,21 +131,22 @@ class HermitianEigen:
         return (u * values[..., None, :]) @ _adjoint(u)
 
 
-def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
+def eig_hermitian(h: np.ndarray) -> HermitianEigen:
     """Eigendecompose a Hermitian matrix, or a stack (..., n, n) of them in
     one call, ascending eigenvalues.
 
     Every matrix is checked: DomainError for a non-finite entry, NotHermitian
-    when a symmetry defect exceeds ``tol``, and ConvergenceFailure when the
-    eigensolver fails or a reconstruction U diag(d) U^* misses its matrix by
-    more than 1e-10 relative Frobenius. The messages report the worst matrix.
+    when a symmetry defect exceeds HERMITIAN_TOL, and ConvergenceFailure when
+    the eigensolver fails or a reconstruction U diag(d) U^* misses its matrix
+    by more than RECONSTRUCTION_TOL relative Frobenius. The messages report
+    the worst matrix.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise DomainError("matrix has non-finite entries")
-    require_hermitian(h, tol)
+    require_hermitian(h)
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -181,13 +182,13 @@ class _CachedEigen:
         return eig
 
 
-def apply_fn(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray], tol: float = HERMITIAN_TOL) -> np.ndarray:
+def apply_fn(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate a scalar function on a Hermitian matrix via its spectrum.
 
     ``f`` must accept a real numpy vector. Raises DomainError when f is
     undefined (non-finite) at any eigenvalue.
     """
-    eig = eig_hermitian(h, tol)
+    eig = eig_hermitian(h)
     with np.errstate(all="ignore"):
         fd = np.asarray(f(eig.eigenvalues))
     if not np.all(np.isfinite(fd)):

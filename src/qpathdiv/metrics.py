@@ -29,6 +29,9 @@ from .errors import DimensionMismatch, DomainError, InvalidShape
 from .linalg import SUPPORT_EPS, eig_hermitian, hermitian_part, point_array
 from .states import DensityMatrix, check_pair, not_full_rank, require_full_rank
 
+FD_STEP = 1e-4
+
+
 @dataclass(frozen=True)
 class MetricKind:
     """Selector for the kernel family; use the module constants or factories."""
@@ -92,15 +95,9 @@ def measure_kind(points) -> MetricKind:
 HALF = lambda_kind(0.5)
 
 
-def metric_to_json(kind: MetricKind):
-    if kind.name in ("s", "b", "r"):
-        return kind.name
-    if kind.name == "lambda":
-        return {"lambda": kind.lam}
-    return {"measure": [[p, w] for p, w in kind.points]}
-
-
 def metric_from_json(obj) -> MetricKind:
+    """The kind of a JSON tag: "s", "b", "r", "half", {"lambda": x} or
+    {"measure": [[lambda, weight], ...]}; InvalidShape otherwise."""
     if isinstance(obj, str):
         if obj in ("s", "b", "r"):
             return MetricKind(obj)
@@ -225,21 +222,16 @@ def fisher_info_mixture(
     return rows[0] if np.ndim(t) else float(rows[0, 0])
 
 
-def fisher_info_numeric(
-    family: Callable[[float], DensityMatrix],
-    theta: float,
-    kind: MetricKind,
-    h: float = 1e-4,
-) -> float:
+def fisher_info_numeric(family: Callable[[float], DensityMatrix], theta: float, kind: MetricKind) -> float:
     """Fisher information of a one-parameter family by central differences.
 
-    Richardson-extrapolates the derivative over steps h and h/2, then takes
-    its squared mixture-side norm at family(theta).
+    Richardson-extrapolates the derivative over steps FD_STEP and FD_STEP / 2,
+    then takes its squared mixture-side norm at family(theta).
     """
     rho = family(theta)
 
     def derivative(step: float) -> np.ndarray:
         return (family(theta + step).matrix - family(theta - step).matrix) / (2.0 * step)
 
-    d = (4.0 * derivative(h / 2.0) - derivative(h)) / 3.0
+    d = (4.0 * derivative(FD_STEP / 2.0) - derivative(FD_STEP)) / 3.0
     return float(m_inner(rho, kind, d, d).real)

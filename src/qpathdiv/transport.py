@@ -109,17 +109,17 @@ def make_geodesic(
     base: DensityMatrix,
     direction: np.ndarray,
     aux_direction: np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> Geodesic:
     """Build a geodesic, solving and verifying the auxiliary direction G of
-    a sandwich kind (for kind s, G = L)."""
+    a sandwich kind (for kind s, G = L). The direction must be Hermitian
+    within linalg.HERMITIAN_TOL."""
     require_full_rank(base, "base")
     direction = np.asarray(direction, dtype=complex)
     if direction.shape != (base.dim, base.dim):
         raise DimensionMismatch(
             f"direction shape {direction.shape} does not match state dim {base.dim}"
         )
-    require_hermitian(direction, tol, name="direction")
+    require_hermitian(direction, name="direction")
     p = kind.sandwich_power
     aux = None
     if p is not None:
@@ -256,13 +256,11 @@ def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatr
     return hermitian_part(outer @ root @ outer)
 
 
-def solve_direction(
-    kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix, tol: float = TARGET_TOL
-) -> Geodesic:
+def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> Geodesic:
     """Direction through sigma whose unit-parameter transport lands on rho.
 
     The result is verified by transporting: a Frobenius defect above
-    ``tol`` raises TargetMismatch (a numerical breakdown, not a user
+    TARGET_TOL raises TargetMismatch (a numerical breakdown, not a user
     error).
     """
     check_pair(rho, sigma, ("rho", "sigma"))
@@ -275,10 +273,8 @@ def solve_direction(
         direction = sigma.eig.power(-p) @ gen @ sigma.eig.power(p)
     g = make_geodesic(kind, sigma, hermitian_part(direction), aux_direction=gen)
     defect = frobenius(e_transport(g, 1.0).matrix - rho.matrix)
-    if defect > tol:
-        raise TargetMismatch(
-            f"transport misses the target by {defect:.3e} (tolerance {tol:g})"
-        )
+    if defect > TARGET_TOL:
+        raise TargetMismatch(f"transport misses the target by {defect:.3e} (tolerance {TARGET_TOL:g})")
     return g
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,6 @@ from qpathdiv.channels import (
     Povm,
     QuantumChannel,
     apply_channel,
-    channel_from_json,
-    channel_to_json,
     measure,
     partial_trace,
     random_channel,
@@ -221,14 +217,3 @@ def test_m_divergence_monotone_under_channels(pair_2x2):
     out_rho, out_sigma = apply_channel(channel, rho), apply_channel(channel, sigma)
     for kind in (SLD, BOGOLJUBOV, RLD, HALF):
         assert m_divergence(kind, rho, sigma) >= m_divergence(kind, out_rho, out_sigma) - 1e-7
-
-
-def test_channel_json_roundtrip(tmp_path):
-    channel = random_channel(3, 2, 2, seed=51)
-    obj = channel_to_json(channel)
-    text = json.dumps(obj)
-    back = channel_from_json(json.loads(text))
-    assert back.dim_in == 3 and back.dim_out == 2
-    for x, y in zip(channel.kraus, back.kraus):
-        assert np.allclose(x, y, atol=1e-15)
-    assert obj["dim_in"] == 3 and obj["dim_out"] == 2 and len(obj["kraus"]) == 2

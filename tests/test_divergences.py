@@ -16,7 +16,6 @@ from qpathdiv.divergences import (
     e_divergence_closed,
     e_divergence_quadrature,
     legendre_model,
-    legendre_transform,
     m_divergence,
     m_divergence_detail,
     quantum_relative_entropy,
@@ -415,7 +414,7 @@ def test_bregman_max_and_path_characterizations():
     eta_bar = model.gradient(theta_bar)
     box = np.array([[-6.0, 6.0], [-6.0, 6.0]])
     sup_form = (
-        legendre_transform(model, eta_bar, box)
+        legendre_model(model, box).value(eta_bar)
         - float(eta_bar @ theta)
         + model.value(theta)
     )
@@ -435,7 +434,7 @@ def test_legendre_quadratic_self_dual():
     box = np.array([[-10.0, 10.0]])
     for eta in (-1.2, 0.0, 2.5):
         assert np.isclose(
-            legendre_transform(model, np.array([eta]), box), eta**2 / 2, atol=1e-9
+            legendre_model(model, box).value(np.array([eta])), eta**2 / 2, atol=1e-9
         )
 
 
@@ -449,7 +448,7 @@ def test_legendre_binomial_family():
     box = np.array([[-30.0, 30.0]])
     for eta in (0.2, 0.3, 0.5, 0.8):
         expected = eta * np.log(eta) + (1 - eta) * np.log(1 - eta)
-        assert np.isclose(legendre_transform(model, np.array([eta]), box), expected, atol=1e-9)
+        assert np.isclose(legendre_model(model, box).value(np.array([eta])), expected, atol=1e-9)
 
 
 def test_legendre_duality_round_trip():
@@ -462,7 +461,7 @@ def test_legendre_duality_round_trip():
     nu = legendre_model(model, box)
     eta_box = np.array([[1e-3, 1 - 1e-3]])
     for theta in (-1.0, 0.0, 1.2):
-        recovered = legendre_transform(nu, np.array([theta]), eta_box)
+        recovered = legendre_model(nu, eta_box).value(np.array([theta]))
         assert abs(recovered - model.value(np.array([theta]))) <= 1e-6
 
 
@@ -519,7 +518,7 @@ def test_legendre_not_in_range():
         grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
     )
     with pytest.raises(NotInRange):
-        legendre_transform(model, np.array([1.5]), np.array([[-20.0, 20.0]]))
+        legendre_model(model, np.array([[-20.0, 20.0]])).value(np.array([1.5]))
 
 
 def test_legendre_maximizer_is_dual_parameter():
@@ -843,7 +842,7 @@ def test_grid_seed_rejects_a_model_without_one_value_per_point():
     for value, shape in ((lambda t: np.sum(t**2) / 2, r"\(\)"), (lambda t: t**2 / 2, r"\(7, 1\)")):
         model = ConvexFunctionModel(dim=1, value=value, grad=lambda t: t)
         with pytest.raises(DomainError, match=r"stack of 7 points must have shape \(7,\), got " + shape):
-            legendre_transform(model, np.array([0.3]), box)
+            legendre_model(model, box).value(np.array([0.3]))
 
 
 def test_quantum_dual_makes_one_grid_eigvalsh_and_one_eig_per_hessian(monkeypatch):

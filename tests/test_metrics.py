@@ -23,7 +23,6 @@ from qpathdiv.metrics import (
     m_to_e,
     measure_kind,
     metric_from_json,
-    metric_to_json,
 )
 from qpathdiv.states import RandomSpec, random_density, validate_density
 from qpathdiv.transport import m_geodesic
@@ -104,9 +103,20 @@ def test_metric_kind_validation():
         MetricKind("bogus")
 
 
-def test_metric_json_roundtrip():
-    for kind in [SLD, BOGOLJUBOV, RLD, lambda_kind(0.25), measure_kind([(0.0, 0.5), (1.0, 0.5)])]:
-        assert metric_from_json(metric_to_json(kind)) == kind
+def test_metric_from_json_parses_each_documented_tag():
+    tags = [
+        ("s", SLD),
+        ("b", BOGOLJUBOV),
+        ("r", RLD),
+        ("half", HALF),
+        ({"lambda": 0.25}, lambda_kind(0.25)),
+        ({"measure": [[0.0, 0.5], [1.0, 0.5]]}, measure_kind([(0.0, 0.5), (1.0, 0.5)])),
+    ]
+    for tag, kind in tags:
+        assert metric_from_json(tag) == kind
+    for bad in ("lambda", {"mu": 0.5}, 0.5):
+        with pytest.raises(InvalidShape):
+            metric_from_json(bad)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -15,6 +15,7 @@ from qpathdiv.errors import (
     NotPSD,
     TraceNotOne,
 )
+from qpathdiv.linalg import SUPPORT_EPS, hermitian_part
 from qpathdiv.metrics import SLD, e_to_m
 from qpathdiv.states import (
     RandomSpec,
@@ -24,6 +25,7 @@ from qpathdiv.states import (
     random_commuting_pair,
     random_density,
     random_direction,
+    require_full_rank,
     validate_density,
     validate_distribution,
 )
@@ -170,11 +172,11 @@ def test_matrix_json_rejects_malformed():
 
 
 def test_random_direction_dim_one_is_rejected():
-    with pytest.raises(InvalidShape, match="dim >= 2, got dim 1"):
-        random_direction(1, 17)
-    with pytest.raises(InvalidShape, match="dim >= 1, got dim 0"):
-        random_direction(0, 17, traceless=False)
-    assert np.isclose(abs(random_direction(1, 17, traceless=False)[0, 0]), 1.0)
+    for dim in (0, 1):
+        with pytest.raises(InvalidShape, match=f"traceless direction needs dim >= 2, got dim {dim}$"):
+            random_direction(dim, 17)
+    l = random_direction(2, 17)
+    assert abs(np.trace(l)) <= 1e-15 and np.isclose(np.linalg.norm(l), 1.0)
 
 
 def _state_stack(n: int, dim: int, seed: int) -> np.ndarray:
@@ -283,3 +285,28 @@ def test_single_state_checks_name_the_state_and_carry_its_minimum_eigenvalue(nam
     with pytest.raises(NotFullRank, match=rf"^{name} has minimum eigenvalue 5\.000e-13, at or below 1e-12 ") as info:
         entry(thin)
     assert info.value.defect == 5e-13
+
+
+def test_not_full_rank_reports_the_eigenvalue_validation_judged():
+    # smallest eigenvalue within 3e-16 of SUPPORT_EPS in a random basis, dims
+    # 2-4: eigvalsh (validation) and eigh can fall on either side of the
+    # threshold, and the defect must be the value that full_rank was judged by
+    rng = np.random.Generator(np.random.PCG64(2024))
+    raised = []
+    for k in range(1000):
+        dim = 2 + k % 3
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        w = rng.uniform(0.1, 1.0, dim)
+        w[0] = 0.0
+        w *= (1.0 - 1e-12) / w.sum()
+        w[0] = SUPPORT_EPS + rng.uniform(-3e-16, 3e-16)
+        state = validate_density(hermitian_part((q * w) @ q.conj().T))
+        try:
+            require_full_rank(state, "rho")
+        except NotFullRank as exc:
+            raised.append((state, exc))
+    assert 0 < len(raised) < 1000
+    assert max(exc.defect for _, exc in raised) <= SUPPORT_EPS
+    for state, exc in raised:
+        assert exc.defect == state.min_eigenvalue and not state.full_rank
+        assert str(exc).startswith(f"rho has minimum eigenvalue {state.min_eigenvalue:.3e}, at or below 1e-12")
