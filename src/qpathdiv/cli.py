@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 validation/config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,7 +174,10 @@ def _cmd_verify(args) -> int:
     return _EXIT_OK if report.all_pass else _EXIT_CLAIM_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qpathdiv`` argument parser, built once per process: every
+    ``main`` call shares it, so it holds nothing derived from inputs."""
     parser = argparse.ArgumentParser(
         prog="qpathdiv",
         description="Quantum divergences from information geometry: compute, trace, verify.",

@@ -88,8 +88,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.nodes < 2:
             raise DomainError(f"need at least 2 nodes, got {self.nodes}")
-        if self.rel_tol <= 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         first = _first_level(self.nodes)
         if _ts_nodes(first + 1) > self.max_nodes:
             raise DomainError(

@@ -42,7 +42,7 @@ from .divergences import (
     quantum_relative_entropy,
     von_neumann_entropy,
 )
-from .errors import ConfigError, UnknownClaim
+from .errors import ConfigError, InvalidShape, QPathDivError, UnknownClaim
 from .linalg import eig_hermitian, herm_log, hermitian_part, tensor_product
 from .metrics import BOGOLJUBOV, HALF, RLD, SLD, fisher_info_mixture, fisher_info_numeric
 from .states import (
@@ -91,8 +91,8 @@ class ClaimSpec:
             raise ConfigError(f"claim {self.id}: dims must be a non-empty list of positive sizes")
         if self.trials < 1:
             raise ConfigError(f"claim {self.id}: trials must be >= 1")
-        if not self.tolerance > 0:
-            raise ConfigError(f"claim {self.id}: tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError(f"claim {self.id}: tolerance must be finite and > 0, got {self.tolerance}")
         if self.mode not in ("equality", "inequality", "counterexample"):
             raise ConfigError(f"claim {self.id}: unknown mode {self.mode!r}")
 
@@ -163,8 +163,15 @@ def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: Claim
     for t in range(spec.trials):
         dim = spec.dims[t % len(spec.dims)]
         trial_seed = derive_seed(global_seed, spec.id, dim, t)
-        value, extras = trial_fn(dim, trial_seed)
-        extras_list.append(extras)
+        try:
+            value, extras = trial_fn(dim, trial_seed)
+        except InvalidShape:
+            raise  # dims the claim cannot take: a config error whatever the draw
+        except QPathDivError as exc:
+            # a trial the library refuses measures NaN; any other exception is a bug
+            value, extras = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            extras_list.append(extras)
         # a NaN measure is never beaten: the first one is the witness and fails the claim
         if not math.isnan(worst) and (math.isnan(value) or best_for_mode(value, worst) == value):
             worst = value
@@ -194,7 +201,8 @@ def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: Claim
 
 
 def replay_witness(claim_id: str, witness: dict) -> float:
-    """Re-run the recorded worst trial; returns the recomputed measure."""
+    """Re-run the recorded worst trial; returns the recomputed measure, or
+    raises again the error that a witness with an ``error`` entry recorded."""
     _, trial_fn, _ = _registered(claim_id)
     value, _extras = trial_fn(int(witness["dim"]), int(witness["seed"]))
     return value

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import re
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from qpathdiv import serialize
-from qpathdiv.cli import main
+from qpathdiv.cli import build_parser, main
 from qpathdiv.harness import HarnessConfig, run_all
 from qpathdiv.linalg import hermitian_part
 from qpathdiv.states import RandomSpec, random_commuting_pair, random_density, validate_density
@@ -80,6 +82,35 @@ def test_compute_validation_exit_code(tmp_path, capsys):
 
 def test_compute_missing_file_exit_code(capsys):
     assert main(["compute", "does-not-exist.json", RHO_FIXTURE]) == 2
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf"])
+def test_compute_rejects_a_non_finite_rel_tol(capsys, rel_tol):
+    assert main(["compute", RHO_FIXTURE, SIGMA_FIXTURE, "--rel-tol", rel_tol]) == 2
+    assert f"DomainError: rel_tol must be finite and positive, got {rel_tol}" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    args = ["compute", RHO_FIXTURE, SIGMA_FIXTURE, "--format", "json"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([*args[:3], "--format", "xml"])
+    assert exc.value.code == 2
+    assert main(["compute", "does-not-exist.json", RHO_FIXTURE]) == 2
+    assert main(args) == 0
+    # the top-level parser and its four subcommands, each built once
+    assert len(built) == 5
+    assert capsys.readouterr().out == first
 
 
 def _pinned(state, floor):
@@ -338,6 +369,13 @@ def test_verify_malformed_override_exit_code(tmp_path, capsys, entry):
     config_path.write_text(json.dumps({"overrides": {"e-path-additivity": entry}}))
     assert main(["verify", "--config", str(config_path)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_infinite_tolerance(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"overrides": {"e-path-additivity": {"tolerance": math.inf}}}))
+    assert main(["verify", "--claims", "e-path-additivity", "--config", str(config_path)]) == 2
+    assert "tolerance must be finite and > 0, got inf" in capsys.readouterr().err
 
 
 def test_verify_report_deterministic(tmp_path):

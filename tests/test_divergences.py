@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -366,6 +367,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=1)
     with pytest.raises(DomainError):
         QuadratureConfig(nodes=8, rel_tol=-1.0)
+    for rel_tol in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"rel_tol must be finite and positive, got {rel_tol}"):
+            QuadratureConfig(rel_tol=rel_tol)
     with pytest.raises(DomainError):
         QuadratureConfig(nodes=512, max_nodes=512)
     with pytest.raises(

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qpathdiv import harness
-from qpathdiv.errors import ConfigError, UnknownClaim
+from qpathdiv.errors import ConfigError, QuadratureNotConverged, UnknownClaim
 from qpathdiv.harness import (
     ClaimSpec,
     HarnessConfig,
@@ -111,6 +111,48 @@ def test_nan_measure_fails_claim(monkeypatch, mode):
     assert not record.passed
     assert math.isnan(record.worst_slack)
     assert record.witness["trial"] == 1
+
+
+def _raising_probe(monkeypatch, mode, error):
+    """Register ``raise-probe``: trial 1 raises ``error``, the others measure 1e-12."""
+
+    def trial(dim, seed):
+        if seed == derive_seed(1, "raise-probe", 2, 1):
+            raise error
+        return 1e-12, {"ok": True}
+
+    spec = ClaimSpec("raise-probe", (2,), 4, 1e-6, mode)
+    monkeypatch.setitem(harness._REGISTRY, "raise-probe", (spec, trial, None))
+
+
+@pytest.mark.parametrize("mode", ["equality", "inequality", "counterexample"])
+def test_raising_trial_fails_claim(monkeypatch, mode):
+    _raising_probe(monkeypatch, mode, QuadratureNotConverged("m_s: no agreement at 449 nodes"))
+    record = run_claim("raise-probe", 1)
+    assert not record.passed
+    assert math.isnan(record.worst_slack)
+    assert record.witness["trial"] == 1
+    assert math.isnan(record.witness["measure"])
+    assert record.witness["error"] == "QuadratureNotConverged: m_s: no agreement at 449 nodes"
+    with pytest.raises(QuadratureNotConverged, match="no agreement at 449 nodes"):
+        replay_witness("raise-probe", record.witness)
+
+
+def test_raising_trial_is_reported_by_verify(monkeypatch, tmp_path, capsys):
+    from qpathdiv.cli import main
+
+    _raising_probe(monkeypatch, "equality", QuadratureNotConverged("m_s: no agreement at 449 nodes"))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--claims", "raise-probe", "--seed", "1", "--report", str(report)]) == 4
+    assert "FAIL raise-probe" in capsys.readouterr().out
+    (record,) = json.loads(report.read_text())["claims"]
+    assert record["witness"]["error"] == "QuadratureNotConverged: m_s: no agreement at 449 nodes"
+
+
+def test_trial_bug_still_raises(monkeypatch):
+    _raising_probe(monkeypatch, "equality", TypeError("a bug, not a refused input"))
+    with pytest.raises(TypeError, match="a bug"):
+        run_claim("raise-probe", 1)
 
 
 def test_legendre_duality_replays_stalled_seed():
