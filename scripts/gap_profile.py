@@ -10,7 +10,12 @@ here.
 import argparse
 import sys
 
-from qpathdiv.divergences import bs_divergence, e_divergence_closed, m_divergence, quantum_relative_entropy
+from qpathdiv.divergences import (
+    bs_divergence,
+    e_divergence_closed,
+    m_divergence_detail,
+    quantum_relative_entropy,
+)
 from qpathdiv.harness import derive_seed
 from qpathdiv.metrics import RLD, SLD
 from qpathdiv.states import RandomSpec, commutation_defect, random_density
@@ -32,7 +37,8 @@ def main() -> int:
         d = quantum_relative_entropy(rho, sigma)
         gap_low = d - e_divergence_closed(GeodesicKind.SLD, rho, sigma)
         gap_high = bs_divergence(rho, sigma) - d
-        spread = m_divergence(RLD, rho, sigma) - m_divergence(SLD, rho, sigma)
+        (m_r, _), (m_s, _) = m_divergence_detail((RLD, SLD), rho, sigma)
+        spread = m_r - m_s
         lines.append(
             f"{commutation_defect(rho, sigma)!r},{d!r},{gap_low!r},{gap_high!r},{spread!r}"
         )

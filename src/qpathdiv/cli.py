@@ -32,16 +32,6 @@ _EXIT_NUMERICAL = 3
 _EXIT_CLAIM_FAILURE = 4
 
 
-def _parse_metric(text: str) -> metrics.MetricKind:
-    """A metric tag s|b|r|half, or lambda=<x>."""
-    if text.startswith("lambda="):
-        try:
-            return metrics.lambda_kind(float(text.split("=", 1)[1]))
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse metric {text!r}: {exc}") from exc
-    return metrics.metric_from_json(text)
-
-
 def _parse_grid(text: str) -> list[float]:
     """A nonempty grid of finite values: a comma list or start:stop:count."""
     try:
@@ -137,7 +127,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_fisher(args) -> int:
     rho = serialize.load_state(args.rho)
     sigma = serialize.load_state(args.sigma)
-    kind = _parse_metric(args.metric)
+    kind = metrics.metric_from_tag(args.metric)
     points = _parse_grid(args.points)
     lines = ["t,fisher_mixture,fisher_numeric"]
     for t in points:

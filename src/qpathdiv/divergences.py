@@ -47,9 +47,8 @@ from .states import DensityMatrix, check_densities, check_pair, validate_density
 from .transport import GeodesicKind, sandwich_operator, solve_direction
 
 _KL_CUTOFF = 1e-15
-# Legendre maximizer: grid points per axis of the seeding grid, the Newton
-# stopping tolerance on the gradient residual, and the Newton step budget
-_LEGENDRE_GRID_POINTS = 7
+# Legendre maximizer: the Newton stopping tolerance on the gradient
+# residual, and the Newton step budget
 _LEGENDRE_TOL = 1e-11
 _LEGENDRE_MAX_NEWTON = 80
 
@@ -291,8 +290,9 @@ def classical_kl(p: np.ndarray, q: np.ndarray) -> float:
 class ConvexFunctionModel:
     """A twice-differentiable strictly convex function with its gradient.
 
-    ``value`` and ``grad`` take a point (dim,) or a stack of points
-    (n, dim), and give () and (dim,), resp. (n,) and (n, dim).
+    ``grad`` takes a point (dim,) or a stack of points (n, dim) and gives
+    (dim,), resp. (n, dim); ``hessian`` calls it on a stack. ``value``
+    takes a point and gives (); the library calls it on single points only.
     """
 
     dim: int
@@ -330,8 +330,8 @@ def bregman_divergence(model: ConvexFunctionModel, theta_bar: np.ndarray, theta:
 def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float]:
     """The maximizer theta over the box of eta . theta - value(theta), and that maximum.
 
-    Damped Newton on the stationarity equation grad(theta) = eta, seeded by
-    a coarse grid; NotInRange when no interior solution exists.
+    Damped Newton on the stationarity equation grad(theta) = eta, started at
+    the box centre; NotInRange when no interior solution exists.
     """
     eta = np.asarray(eta, dtype=float)
     box = np.asarray(box, dtype=float).reshape(model.dim, 2)
@@ -339,17 +339,7 @@ def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray)
     def objective(th: np.ndarray) -> float:
         return float(eta @ th - model.value(th))
 
-    axes = [np.linspace(lo, hi, _LEGENDRE_GRID_POINTS) for lo, hi in box]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
-    values = np.asarray(model.value(grid), dtype=float)
-    if values.shape != (len(grid),):
-        raise DomainError(
-            f"model value of a stack of {len(grid)} points must have shape ({len(grid)},), "
-            f"got {values.shape}"
-        )
-    # the first grid maximizer of eta . theta - value
-    theta = grid[np.argmax((eta @ grid[..., None])[..., 0] - values)]
-
+    theta = box.mean(axis=1)
     scale = 1.0 + float(np.max(np.abs(eta)))
     for _ in range(_LEGENDRE_MAX_NEWTON):
         residual = model.gradient(theta) - eta
@@ -495,8 +485,7 @@ class QuantumExponentialFamily:
 
     def moment(self, theta: np.ndarray) -> float | np.ndarray:
         # eigenvalues only, and no check: G is Hermitian by construction (real
-        # theta, Hermitian basis); a stack of G is one eigvalsh call, which is
-        # how the Legendre dual seeds its whole grid
+        # theta, Hermitian basis); a stack of G is one eigvalsh call
         return log_sum_exp(np.linalg.eigvalsh(self._generator(theta))) - np.log(self.dim)
 
     def _densities(self, theta: np.ndarray) -> np.ndarray:

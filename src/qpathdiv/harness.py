@@ -552,7 +552,20 @@ def _numeric_fisher(dim: int, seed: int):
 # suites, config, reports
 # --------------------------------------------------------------------------
 
-_OVERRIDE_FIELDS = {"dims": lambda v: tuple(int(d) for d in v), "trials": int, "tolerance": float}
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+_OVERRIDE_FIELDS = {"dims": lambda v: tuple(map(_integer, v)), "trials": _integer, "tolerance": _number}
 
 
 def _apply_override(spec: ClaimSpec, entry: dict) -> ClaimSpec:

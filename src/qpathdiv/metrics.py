@@ -51,9 +51,10 @@ class MetricKind:
                 raise InvalidShape("measure kind needs at least one (lambda, weight) point")
             lams = np.array([p[0] for p in self.points])
             ws = np.array([p[1] for p in self.points])
-            if np.any(lams < 0) or np.any(lams > 1):
+            # each check is written so that NaN fails it
+            if not np.all((lams >= 0) & (lams <= 1)):
                 raise InvalidShape("measure points must lie in [0, 1]")
-            if np.any(ws < 0) or abs(ws.sum() - 1.0) > 1e-12:
+            if not (np.all(ws >= 0) and abs(ws.sum() - 1.0) <= 1e-12):
                 raise InvalidShape("measure weights must be a probability distribution")
 
     @property
@@ -73,7 +74,7 @@ class MetricKind:
 
     def label(self) -> str:
         if self.name == "lambda":
-            return "half" if self.lam == 0.5 else f"lambda({self.lam:g})"
+            return "half" if self.lam == 0.5 else f"lambda={float(self.lam)!r}"
         if self.name == "measure":
             return "measure(" + ",".join(f"{p:g}:{w:g}" for p, w in self.points) + ")"
         return self.name
@@ -95,21 +96,19 @@ def measure_kind(points) -> MetricKind:
 HALF = lambda_kind(0.5)
 
 
-def metric_from_json(obj) -> MetricKind:
-    """The kind of a JSON tag: "s", "b", "r", "half", {"lambda": x} or
-    {"measure": [[lambda, weight], ...]}; InvalidShape otherwise."""
-    if isinstance(obj, str):
-        if obj in ("s", "b", "r"):
-            return MetricKind(obj)
-        if obj == "half":
-            return HALF
-        raise InvalidShape(f"unknown metric tag {obj!r}")
-    if isinstance(obj, dict):
-        if "lambda" in obj:
-            return lambda_kind(obj["lambda"])
-        if "measure" in obj:
-            return measure_kind(obj["measure"])
-    raise InvalidShape(f"cannot parse metric from {obj!r}")
+def metric_from_tag(tag: str) -> MetricKind:
+    """The kind of a tag s|b|r|half|lambda=<x>; InvalidShape otherwise.
+    Inverts ``MetricKind.label`` on these kinds."""
+    if tag in ("s", "b", "r"):
+        return MetricKind(tag)
+    if tag == "half":
+        return HALF
+    if isinstance(tag, str) and tag.startswith("lambda="):
+        try:
+            return lambda_kind(float(tag[len("lambda="):]))
+        except ValueError as exc:
+            raise InvalidShape(f"cannot parse metric tag {tag!r}: {exc}") from exc
+    raise InvalidShape(f"unknown metric tag {tag!r}")
 
 
 def phi1(u: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ class GeodesicKind(enum.Enum):
     @property
     def metric(self) -> metrics.MetricKind:
         # the kind tags s, b, r and half are the metric tags
-        return metrics.metric_from_json(self.value)
+        return metrics.metric_from_tag(self.value)
 
     @property
     def sandwich_power(self) -> float | None:

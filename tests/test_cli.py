@@ -363,7 +363,14 @@ def test_verify_dim_one_direction_override_exit_code(tmp_path, capsys):
     assert "InvalidShape: a unit traceless direction needs dim >= 2, got dim 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry", [{"trials": "abc"}, {"dims": []}, {"tolerance": "x"}])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"trials": "abc"}, {"dims": []}, {"tolerance": "x"},
+        {"trials": 1.9}, {"trials": True}, {"trials": "12"}, {"dims": [2.9]},
+        {"tolerance": "1e-3"}, {"tolerance": True},
+    ],
+)
 def test_verify_malformed_override_exit_code(tmp_path, capsys, entry):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"overrides": {"e-path-additivity": entry}}))

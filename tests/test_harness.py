@@ -179,6 +179,12 @@ def test_legendre_dual_maximizes_once_per_point(monkeypatch, claim):
     assert len(points) == len(set(points)) == 2
 
 
+def test_potential_duality_passes_at_dims_3_and_4():
+    claim_id = "potential-duality-bogoljubov"
+    spec = dataclasses.replace(default_spec(claim_id), dims=(3, 4), trials=6)
+    record = run_claim(claim_id, 5, spec)
+    assert record.passed and record.dims == (3, 4)
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         HarnessConfig.from_dict({"bogus": 1})
@@ -195,6 +201,8 @@ def test_config_validation():
     malformed = (
         {"trials": "abc"}, {"dims": []}, {"tolerance": "x"},
         {"dims": 3}, {"dims": [0]}, {"trials": None}, {"tolerance": "nan"},
+        {"trials": 1.9}, {"trials": True}, {"trials": "12"}, {"dims": [2.9]},
+        {"tolerance": "1e-3"}, {"tolerance": True},
     )
     for entry in malformed:
         with pytest.raises(ConfigError):

@@ -22,7 +22,7 @@ from qpathdiv.metrics import (
     m_inner,
     m_to_e,
     measure_kind,
-    metric_from_json,
+    metric_from_tag,
 )
 from qpathdiv.states import RandomSpec, random_density, validate_density
 from qpathdiv.transport import m_geodesic
@@ -101,22 +101,34 @@ def test_metric_kind_validation():
         measure_kind([(0.5, 0.4)])  # weights not normalized
     with pytest.raises(InvalidShape):
         MetricKind("bogus")
+    nan = float("nan")
+    for points in ([(nan, 1.0)], [(0.5, nan)], [(0.2, 0.5), (0.8, nan)]):
+        with pytest.raises(InvalidShape):
+            measure_kind(points)
 
 
-def test_metric_from_json_parses_each_documented_tag():
+def test_metric_from_tag_parses_and_round_trips_each_tag():
     tags = [
         ("s", SLD),
         ("b", BOGOLJUBOV),
         ("r", RLD),
         ("half", HALF),
-        ({"lambda": 0.25}, lambda_kind(0.25)),
-        ({"measure": [[0.0, 0.5], [1.0, 0.5]]}, measure_kind([(0.0, 0.5), (1.0, 0.5)])),
+        ("lambda=0.5", HALF),
+        ("lambda=0.25", lambda_kind(0.25)),
+        ("lambda=0.3", lambda_kind(0.3)),
+        ("lambda=1e-3", lambda_kind(1e-3)),
     ]
     for tag, kind in tags:
-        assert metric_from_json(tag) == kind
-    for bad in ("lambda", {"mu": 0.5}, 0.5):
+        assert metric_from_tag(tag) == kind
+        assert metric_from_tag(kind.label()) == kind
+    assert [k.label() for k in ALL_KINDS] == ["s", "b", "r", "half"]
+    assert lambda_kind(0.3).label() == "lambda=0.3"
+    assert lambda_kind(1 / 3).label() == f"lambda={1 / 3!r}"
+    bad = ("lambda", "lambda=", "lambda=x", "lambda=1.5", "lambda=nan", "lambda(0.3)", "S", "",
+           {"lambda": 0.5}, {"measure": [[0.0, 0.5], [1.0, 0.5]]}, 0.5)
+    for tag in bad:
         with pytest.raises(InvalidShape):
-            metric_from_json(bad)
+            metric_from_tag(tag)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -323,9 +335,11 @@ def test_fisher_mixture_rejects_malformed_t(pair_3x3, t, error, text):
 
 
 STACK_KINDS = ALL_KINDS + [lambda_kind(0.3), measure_kind([(0.0, 0.25), (0.6, 0.75)])]
+# fixed ids, so test names do not follow the label spelling
+STACK_IDS = ["s", "b", "r", "half", "lambda(0.3)", "measure(0:0.25,0.6:0.75)"]
 
 
-@pytest.mark.parametrize("kind", STACK_KINDS, ids=lambda k: k.label())
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=STACK_IDS)
 def test_kernel_matrix_stack_matches_rows(kind):
     spectra = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
     stacked = kernel_matrix(kind, spectra)
@@ -337,7 +351,7 @@ def test_kernel_matrix_stack_matches_rows(kind):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 16])
-@pytest.mark.parametrize("kind", STACK_KINDS, ids=lambda k: k.label())
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=STACK_IDS)
 def test_fisher_mixture_array_matches_scalar(kind, dim):
     rho = random_density(RandomSpec(dim, 700 + dim, 0.01))
     sigma = random_density(RandomSpec(dim, 800 + dim, 0.01))
