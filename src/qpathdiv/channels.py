@@ -39,12 +39,14 @@ class QuantumChannel:
         shape = self.kraus[0].shape
         if len(shape) != 2:
             raise InvalidShape(f"Kraus operators must be matrices, got shape {shape}")
-        for k in self.kraus:
+        for i, k in enumerate(self.kraus):
             if k.shape != shape:
                 raise InvalidShape(f"Kraus shapes differ: {k.shape} vs {shape}")
+            if not np.isfinite(k).all():
+                raise InvalidShape(f"Kraus operator {i} has non-finite entries")
         total = sum(k.conj().T @ k for k in self.kraus)
         defect = float(np.max(np.abs(total - np.eye(self.dim_in))))
-        if defect > TP_TOL:
+        if not defect <= TP_TOL:
             raise NotTracePreserving(
                 f"sum K^* K differs from identity beyond {TP_TOL:g}", defect
             )
@@ -110,12 +112,14 @@ class Povm:
         for i, m in enumerate(self.elements):
             if m.shape != (dim, dim):
                 raise InvalidShape(f"element {i} has shape {m.shape}, expected {(dim, dim)}")
+            if not np.isfinite(m).all():
+                raise InvalidShape(f"POVM element {i} has non-finite entries")
             low = float(np.linalg.eigvalsh(hermitian_part(m)).min())
-            if low < -POVM_PSD_TOL:
+            if not low >= -POVM_PSD_TOL:
                 raise NotPSD(f"POVM element {i} has eigenvalue {low:.3e}", -low)
             total += m
         defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > TP_TOL:
+        if not defect <= TP_TOL:
             raise PovmIncomplete(f"elements do not sum to identity within {TP_TOL:g}", defect)
 
     @property

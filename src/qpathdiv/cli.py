@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import divergences, harness, metrics, serialize, transport
-from .errors import ConfigError, NumericalError, QPathDivError, ValidationError
+from .errors import NumericalError, QPathDivError, ValidationError
 from .transport import GeodesicKind
 
 _EXIT_OK = 0
@@ -219,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ConfigError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

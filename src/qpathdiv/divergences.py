@@ -272,11 +272,14 @@ def m_divergence(
 
 
 def classical_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """Sum p log(p/q) with 0 log 0 = 0; q must carry p's support."""
+    """Sum p log(p/q) with 0 log 0 = 0; p and q must be finite, and q must
+    carry p's support."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise DomainError(f"p and q must be finite, got {p} and {q}")
     mask = p > _KL_CUTOFF
     if np.any(q[mask] <= _KL_CUTOFF):
         worst = float(q[mask].min())
@@ -507,11 +510,6 @@ class QuantumExponentialFamily:
     def _coordinates(self, rho: np.ndarray) -> np.ndarray:
         """Tr rho X_i of a matrix (k,) or of each matrix of a stack (n, k)."""
         return np.stack([np.trace(rho @ x, axis1=-2, axis2=-1).real for x in self.basis], axis=-1)
-
-    def state_from_mixture(self, eta: np.ndarray) -> DensityMatrix:
-        """I / dim + sum_i eta_i X_i / 2; since Tr X_i X_j = 2 delta_ij, the
-        X_i / 2 are the dual basis."""
-        return validate_density(np.eye(self.dim) / self.dim + self._generator(eta) / 2.0)
 
     def model(self) -> ConvexFunctionModel:
         return ConvexFunctionModel(dim=self.k, value=self.moment, grad=self.mean_parameters)

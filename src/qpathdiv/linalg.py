@@ -44,12 +44,15 @@ def _in_stack(per_matrix: np.ndarray) -> str:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> None:
-    """NotHermitian when the largest entry of |M - M^*| exceeds ``tol``; on a
-    stack the defect is its worst matrix's, and the message names that matrix."""
-    asymmetry = np.abs(m - _adjoint(m))
+    """NotHermitian unless the largest entry of |M - M^*| is at most ``tol``,
+    so a non-finite M fails too; on a stack the defect is its worst matrix's,
+    and the message names that matrix."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails the check below
+        asymmetry = np.abs(m - _adjoint(m))
     defect = float(asymmetry.max())
-    if defect > tol:
-        raise NotHermitian(f"{name} is not Hermitian within {tol:g}{_in_stack(asymmetry.max((-2, -1)))}", defect)
+    if not defect <= tol:
+        what = f"is not Hermitian within {tol:g}" if np.isfinite(m).all() else "has non-finite entries"
+        raise NotHermitian(f"{name} {what}{_in_stack(asymmetry.max((-2, -1)))}", defect)
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:

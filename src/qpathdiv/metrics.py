@@ -10,7 +10,6 @@ c(d_i, d_j) of the eigenvalues:
     Bogoljubov  c(a, b) = (a - b) / (log a - log b)
     RLD         c(a, b) = a                    left multiplication
     lambda      c(a, b) = a^lam * b^(1 - lam)
-    measure     c(a, b) = sum_k w_k a^{l_k} b^{1 - l_k}
 
 Every kernel satisfies c(a, a) = a, so E_rho(I) = rho for each variant.
 Inverting E_rho is entrywise division by the same kernel, which is what
@@ -38,45 +37,16 @@ class MetricKind:
 
     name: str
     lam: float | None = None
-    points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in ("s", "b", "r", "lambda", "measure"):
+        if self.name not in ("s", "b", "r", "lambda"):
             raise InvalidShape(f"unknown metric kind {self.name!r}")
-        if self.name == "lambda":
-            if self.lam is None or not 0.0 <= self.lam <= 1.0:
-                raise InvalidShape(f"lambda must lie in [0, 1], got {self.lam}")
-        if self.name == "measure":
-            if not self.points:
-                raise InvalidShape("measure kind needs at least one (lambda, weight) point")
-            lams = np.array([p[0] for p in self.points])
-            ws = np.array([p[1] for p in self.points])
-            # each check is written so that NaN fails it
-            if not np.all((lams >= 0) & (lams <= 1)):
-                raise InvalidShape("measure points must lie in [0, 1]")
-            if not (np.all(ws >= 0) and abs(ws.sum() - 1.0) <= 1e-12):
-                raise InvalidShape("measure weights must be a probability distribution")
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when Hermitian X maps to Hermitian E(X)."""
-        if self.name in ("s", "b"):
-            return True
-        if self.name == "r":
-            return False
-        if self.name == "lambda":
-            return self.lam == 0.5
-
-        def mirrored_weight(point: float) -> float:
-            return sum(w for p, w in self.points if abs(p - (1.0 - point)) <= 1e-12)
-
-        return all(abs(mirrored_weight(p) - w) <= 1e-12 for p, w in self.points)
+        if self.name == "lambda" and (self.lam is None or not 0.0 <= self.lam <= 1.0):
+            raise InvalidShape(f"lambda must lie in [0, 1], got {self.lam}")
 
     def label(self) -> str:
         if self.name == "lambda":
             return "half" if self.lam == 0.5 else f"lambda={float(self.lam)!r}"
-        if self.name == "measure":
-            return "measure(" + ",".join(f"{p:g}:{w:g}" for p, w in self.points) + ")"
         return self.name
 
 
@@ -87,10 +57,6 @@ RLD = MetricKind("r")
 
 def lambda_kind(lam: float) -> MetricKind:
     return MetricKind("lambda", lam=float(lam))
-
-
-def measure_kind(points) -> MetricKind:
-    return MetricKind("measure", points=tuple((float(p), float(w)) for p, w in points))
 
 
 HALF = lambda_kind(0.5)
@@ -136,14 +102,8 @@ def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
         return hi * phi1(np.log(np.minimum(a, b)) - np.log(hi))
     if kind.name == "r":
         return np.broadcast_to(a, d.shape + d.shape[-1:]).copy()
-    if kind.name == "lambda":
-        c = a**kind.lam * b ** (1.0 - kind.lam)
-    else:
-        c = np.zeros(d.shape + d.shape[-1:])
-        for lam, w in kind.points:
-            c += w * a**lam * b ** (1.0 - lam)
-    # pin coincident eigenvalues so c(a, a) = a holds exactly despite pow roundoff
-    return np.where(a == b, a, c)
+    # lambda; pin coincident eigenvalues so c(a, a) = a holds exactly despite pow roundoff
+    return np.where(a == b, a, a**kind.lam * b ** (1.0 - kind.lam))
 
 
 def _check_dim(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:

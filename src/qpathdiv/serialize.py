@@ -3,7 +3,8 @@ fixtures for states and Hermitian directions:
 
     {"dim": n, "re": [[...n x n...]], "im": [[...n x n...]]}
 
-load_state validates what it reads as a density matrix (states.validate_density).
+``dim`` must be a JSON integer (not a float, string or boolean). load_state
+validates what it reads as a density matrix (states.validate_density).
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidShape(f"malformed matrix object: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise InvalidShape(f"dim must be a JSON integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidShape(
             f"matrix parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"

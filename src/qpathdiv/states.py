@@ -201,10 +201,12 @@ def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def validate_distribution(weights: np.ndarray) -> np.ndarray:
-    """Check nonnegativity and normalization of a probability vector."""
+    """Check finiteness, nonnegativity and normalization of a probability vector."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidDistribution(f"expected a nonempty 1-d vector, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise InvalidDistribution(f"weights must be finite, got {w}")
     low = float(w.min())
     if low < -DISTRIBUTION_TOL:
         raise InvalidDistribution(f"negative weight below -{DISTRIBUTION_TOL:g}", -low)

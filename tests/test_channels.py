@@ -54,6 +54,15 @@ def test_channel_rejects_non_trace_preserving():
         QuantumChannel(kraus=(0.5 * np.eye(2, dtype=complex),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_rejects_a_non_finite_kraus_operator(bad):
+    kraus = np.eye(2, dtype=complex) / np.sqrt(2)
+    bad_kraus = kraus.copy()
+    bad_kraus[0, 0] = bad
+    with pytest.raises(InvalidShape, match="Kraus operator 1 has non-finite entries"):
+        QuantumChannel(kraus=(kraus, bad_kraus))
+
+
 def test_channel_rejects_mixed_shapes():
     with pytest.raises(InvalidShape):
         QuantumChannel(kraus=(np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
@@ -121,6 +130,14 @@ def test_povm_validation():
         Povm(elements=(np.eye(2) / 2,))
     with pytest.raises(InvalidShape):
         Povm(elements=())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_povm_rejects_non_finite_elements(bad):
+    # eigvalsh of a NaN matrix can return finite garbage, so no PSD check can see it
+    m = np.diag([bad, 1.0]).astype(complex)
+    with pytest.raises(InvalidShape, match="POVM element 0 has non-finite entries"):
+        Povm(elements=(m, np.eye(2) - m))
 
 
 def test_measure_own_eigenbasis_gives_spectrum():

@@ -80,6 +80,16 @@ def test_compute_validation_exit_code(tmp_path, capsys):
     assert "TraceNotOne" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, "2", True], ids=["float", "integral-float", "string", "bool"])
+def test_compute_rejects_a_dim_that_is_not_a_json_integer(tmp_path, capsys, dim):
+    obj = json.loads(Path(RHO_FIXTURE).read_text())
+    obj["dim"] = dim
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["compute", str(bad), SIGMA_FIXTURE]) == 2
+    assert f"InvalidShape: dim must be a JSON integer, got {dim!r}" in capsys.readouterr().err
+
+
 def test_compute_missing_file_exit_code(capsys):
     assert main(["compute", "does-not-exist.json", RHO_FIXTURE]) == 2
 
@@ -206,6 +216,14 @@ def test_geodesic_direction_mode(tmp_path, capsys):
     ) == 0
     rows = _rows_from_csv(capsys.readouterr().out)
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_geodesic_rejects_a_non_finite_direction(tmp_path, capsys, bad):
+    direction = tmp_path / "dir.json"
+    direction.write_text(f'{{"dim": 2, "re": [[0, {bad}], [{bad}, 0]], "im": [[0, 0], [0, 0]]}}')
+    assert main(["geodesic", RHO_FIXTURE, "--kind", "s", "--direction", str(direction)]) == 2
+    assert "NotHermitian: direction has non-finite entries" in capsys.readouterr().err
 
 
 def test_fisher_grid(capsys):

@@ -11,6 +11,7 @@ from qpathdiv.linalg import (
     herm_power,
     hermitian_part,
     log_sum_exp,
+    require_hermitian,
     tensor_product,
 )
 
@@ -184,6 +185,19 @@ def test_eig_stack_rejects_one_non_hermitian_slice():
     with pytest.raises(NotHermitian, match=r"\(matrix 2 of 4 in the stack\)") as info:
         eig_hermitian(h)
     assert info.value.defect == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_require_hermitian_rejects_non_finite_entries(bad):
+    # |M - M^*| is NaN at a NaN or diagonal inf entry, and a NaN defect must fail the check
+    for i, j in ((0, 0), (0, 1)):
+        m = np.eye(2, dtype=complex)
+        m[i, j] = m[j, i] = bad
+        with pytest.raises(NotHermitian, match="direction has non-finite entries"):
+            require_hermitian(m, name="direction")
+    stack = np.stack([np.eye(2, dtype=complex), m])
+    with pytest.raises(NotHermitian, match=r"non-finite entries \(matrix 1 of 2 in the stack\)"):
+        require_hermitian(stack)
 
 
 def test_eig_stack_rejects_one_non_finite_slice():

@@ -21,7 +21,6 @@ from qpathdiv.metrics import (
     lambda_kind,
     m_inner,
     m_to_e,
-    measure_kind,
     metric_from_tag,
 )
 from qpathdiv.states import RandomSpec, random_density, validate_density
@@ -79,32 +78,15 @@ def test_bogoljubov_kernel_matches_decimal_reference(b):
             assert abs(c[0, 1] - reference) <= 1e-14 * reference, gap
 
 
-def test_measure_kind_reduces_to_named_kernels():
-    d = np.array([0.6, 0.25, 0.15])
-    as_s = measure_kind([(0.0, 0.5), (1.0, 0.5)])
-    as_r = measure_kind([(1.0, 1.0)])
-    assert np.allclose(kernel_matrix(as_s, d), kernel_matrix(SLD, d))
-    assert np.allclose(kernel_matrix(as_r, d), kernel_matrix(RLD, d))
-
-
-def test_metric_kind_symmetry_flags():
-    assert SLD.is_symmetric and BOGOLJUBOV.is_symmetric and HALF.is_symmetric
-    assert not RLD.is_symmetric
-    assert not lambda_kind(0.3).is_symmetric
-    assert measure_kind([(0.2, 0.5), (0.8, 0.5)]).is_symmetric
-
-
 def test_metric_kind_validation():
-    with pytest.raises(InvalidShape):
-        lambda_kind(1.5)
-    with pytest.raises(InvalidShape):
-        measure_kind([(0.5, 0.4)])  # weights not normalized
-    with pytest.raises(InvalidShape):
-        MetricKind("bogus")
-    nan = float("nan")
-    for points in ([(nan, 1.0)], [(0.5, nan)], [(0.2, 0.5), (0.8, nan)]):
+    for lam in (1.5, -0.1, float("nan")):
         with pytest.raises(InvalidShape):
-            measure_kind(points)
+            lambda_kind(lam)
+    with pytest.raises(InvalidShape):
+        MetricKind("lambda")
+    for name in ("bogus", "measure"):
+        with pytest.raises(InvalidShape):
+            MetricKind(name)
 
 
 def test_metric_from_tag_parses_and_round_trips_each_tag():
@@ -334,9 +316,9 @@ def test_fisher_mixture_rejects_malformed_t(pair_3x3, t, error, text):
             fisher_info_mixture(rho, sigma, kind, t)
 
 
-STACK_KINDS = ALL_KINDS + [lambda_kind(0.3), measure_kind([(0.0, 0.25), (0.6, 0.75)])]
+STACK_KINDS = ALL_KINDS + [lambda_kind(0.3)]
 # fixed ids, so test names do not follow the label spelling
-STACK_IDS = ["s", "b", "r", "half", "lambda(0.3)", "measure(0:0.25,0.6:0.75)"]
+STACK_IDS = ["s", "b", "r", "half", "lambda(0.3)"]
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS, ids=STACK_IDS)

@@ -155,6 +155,12 @@ def test_validate_distribution():
         validate_distribution(np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, 0.5, np.nan], [np.inf, -np.inf, 1.0]])
+def test_validate_distribution_rejects_non_finite_weights(weights):
+    with pytest.raises(InvalidDistribution, match="weights must be finite"):
+        validate_distribution(np.array(weights))
+
+
 def test_state_json_roundtrip(tmp_path):
     dm = random_density(RandomSpec(3, 21, 0.05))
     path = tmp_path / "state.json"

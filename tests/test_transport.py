@@ -113,6 +113,15 @@ def test_make_geodesic_rejects_non_hermitian_direction():
         make_geodesic(GeodesicKind.SLD, max_mixed(2), np.array([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_geodesic_rejects_a_non_finite_direction(kind, bad):
+    direction = PAULI_X.copy()
+    direction[0, 1] = direction[1, 0] = bad
+    with pytest.raises(NotHermitian, match="direction has non-finite entries"):
+        make_geodesic(kind, max_mixed(2), direction)
+
+
 def test_make_geodesic_rejects_rank_deficient_base():
     with pytest.raises(NotFullRank):
         make_geodesic(GeodesicKind.SLD, validate_density(np.diag([1.0, 0.0])), PAULI_X)
