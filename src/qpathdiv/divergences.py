@@ -99,6 +99,17 @@ class QuadratureConfig:
 
 
 @functools.cache
+def _ts_levels(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of levels 0..level concatenated, and the
+    offset where each level starts: the table of a first quadrature call."""
+    tables = [_ts_level(k) for k in range(level + 1)]
+    t, w = (np.concatenate(parts) for parts in zip(*tables))
+    offsets = np.cumsum([0] + [len(t) for t, _ in tables[:-1]])
+    t.flags.writeable = w.flags.writeable = offsets.flags.writeable = False
+    return t, w, offsets
+
+
+@functools.cache
 def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes on [0, 1] and weights of one tanh-sinh level: u = j 2^-level
     with |u| <= _TS_U_MAX, for every integer j at level 0 and odd j above."""
@@ -141,15 +152,11 @@ def adaptive_gauss_legendre(
     converge.
     """
     level = _first_level(config.nodes)
-    tables = [_ts_level(k) for k in range(level + 1)]
-    values = f(np.concatenate([t for t, _ in tables]))
+    nodes, weights, offsets = _ts_levels(level)
+    values = f(nodes)
     one_row = np.ndim(values) == 1
-    splits = np.cumsum([len(t) for t, _ in tables[:-1]])
     # per row, the weighted sum of f over each level so far, in level order
-    sums = [
-        [float(part @ w) for part, (_, w) in zip(np.split(row, splits), tables)]
-        for row in np.atleast_2d(values)
-    ]
+    sums = np.add.reduceat(np.atleast_2d(values) * weights, offsets, axis=1).tolist()
 
     def estimate(i: int) -> tuple[float, float]:
         """Row i's estimate at ``level`` and its gap to the estimate one level below."""
@@ -168,9 +175,11 @@ def adaptive_gauss_legendre(
             break
         level += 1
         t, w = _ts_level(level)
-        values = np.atleast_2d(f(t))
+        # a sum per row, not a matrix-vector product, so a row's value never
+        # depends on the rows evaluated beside it
+        level_sums = (np.atleast_2d(f(t)) * w).sum(axis=1).tolist()
         for i in rows:
-            sums[i].append(float(values[i] @ w))
+            sums[i].append(level_sums[i])
     if rows:
         raise QuadratureNotConverged(
             "; ".join(

@@ -147,14 +147,26 @@ def eig_hermitian(h: np.ndarray) -> HermitianEigen:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise DomainError("matrix has non-finite entries")
-    require_hermitian(h)
+    try:
+        # one pass checks both: a non-finite entry fails it too
+        require_hermitian(h)
+    except NotHermitian:
+        if not np.isfinite(h).all():
+            raise DomainError("matrix has non-finite entries") from None
+        raise
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     eig = HermitianEigen(w, u)
+    check_reconstruction(eig, h)
+    return eig
+
+
+def check_reconstruction(eig: HermitianEigen, h: np.ndarray) -> None:
+    """ConvergenceFailure when U diag(d) U^* misses ``h`` (a matrix or a
+    stack) by more than RECONSTRUCTION_TOL relative Frobenius; the message
+    reports the worst matrix."""
     scale = _frobenius_each(h) + 1e-300
     defect = _frobenius_each(eig.reconstruct() - h)
     if (defect > RECONSTRUCTION_TOL * scale).any():
@@ -163,7 +175,6 @@ def eig_hermitian(h: np.ndarray) -> HermitianEigen:
             f"eigendecomposition reconstruction defect {defect.flat[k]:.3e} exceeds "
             f"{RECONSTRUCTION_TOL:g} * {scale.flat[k]:.3e}{_in_stack(defect / scale)}"
         )
-    return eig
 
 
 class _CachedEigen:

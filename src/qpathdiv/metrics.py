@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidShape
-from .linalg import SUPPORT_EPS, eig_hermitian, hermitian_part, point_array
+from .linalg import SUPPORT_EPS, eig_hermitian, point_array
 from .states import DensityMatrix, check_pair, not_full_rank, require_full_rank
 
 FD_STEP = 1e-4
@@ -97,9 +97,10 @@ def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
         return (a + b) / 2.0
     if kind.name == "b":
         # logarithmic mean: the divided difference of exp at (log a, log b),
-        # taken at the larger eigenvalue so that it is symmetric
-        hi = np.maximum(a, b)
-        return hi * phi1(np.log(np.minimum(a, b)) - np.log(hi))
+        # taken at the larger eigenvalue so that it is symmetric; the n logs
+        # give log min - log max = -|log a - log b| exactly
+        log_d = np.log(d)
+        return np.maximum(a, b) * phi1(-np.abs(log_d[..., :, None] - log_d[..., None, :]))
     if kind.name == "r":
         return np.broadcast_to(a, d.shape + d.shape[-1:]).copy()
     # lambda; pin coincident eigenvalues so c(a, a) = a holds exactly despite pow roundoff
@@ -165,14 +166,19 @@ def fisher_info_mixture(
     if not kinds:
         raise InvalidShape("need at least one metric kind")
     ts = point_array(t, "t")
+    # exactly Hermitian, since rho and sigma are and the weights are real
     mt = (1.0 - ts)[:, None, None] * rho.matrix + ts[:, None, None] * sigma.matrix
-    eig = eig_hermitian(hermitian_part(mt))
+    eig = eig_hermitian(mt)
     low = eig.eigenvalues[:, 0]
     if np.any(low <= SUPPORT_EPS):
         i = int(np.argmax(low <= SUPPORT_EPS))
         raise not_full_rank(f"mixture state at t={ts[i]:g}", float(low[i]))
     u = eig.eigenvectors
-    dp2 = np.abs(u.conj().swapaxes(-1, -2) @ (sigma.matrix - rho.matrix) @ u) ** 2
+    n = rho.dim
+    # Delta U_k for every node k as one (n, nodes n) product, then U_k^* (Delta U_k)
+    du = ((sigma.matrix - rho.matrix) @ u.transpose(1, 0, 2).reshape(n, -1)).reshape(n, ts.size, n)
+    dp = u.conj().swapaxes(-1, -2) @ du.transpose(1, 0, 2)
+    dp2 = dp.real**2 + dp.imag**2
     rows = np.array(
         [np.sum((dp2 / kernel_matrix(k, eig.eigenvalues)).reshape(ts.size, -1), axis=1) for k in kinds]
     )

@@ -19,7 +19,17 @@ from .errors import (
     NotPSD,
     TraceNotOne,
 )
-from .linalg import SUPPORT_EPS, _CachedEigen, _in_stack, frobenius, hermitian_part, require_hermitian
+from .linalg import (
+    SUPPORT_EPS,
+    HermitianEigen,
+    _CachedEigen,
+    _in_stack,
+    check_reconstruction,
+    eig_hermitian,
+    frobenius,
+    hermitian_part,
+    require_hermitian,
+)
 
 DENSITY_TOL = 1e-10
 DISTRIBUTION_TOL = 1e-12
@@ -75,6 +85,15 @@ def check_densities(m: np.ndarray, tol: float = DENSITY_TOL) -> tuple[np.ndarray
     TraceNotOne / NotPSD naming the violated invariant with the measured
     defect; on a stack the message names the worst matrix.
     """
+    h = _hermitized_density(m, tol)
+    w = np.linalg.eigvalsh(h)
+    _check_psd(w)
+    return h, w[..., 0]
+
+
+def _hermitized_density(m: np.ndarray, tol: float) -> np.ndarray:
+    """The checks of check_densities before PSD (shape, finite, Hermitian,
+    trace); returns the hermitized matrices."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvalidShape(f"expected a nonempty square matrix or a stack of them, got shape {m.shape}")
@@ -85,12 +104,14 @@ def check_densities(m: np.ndarray, tol: float = DENSITY_TOL) -> tuple[np.ndarray
     trace_defect = float(trace_defects.max())
     if trace_defect > tol:
         raise TraceNotOne(f"trace differs from 1 by more than {tol:g}{_in_stack(trace_defects)}", trace_defect)
-    h = hermitian_part(m)
-    w = np.linalg.eigvalsh(h)  # ascending, so w[..., 0] is each matrix's minimum
+    return hermitian_part(m)
+
+
+def _check_psd(w: np.ndarray) -> None:
+    """NotPSD unless every ascending spectrum of ``w`` (..., n) starts above -SUPPORT_EPS."""
     worst = float(w.min())
     if worst < -SUPPORT_EPS:
         raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{SUPPORT_EPS:g}{_in_stack(-w[..., 0])}", -worst)
-    return h, w[..., 0]
 
 
 def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
@@ -100,6 +121,25 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
         raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
     h, low = check_densities(m, tol)
     return DensityMatrix(matrix=h, min_eigenvalue=float(low))
+
+
+def state_from_eig(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:
+    """The state of one matrix ``m`` whose eigendecomposition ``eig`` is
+    already known: the checks of validate_density, with the PSD minimum read
+    from ``eig``, and ConvergenceFailure when ``eig`` does not reconstruct the
+    hermitized ``m`` (linalg.check_reconstruction). The state keeps ``eig``,
+    read-only, as its ``.eig``, so ``full_rank`` and every matrix function of
+    the state read one spectrum."""
+    if np.ndim(m) != 2:
+        raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
+    h = _hermitized_density(m, DENSITY_TOL)
+    check_reconstruction(eig, h)
+    _check_psd(eig.eigenvalues)
+    eig.eigenvalues.flags.writeable = False
+    eig.eigenvectors.flags.writeable = False
+    state = DensityMatrix(matrix=h, min_eigenvalue=float(eig.eigenvalues[0]))
+    state.__dict__["eig"] = eig  # what DensityMatrix.eig would cache on first access
+    return state
 
 
 def max_mixed(dim: int) -> DensityMatrix:
@@ -114,19 +154,23 @@ def random_density(spec: RandomSpec) -> DensityMatrix:
 
     The mixing weight is the smallest one that lifts the minimum eigenvalue
     to ``spec.min_eigenvalue``; identical specs give bitwise-identical
-    matrices.
+    matrices. The state carries the one validated decomposition it was
+    built from (state_from_eig).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     d = spec.dim
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     rho0 = g @ g.conj().T
     rho0 = hermitian_part(rho0 / np.trace(rho0).real)
-    low = float(np.linalg.eigvalsh(rho0).min())
+    eig = eig_hermitian(rho0)
+    low = float(eig.eigenvalues[0])
     floor = spec.min_eigenvalue
     if low < floor:
+        # the mixture keeps the eigenvectors and maps each eigenvalue affinely
         lam = (floor - low) / (1.0 / d - low)
         rho0 = (1.0 - lam) * rho0 + lam * np.eye(d) / d
-    return validate_density(rho0)
+        eig = HermitianEigen((1.0 - lam) * eig.eigenvalues + lam / d, eig.eigenvectors)
+    return state_from_eig(rho0, eig)
 
 
 def random_direction(dim: int, seed: int) -> np.ndarray:

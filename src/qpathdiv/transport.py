@@ -29,6 +29,7 @@ import numpy as np
 from . import metrics
 from .errors import DimensionMismatch, DomainError, TargetMismatch
 from .linalg import (
+    HermitianEigen,
     eig_hermitian,
     frobenius,
     herm_log,
@@ -38,7 +39,7 @@ from .linalg import (
     point_array,
     require_hermitian,
 )
-from .states import DensityMatrix, check_pair, require_full_rank, validate_density
+from .states import DensityMatrix, check_pair, require_full_rank, state_from_eig, validate_density
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
@@ -187,8 +188,8 @@ class MomentFunction:
         ths = point_array(float(theta), "theta")
         if self._p is None:
             h, u, mu = (x[0] for x in self._log_spectrum(ths))
-            mat = (u * np.exp(h - mu)) @ u.conj().T
-            return validate_density(hermitian_part(mat)), float(mu)
+            eig = HermitianEigen(np.exp(h - mu), u)
+            return state_from_eig(eig.reconstruct(), eig), float(mu)
         g = self._gen.eigenvalues
         u = self._gen.eigenvectors
         top = float(np.max(theta * g))

@@ -318,12 +318,12 @@ def test_verify_rejects_a_negative_seed(tmp_path, capsys):
 
 
 def test_verify_injected_failure(tmp_path, capsys):
+    # the counterexample threshold 10 lies above every gap D - m_s at the
+    # 0.05 floor (D <= log 20 there), so the claim fails by a wide margin
     config = {
         "seed": 7,
-        "claims": ["m-path-bogoljubov-matches-relative-entropy"],
-        "overrides": {
-            "m-path-bogoljubov-matches-relative-entropy": {"tolerance": 1e-15, "trials": 4}
-        },
+        "claims": ["m-path-gap-counterexample-s"],
+        "overrides": {"m-path-gap-counterexample-s": {"tolerance": 10.0, "trials": 4}},
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -332,8 +332,8 @@ def test_verify_injected_failure(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["all_pass"] is False
     record = payload["claims"][0]
-    assert record["worst_slack"] > 1e-15
-    assert "witness" in record
+    assert 0.0 < record["worst_slack"] <= math.log(20.0)
+    assert record["witness"]
 
 
 def test_verify_bad_config(tmp_path, capsys):

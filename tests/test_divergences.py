@@ -358,19 +358,25 @@ def test_adaptive_quadrature_not_converged():
 def test_level_tables_are_computed_once_and_read_only():
     from qpathdiv import divergences
 
+    divergences._ts_levels.cache_clear()
     divergences._ts_level.cache_clear()
     rho = random_density(RandomSpec(2, 901, 0.05))
     sigma = random_density(RandomSpec(2, 902, 0.05))
     for _ in range(3):
         m_divergence(BOGOLJUBOV, rho, sigma)
-    # each call reads levels 0..4 (113 nodes); only the first computes them
+    # each call reads the first-call table of levels 0..3 (57 nodes), then
+    # level 4 (113 nodes); only the first call computes them
     assert m_divergence_detail(BOGOLJUBOV, rho, sigma)[1] == 113
-    info = divergences._ts_level.cache_info()
-    assert info.misses == info.currsize == 5 and info.hits == 3 * 5
-    t, w = divergences._ts_level(0)
-    for table in (t, w):
+    first = divergences._ts_levels.cache_info()
+    assert first.misses == first.currsize == 1 and first.hits == 3
+    levels = divergences._ts_level.cache_info()
+    assert levels.misses == levels.currsize == 5 and levels.hits == 3
+    nodes, weights, offsets = divergences._ts_levels(3)
+    assert nodes.size == weights.size == 57 and list(offsets) == [0, 7, 15, 29]
+    tables = [nodes, weights, offsets] + [table for k in range(5) for table in divergences._ts_level(k)]
+    for table in tables:
         with pytest.raises(ValueError):
-            table[0] = 0.0
+            table[0] = 0
 
 
 def test_quadrature_config_validation():

@@ -230,13 +230,16 @@ def test_report_json_byte_stable():
 
 
 def test_injected_bad_tolerance_fails():
+    # a gap threshold no pair can reach: D(rho || sigma) <= -log min eig(sigma)
+    # <= log 20 at the 0.05 floor, and the gap D - m_s is at most D
     config = _small_config(
-        claims=["m-path-bogoljubov-matches-relative-entropy"],
-        extra_overrides={"m-path-bogoljubov-matches-relative-entropy": {"tolerance": 1e-15}},
+        claims=["m-path-gap-counterexample-s"],
+        extra_overrides={"m-path-gap-counterexample-s": {"tolerance": 10.0}},
     )
     report = run_all(config)
     assert not report.all_pass
-    assert report.records[0].worst_slack > 1e-15
+    assert 0.0 < report.records[0].worst_slack <= math.log(20.0)
+    assert report.records[0].witness
 
 
 def test_theorem2_suite_small():

@@ -228,3 +228,27 @@ def test_log_sum_exp_stack_matches_rows():
     rows = [log_sum_exp(row) for row in x]
     assert np.array_equal(log_sum_exp(x), np.array(rows))
     assert rows[1] == 800.0 + np.log(1.0 + np.exp(-1.0) + np.exp(-805.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 1)])
+def test_eig_one_pass_check_still_names_a_non_finite_slice(bad, where):
+    # a non-finite entry fails the one Hermitian comparison; the message is
+    # the finiteness check's, before any symmetry message
+    h = _stack(3, 4, 340)
+    h[(2,) + where] = bad
+    with pytest.raises(DomainError, match=r"^matrix has non-finite entries$"):
+        eig_hermitian(h)
+    with pytest.raises(DomainError, match=r"^matrix has non-finite entries$"):
+        eig_hermitian(h[2])
+
+
+def test_eig_one_pass_check_still_reports_the_asymmetry():
+    h = _stack(3, 4, 350)
+    h[3, 2, 0] += 2e-6
+    stacked = r"^matrix is not Hermitian within 1e-10 \(matrix 3 of 4 in the stack\) \(measured defect 2\.0+e-06\)$"
+    with pytest.raises(NotHermitian, match=stacked) as info:
+        eig_hermitian(h)
+    assert info.value.defect == pytest.approx(2e-6, rel=1e-6)
+    with pytest.raises(NotHermitian, match=r"^matrix is not Hermitian within 1e-10 \(measured defect 2\.0+e-06\)$"):
+        eig_hermitian(h[3])

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpathdiv import serialize
+from qpathdiv import linalg, serialize
 from qpathdiv.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
+    DomainError,
     InvalidDistribution,
     InvalidShape,
     NotFullRank,
@@ -15,7 +17,7 @@ from qpathdiv.errors import (
     NotPSD,
     TraceNotOne,
 )
-from qpathdiv.linalg import SUPPORT_EPS, hermitian_part
+from qpathdiv.linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, hermitian_part
 from qpathdiv.metrics import SLD, e_to_m
 from qpathdiv.states import (
     RandomSpec,
@@ -26,6 +28,7 @@ from qpathdiv.states import (
     random_density,
     random_direction,
     require_full_rank,
+    state_from_eig,
     validate_density,
     validate_distribution,
 )
@@ -316,3 +319,73 @@ def test_not_full_rank_reports_the_eigenvalue_validation_judged():
     for state, exc in raised:
         assert exc.defect == state.min_eigenvalue and not state.full_rank
         assert str(exc).startswith(f"rho has minimum eigenvalue {state.min_eigenvalue:.3e}, at or below 1e-12")
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("floor", [0.05, 1e-3, 1e-8])
+def test_random_density_carries_its_decomposition(monkeypatch, floor, dim):
+    states = [random_density(RandomSpec(dim, 1000 * dim + seed, floor)) for seed in range(6)]
+
+    def no_further_decomposition(h):
+        raise AssertionError("random_density states carry their decomposition")
+
+    monkeypatch.setattr(linalg, "eig_hermitian", no_further_decomposition)
+    for state in states:
+        eig = state.eig
+        assert eig is state.eig and np.array_equal(state.spectrum(), eig.eigenvalues)
+        for array in (eig.eigenvalues, eig.eigenvectors):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        defect = np.linalg.norm(eig.reconstruct() - state.matrix)
+        assert defect <= 1e-10 * np.linalg.norm(state.matrix)
+        assert state.min_eigenvalue == eig.eigenvalues[0]
+        assert state.min_eigenvalue >= floor - 1e-15
+
+
+def test_states_built_from_their_decomposition_agree_on_full_rank_and_log():
+    # the construction of the test above, 2000 times: the smallest eigenvalue
+    # within 3e-16 of SUPPORT_EPS, where eigvalsh and eigh can fall on either
+    # side of it; full_rank and log read one spectrum, so they never disagree
+    rng = np.random.Generator(np.random.PCG64(2024))
+    judged_full_rank = 0
+    for k in range(2000):
+        dim = 2 + k % 3
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        w = rng.uniform(0.1, 1.0, dim)
+        w[0] = 0.0
+        w *= (1.0 - 1e-12) / w.sum()
+        w[0] = SUPPORT_EPS + rng.uniform(-3e-16, 3e-16)
+        m = hermitian_part((q * w) @ q.conj().T)
+        state = state_from_eig(m, eig_hermitian(m))
+        try:
+            state.eig.log()
+        except DomainError:
+            assert not state.full_rank
+        else:
+            assert state.full_rank
+            judged_full_rank += 1
+    assert 0 < judged_full_rank < 2000
+
+
+def test_state_from_eig_runs_every_density_check():
+    m = np.diag([0.7, 0.3]).astype(complex)
+    eig = HermitianEigen(np.array([0.3, 0.7]), np.eye(2, dtype=complex)[:, ::-1].copy())
+    assert state_from_eig(m, eig).min_eigenvalue == 0.3
+    bad = m.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(InvalidShape, match="non-finite entries"):
+        state_from_eig(bad, eig)
+    bad = m.copy()
+    bad[0, 1] = 1e-6
+    with pytest.raises(NotHermitian, match="density matrix is not Hermitian within 1e-10"):
+        state_from_eig(bad, eig)
+    with pytest.raises(TraceNotOne):
+        state_from_eig(2.0 * m, HermitianEigen(2.0 * eig.eigenvalues, eig.eigenvectors))
+    with pytest.raises(ConvergenceFailure, match="reconstruction defect"):
+        state_from_eig(m, HermitianEigen(np.array([0.3, 0.7]), np.eye(2, dtype=complex)))
+    negative = np.diag([1.1, -0.1]).astype(complex)
+    with pytest.raises(NotPSD, match=r"minimum eigenvalue -1\.000e-01") as info:
+        state_from_eig(negative, HermitianEigen(np.array([-0.1, 1.1]), np.eye(2, dtype=complex)[:, ::-1].copy()))
+    assert info.value.defect == pytest.approx(0.1)
+    with pytest.raises(InvalidShape, match="expected a square matrix"):
+        state_from_eig(np.stack([m, m]), eig)

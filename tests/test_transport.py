@@ -424,3 +424,33 @@ def test_geodesic_caches_its_moment_function_without_a_cycle(kind):
     ref = weakref.ref(mf)
     del geo, mf
     assert ref() is None
+
+
+def test_kind_b_transported_state_carries_its_spectrum(monkeypatch):
+    from qpathdiv import linalg, transport
+
+    sigma = random_density(RandomSpec(3, 61, 0.05))
+    rho = random_density(RandomSpec(3, 62, 0.05))
+    mf = solve_direction(GeodesicKind.BOGOLJUBOV, rho, sigma).moment
+    calls = []
+    eig = transport.eig_hermitian
+
+    def counted(h):
+        calls.append(h.shape)
+        return eig(h)
+
+    monkeypatch.setattr(transport, "eig_hermitian", counted)
+    monkeypatch.setattr(linalg, "eig_hermitian", counted)
+    for theta in (-0.5, 0.0, 0.4, 1.0):
+        calls.clear()
+        state, mu = mf.state_and_moment(theta)
+        # one decomposition of log sigma + theta L, and none for the state's spectrum
+        spectrum = state.spectrum()
+        assert calls == [(1, 3, 3)]
+        assert state.min_eigenvalue == spectrum[0] and np.all(np.diff(spectrum) >= 0)
+        assert abs(spectrum.sum() - 1.0) <= 1e-12
+        assert frobenius(state.eig.reconstruct() - state.matrix) <= 1e-12
+        with pytest.raises(ValueError):
+            state.eig.eigenvalues[0] = 0.0
+        assert mu == mf(theta)
+    assert frobenius(mf.state(1.0).matrix - rho.matrix) <= 1e-8
