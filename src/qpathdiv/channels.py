@@ -20,7 +20,7 @@ from .errors import (
 )
 from .linalg import eig_hermitian, hermitian_part
 from .states import DensityMatrix, check_pair, validate_density, validate_distribution
-from .transport import GeodesicKind, sandwich_operator
+from .transport import GeodesicKind, sandwich_record
 
 TP_TOL = 1e-9
 POVM_PSD_TOL = 1e-10
@@ -158,7 +158,7 @@ def sandwich_pvm(rho: DensityMatrix, sigma: DensityMatrix) -> Povm:
     exponential-path divergence of kind s as a classical divergence.
     """
     check_pair(rho, sigma, ("sigma",))
-    eig = eig_hermitian(sandwich_operator(GeodesicKind.SLD, rho, sigma))
+    eig = sandwich_record(GeodesicKind.SLD, rho, sigma).eig
     w, u = eig.eigenvalues, eig.eigenvectors
     elements = []
     start = 0

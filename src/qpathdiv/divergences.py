@@ -44,7 +44,7 @@ from .errors import (
 )
 from .linalg import SUPPORT_EPS, eig_hermitian, herm_log, hermitian_part, log_sum_exp
 from .states import DensityMatrix, check_densities, check_pair, validate_density
-from .transport import GeodesicKind, sandwich_operator, solve_direction
+from .transport import GeodesicKind, sandwich_record, solve_direction
 
 _KL_CUTOFF = 1e-15
 # Legendre maximizer: the Newton stopping tolerance on the gradient
@@ -218,12 +218,12 @@ def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Closed-form exponential-path divergence: the relative entropy for kind b,
-    else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log(sandwich_operator)."""
+    else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log F (transport.sandwich_record)."""
     check_pair(rho, sigma, ("rho", "sigma"))
     p = kind.sandwich_power
     if p is None:
         return quantum_relative_entropy(rho, sigma)
-    gen = 2.0 * herm_log(sandwich_operator(kind, rho, sigma))
+    gen = 2.0 * sandwich_record(kind, rho, sigma).eig.log()
     return float(np.trace(rho.matrix @ sigma.eig.power(p) @ gen @ sigma.eig.power(-p)).real)
 
 

@@ -104,7 +104,11 @@ class HermitianEigen:
 
     def power(self, p: float) -> np.ndarray:
         """H^p, with H^0 = I. A fractional p > 0 needs the spectrum above
-        -SUPPORT_EPS and clips it at 0; a negative p needs it above SUPPORT_EPS."""
+        -SUPPORT_EPS and clips it at 0; a negative p needs it above SUPPORT_EPS.
+        The result is kept (_kept)."""
+        return self._kept(p, self._power)
+
+    def _power(self, p: float) -> np.ndarray:
         if p == 0:
             return np.broadcast_to(np.eye(self.dim, dtype=complex), self.eigenvectors.shape).copy()
         if p < 0:
@@ -118,8 +122,16 @@ class HermitianEigen:
         return self._with_eigenvalues(d**p)
 
     def log(self) -> np.ndarray:
-        """log(H); the spectrum must lie above SUPPORT_EPS."""
-        return self._with_eigenvalues(np.log(self._positive_spectrum("log")))
+        """log(H); the spectrum must lie above SUPPORT_EPS. The result is kept (_kept)."""
+        return self._kept("log", lambda _: self._with_eigenvalues(np.log(self._positive_spectrum("log"))))
+
+    def _kept(self, key, compute: Callable) -> np.ndarray:
+        """compute(key) once per instance and key; later calls share the array, so it is read-only."""
+        kept = self.__dict__.setdefault("_kept_results", {})
+        if key not in kept:
+            kept[key] = compute(key)
+            kept[key].flags.writeable = False
+        return kept[key]
 
     def _positive_spectrum(self, what: str) -> np.ndarray:
         low = float(self.eigenvalues.min())
@@ -154,13 +166,19 @@ def eig_hermitian(h: np.ndarray) -> HermitianEigen:
         if not np.isfinite(h).all():
             raise DomainError("matrix has non-finite entries") from None
         raise
+    eig = _eigh(h)
+    check_reconstruction(eig, h)
+    return eig
+
+
+def _eigh(h: np.ndarray) -> HermitianEigen:
+    """The unchecked LAPACK step of eig_hermitian (ConvergenceFailure when it
+    does not converge); check_reconstruction must still check its result."""
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    eig = HermitianEigen(w, u)
-    check_reconstruction(eig, h)
-    return eig
+    return HermitianEigen(w, u)
 
 
 def check_reconstruction(eig: HermitianEigen, h: np.ndarray) -> None:
@@ -169,7 +187,7 @@ def check_reconstruction(eig: HermitianEigen, h: np.ndarray) -> None:
     reports the worst matrix."""
     scale = _frobenius_each(h) + 1e-300
     defect = _frobenius_each(eig.reconstruct() - h)
-    if (defect > RECONSTRUCTION_TOL * scale).any():
+    if not (defect <= RECONSTRUCTION_TOL * scale).all():  # a NaN defect fails too
         k = int(np.argmax(defect / scale))
         raise ConvergenceFailure(
             f"eigendecomposition reconstruction defect {defect.flat[k]:.3e} exceeds "

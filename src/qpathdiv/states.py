@@ -23,9 +23,9 @@ from .linalg import (
     SUPPORT_EPS,
     HermitianEigen,
     _CachedEigen,
+    _eigh,
     _in_stack,
     check_reconstruction,
-    eig_hermitian,
     frobenius,
     hermitian_part,
     require_hermitian,
@@ -154,15 +154,15 @@ def random_density(spec: RandomSpec) -> DensityMatrix:
 
     The mixing weight is the smallest one that lifts the minimum eigenvalue
     to ``spec.min_eigenvalue``; identical specs give bitwise-identical
-    matrices. The state carries the one validated decomposition it was
-    built from (state_from_eig).
+    matrices. The state carries the decomposition it was built from, and
+    state_from_eig validates it once, against the returned matrix.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     d = spec.dim
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     rho0 = g @ g.conj().T
     rho0 = hermitian_part(rho0 / np.trace(rho0).real)
-    eig = eig_hermitian(rho0)
+    eig = _eigh(rho0)
     low = float(eig.eigenvalues[0])
     floor = spec.min_eigenvalue
     if low < floor:

@@ -30,9 +30,9 @@ from . import metrics
 from .errors import DimensionMismatch, DomainError, TargetMismatch
 from .linalg import (
     HermitianEigen,
+    _CachedEigen,
     eig_hermitian,
     frobenius,
-    herm_log,
     herm_power,
     hermitian_part,
     log_sum_exp,
@@ -76,6 +76,11 @@ class Geodesic:
     direction: np.ndarray
     kind: GeodesicKind
     aux_direction: np.ndarray | None = None
+
+    @functools.cached_property
+    def aux_eig(self) -> HermitianEigen:
+        """G's decomposition; solve_direction seeds it from F's, since G = 2 log F."""
+        return eig_hermitian(self.aux_direction)
 
     @functools.cached_property
     def moment(self) -> MomentFunction:
@@ -157,7 +162,7 @@ class MomentFunction:
             self._log_sigma = eig.log()
             return
         self._outer, outer_sq, self._inner = eig.power(p), eig.power(2.0 * p), eig.power(1.0 - 2.0 * p)
-        self._gen = eig_hermitian(geodesic.aux_direction)
+        self._gen = geodesic.aux_eig
         g = self._gen.eigenvalues
         v = self._gen.eigenvectors
         self._energies = (g[:, None] + g[None, :]) / 2.0
@@ -242,19 +247,41 @@ def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:
     return geodesic.moment.state(theta)
 
 
-def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+@dataclass(frozen=True)
+class SandwichOperator:
+    """A kept, read-only sandwich operator F and its decomposition, taken on first access."""
+
+    matrix: np.ndarray
+    eig = _CachedEigen()
+
+
+def sandwich_record(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> SandwichOperator:
     """The positive F with sigma^p F sigma^{1-2p} F sigma^p = rho, where
     p = kind.sandwich_power, so that the curve's generator is 2 log F:
 
     F = sigma^{p-1/2} (sigma^{1/2-2p} rho sigma^{1/2-2p})^{1/2} sigma^{p-1/2}
+
+    F is built once per (kind, rho) and kept on sigma, so it dies with sigma.
     """
     p = kind.sandwich_power
     if p is None:
         raise DomainError(f"kind {kind.value} has no sandwich operator")
-    outer = sigma.eig.power(p - 0.5)
-    inner = sigma.eig.power(0.5 - 2.0 * p)
-    root = herm_power(hermitian_part(inner @ rho.matrix @ inner), 0.5)
-    return hermitian_part(outer @ root @ outer)
+    kept = sigma.__dict__.setdefault("_sandwiches", {})
+    key = (kind, id(rho))
+    if key not in kept:
+        outer = sigma.eig.power(p - 0.5)
+        inner = sigma.eig.power(0.5 - 2.0 * p)
+        root = herm_power(hermitian_part(inner @ rho.matrix @ inner), 0.5)
+        f = hermitian_part(outer @ root @ outer)
+        f.flags.writeable = False
+        # the entry holds rho, so no other state can take its id while sigma keeps it
+        kept[key] = (rho, SandwichOperator(f))
+    return kept[key][1]
+
+
+def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """The matrix of sandwich_record(kind, rho, sigma), read-only."""
+    return sandwich_record(kind, rho, sigma).matrix
 
 
 def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> Geodesic:
@@ -270,9 +297,12 @@ def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
     if p is None:
         direction = rho.eig.log() - sigma.eig.log()
     else:
-        gen = 2.0 * herm_log(sandwich_operator(kind, rho, sigma))
+        f = sandwich_record(kind, rho, sigma).eig
+        gen = 2.0 * f.log()
         direction = sigma.eig.power(-p) @ gen @ sigma.eig.power(p)
     g = make_geodesic(kind, sigma, hermitian_part(direction), aux_direction=gen)
+    if gen is not None:
+        g.__dict__["aux_eig"] = HermitianEigen(2.0 * np.log(f.eigenvalues), f.eigenvectors)
     defect = frobenius(e_transport(g, 1.0).matrix - rho.matrix)
     if defect > TARGET_TOL:
         raise TargetMismatch(f"transport misses the target by {defect:.3e} (tolerance {TARGET_TOL:g})")

@@ -758,21 +758,55 @@ def test_adaptive_quadrature_names_each_row_not_converged():
 
 @pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
 def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
-    from qpathdiv import transport
+    # G = 2 log F is read off F's kept decomposition, so on a fresh pair the
+    # closed form and the quadrature decompose F once and G never
+    from qpathdiv import linalg
+    from qpathdiv.transport import sandwich_operator, solve_direction
 
     rho = random_density(RandomSpec(3, 961, 0.05))
     sigma = random_density(RandomSpec(3, 962, 0.05))
-    expected = e_divergence_quadrature(kind, rho, sigma)
-    shapes = []
-    eig = transport.eig_hermitian
+    decomposed = []
+    eigh = linalg._eigh
 
     def counted(h):
-        shapes.append(h.shape)
-        return eig(h)
+        decomposed.append(np.array(h))
+        return eigh(h)
 
-    monkeypatch.setattr(transport, "eig_hermitian", counted)
-    assert e_divergence_quadrature(kind, rho, sigma) == expected
-    assert shapes == [(3, 3)]
+    monkeypatch.setattr(linalg, "_eigh", counted)
+    closed = e_divergence_closed(kind, rho, sigma)
+    quad = e_divergence_quadrature(kind, rho, sigma)
+    f = sandwich_operator(kind, rho, sigma)
+    gen = solve_direction(kind, rho, sigma).aux_direction
+    assert sum(np.array_equal(h, f) for h in decomposed) == 1
+    assert not any(np.allclose(h, gen, rtol=0.0, atol=1e-8) for h in decomposed)
+    # a repeat decomposes nothing
+    decomposed.clear()
+    assert e_divergence_closed(kind, rho, sigma) == closed
+    assert e_divergence_quadrature(kind, rho, sigma) == quad
+    assert decomposed == []
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+@pytest.mark.parametrize("first", ["closed", "quadrature", "sandwich_pvm"])
+def test_kept_sandwich_operator_leaves_e_values_bitwise_unchanged(kind, first):
+    from qpathdiv.channels import sandwich_pvm
+
+    specs = [RandomSpec(3, 971, 0.05), RandomSpec(3, 972, 1e-3), RandomSpec(3, 973, 0.0)]
+
+    def fresh():
+        return [random_density(spec) for spec in specs]
+
+    closed = [e_divergence_closed(kind, fresh()[i], fresh()[2]) for i in (0, 1)]
+    quad = [e_divergence_quadrature(kind, fresh()[i], fresh()[2]) for i in (0, 1)]
+    # two rho, one sigma: each pair keeps its own F
+    rho, other, sigma = fresh()
+    for i, r in enumerate((rho, other)):
+        if first == "sandwich_pvm":
+            sandwich_pvm(r, sigma)
+        if first == "quadrature":
+            assert e_divergence_quadrature(kind, r, sigma) == quad[i]
+        assert e_divergence_closed(kind, r, sigma) == closed[i]
+        assert e_divergence_quadrature(kind, r, sigma) == quad[i]
 
 
 def _classical_family(seed: int, alphabet: int = 5, k: int = 3) -> ExponentialFamily:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qpathdiv.errors import ConvergenceFailure, DomainError, NotHermitian
 from qpathdiv.linalg import (
+    HermitianEigen,
     apply_fn,
     eig_hermitian,
     herm_log,
@@ -252,3 +253,26 @@ def test_eig_one_pass_check_still_reports_the_asymmetry():
     assert info.value.defect == pytest.approx(2e-6, rel=1e-6)
     with pytest.raises(NotHermitian, match=r"^matrix is not Hermitian within 1e-10 \(measured defect 2\.0+e-06\)$"):
         eig_hermitian(h[3])
+
+
+def test_power_and_log_are_kept_read_only_per_instance():
+    h = random_hermitian(3, 340)
+    eig = eig_hermitian(h @ h + np.eye(3))
+    kept = [(p, eig.power(p)) for p in (0.0, 0.5, -0.5, 1.0, 2.0, -0.25)] + [("log", eig.log())]
+    for p, value in kept:
+        again = eig.log() if p == "log" else eig.power(p)
+        assert again is value and not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 0.0
+        expected = HermitianEigen(eig.eigenvalues.copy(), eig.eigenvectors.copy())
+        assert np.array_equal(value, expected.log() if p == "log" else expected.power(p))
+    assert not herm_power(h @ h, 0.5).flags.writeable
+    assert not herm_log(h @ h + np.eye(3)).flags.writeable
+
+
+def test_power_outside_its_domain_keeps_nothing():
+    eig = eig_hermitian(np.diag([1.0, 0.0]).astype(complex))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            eig.power(-0.5)
+    assert np.array_equal(eig.power(0.5), np.diag([1.0, 0.0]))

@@ -389,3 +389,28 @@ def test_state_from_eig_runs_every_density_check():
     assert info.value.defect == pytest.approx(0.1)
     with pytest.raises(InvalidShape, match="expected a square matrix"):
         state_from_eig(np.stack([m, m]), eig)
+
+
+@pytest.mark.parametrize("perturbation", [1e-6, np.nan])
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+def test_random_density_checks_the_lapack_step_once_against_the_state(monkeypatch, floor, perturbation):
+    # floor 0 never lifts the Ginibre draw; floor 0.3 at dim 3 always does;
+    # a NaN eigenvector gives a NaN reconstruction defect, which fails too
+    from qpathdiv import states
+
+    spec = RandomSpec(3, 77, floor)
+    assert (random_density(spec).min_eigenvalue >= 0.3 - 1e-12) == (floor > 0)
+    eigh = states._eigh
+    calls = []
+
+    def perturbed(h):
+        eig = eigh(h)
+        u = eig.eigenvectors.copy()
+        u[:, 0] += perturbation * u[:, 1]
+        calls.append(h.shape)
+        return HermitianEigen(eig.eigenvalues, u)
+
+    monkeypatch.setattr(states, "_eigh", perturbed)
+    with pytest.raises(ConvergenceFailure, match="reconstruction defect"):
+        random_density(spec)
+    assert calls == [(3, 3)]

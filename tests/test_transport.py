@@ -26,6 +26,7 @@ from qpathdiv.transport import (
     m_geodesic,
     make_geodesic,
     sandwich_operator,
+    sandwich_record,
     solve_auxiliary_direction,
     solve_direction,
     transport_commutation_defect,
@@ -84,6 +85,36 @@ def test_sandwich_operator_rebuilds_target(kind):
         a, b = sigma.eig.power(p), sigma.eig.power(1.0 - 2.0 * p)
         worst = max(worst, frobenius(a @ f @ b @ f @ a - rho.matrix))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_kept_sandwich_operator_and_its_decomposition_are_read_only(kind):
+    rho = random_density(RandomSpec(3, 51, 0.05))
+    sigma = random_density(RandomSpec(3, 52, 0.05))
+    record = sandwich_record(kind, rho, sigma)
+    assert sandwich_record(kind, rho, sigma) is record
+    assert sandwich_operator(kind, rho, sigma) is record.matrix
+    assert record.eig is record.eig
+    gen_eig = solve_direction(kind, rho, sigma).aux_eig
+    # G = 2 log F is read off F's decomposition: F's eigenvectors, 2 log f
+    assert gen_eig.eigenvectors is record.eig.eigenvectors
+    assert np.array_equal(gen_eig.eigenvalues, 2.0 * np.log(record.eig.eigenvalues))
+    for array in (record.matrix, record.eig.eigenvalues, record.eig.eigenvectors):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_solved_moment_matches_one_that_decomposes_g(kind, dim):
+    rho = random_density(RandomSpec(dim, 53, 1e-3))
+    sigma = random_density(RandomSpec(dim, 54, 1e-3))
+    solved = solve_direction(kind, rho, sigma)
+    rebuilt = MomentFunction(make_geodesic(kind, sigma, solved.direction, aux_direction=solved.aux_direction))
+    thetas = np.linspace(-0.5, 1.5, 9)
+    for order in (1, 2):
+        got, expected = solved.moment.derivative(thetas, order), rebuilt.derivative(thetas, order)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_sandwich_operator_wrong_kind():
