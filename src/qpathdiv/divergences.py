@@ -224,7 +224,9 @@ def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMa
     if p is None:
         return quantum_relative_entropy(rho, sigma)
     gen = 2.0 * sandwich_record(kind, rho, sigma).eig.log()
-    return float(np.trace(rho.matrix @ sigma.eig.power(p) @ gen @ sigma.eig.power(-p)).real)
+    if p:
+        gen = sigma.eig.power(p) @ gen @ sigma.eig.power(-p)
+    return float(np.trace(rho.matrix @ gen).real)
 
 
 def e_divergence_quadrature(

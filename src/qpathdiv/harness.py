@@ -50,6 +50,7 @@ from .states import (
     RandomSpec,
     commutation_defect,
     random_commuting_pair,
+    random_densities,
     random_density,
     random_direction,
     validate_density,
@@ -147,8 +148,7 @@ def default_spec(claim_id: str) -> ClaimSpec:
 
 
 def _pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
-    rho = random_density(RandomSpec(dim, derive_seed(seed, "rho"), _FLOOR))
-    sigma = random_density(RandomSpec(dim, derive_seed(seed, "sigma"), _FLOOR))
+    rho, sigma = random_densities([RandomSpec(dim, derive_seed(seed, n), _FLOOR) for n in ("rho", "sigma")])
     return rho, sigma
 
 

@@ -116,7 +116,7 @@ class HermitianEigen:
         d = self.eigenvalues
         if p != int(p):
             low = float(d.min())
-            if low < -SUPPORT_EPS:
+            if not low >= -SUPPORT_EPS:  # a NaN eigenvalue fails too
                 raise DomainError(f"power {p} undefined: eigenvalue {low:.3e} below -{SUPPORT_EPS:g}")
             d = np.maximum(d, 0.0)
         return self._with_eigenvalues(d**p)
@@ -135,7 +135,7 @@ class HermitianEigen:
 
     def _positive_spectrum(self, what: str) -> np.ndarray:
         low = float(self.eigenvalues.min())
-        if low <= SUPPORT_EPS:
+        if not low > SUPPORT_EPS:  # a NaN eigenvalue fails too
             raise DomainError(
                 f"{what} undefined: eigenvalue {low:.3e} at or below support threshold {SUPPORT_EPS:g}"
             )
@@ -207,7 +207,10 @@ class _CachedEigen:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        eig = eig_hermitian(obj.matrix)
+        return self.keep(obj, eig_hermitian(obj.matrix))
+
+    def keep(self, obj, eig: HermitianEigen) -> HermitianEigen:
+        """Make ``eig``'s arrays read-only and keep it as the decomposition of ``obj``."""
         eig.eigenvalues.flags.writeable = False
         eig.eigenvectors.flags.writeable = False
         obj.__dict__[self.name] = eig

@@ -89,7 +89,7 @@ def kernel_matrix(kind: MetricKind, eigenvalues: np.ndarray) -> np.ndarray:
     """The matrix c(d_i, d_j) over a positive spectrum; a stack (..., n) of
     spectra gives a stack (..., n, n) of kernels."""
     d = np.asarray(eigenvalues, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # a NaN eigenvalue fails too
         raise DomainError(f"kernel needs a strictly positive spectrum, min {d.min():.3e}")
     a = d[..., :, None]
     b = d[..., None, :]

@@ -7,6 +7,7 @@ state anywhere in the package).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def _hermitized_density(m: np.ndarray, tol: float) -> np.ndarray:
 def _check_psd(w: np.ndarray) -> None:
     """NotPSD unless every ascending spectrum of ``w`` (..., n) starts above -SUPPORT_EPS."""
     worst = float(w.min())
-    if worst < -SUPPORT_EPS:
+    if not worst >= -SUPPORT_EPS:  # a NaN eigenvalue fails too
         raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{SUPPORT_EPS:g}{_in_stack(-w[..., 0])}", -worst)
 
 
@@ -127,19 +128,25 @@ def state_from_eig(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:
     """The state of one matrix ``m`` whose eigendecomposition ``eig`` is
     already known: the checks of validate_density, with the PSD minimum read
     from ``eig``, and ConvergenceFailure when ``eig`` does not reconstruct the
-    hermitized ``m`` (linalg.check_reconstruction). The state keeps ``eig``,
-    read-only, as its ``.eig``, so ``full_rank`` and every matrix function of
-    the state read one spectrum."""
+    hermitized ``m`` (linalg.check_reconstruction). The state keeps ``eig``'s
+    arrays, read-only, as its ``.eig``, so ``full_rank`` and every matrix
+    function of the state read one spectrum."""
     if np.ndim(m) != 2:
         raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
+    return _states_from_eig(m, eig)[0]
+
+
+def _states_from_eig(m: np.ndarray, eig: HermitianEigen) -> list[DensityMatrix]:
+    """state_from_eig's checks, once over a matrix or a stack (k, n, n); a state per matrix."""
     h = _hermitized_density(m, DENSITY_TOL)
     check_reconstruction(eig, h)
     _check_psd(eig.eigenvalues)
-    eig.eigenvalues.flags.writeable = False
-    eig.eigenvectors.flags.writeable = False
-    state = DensityMatrix(matrix=h, min_eigenvalue=float(eig.eigenvalues[0]))
-    state.__dict__["eig"] = eig  # what DensityMatrix.eig would cache on first access
-    return state
+    parts = (h, eig.eigenvalues, eig.eigenvectors)
+    states = []
+    for hk, w, u in zip(*parts) if h.ndim == 3 else [parts]:
+        states.append(DensityMatrix(matrix=hk, min_eigenvalue=float(w[0])))
+        DensityMatrix.eig.keep(states[-1], HermitianEigen(w, u))
+    return states
 
 
 def max_mixed(dim: int) -> DensityMatrix:
@@ -155,22 +162,33 @@ def random_density(spec: RandomSpec) -> DensityMatrix:
     The mixing weight is the smallest one that lifts the minimum eigenvalue
     to ``spec.min_eigenvalue``; identical specs give bitwise-identical
     matrices. The state carries the decomposition it was built from, and
-    state_from_eig validates it once, against the returned matrix.
+    state_from_eig's checks validate it once, against the returned matrix.
     """
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    d = spec.dim
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    rho0 = g @ g.conj().T
-    rho0 = hermitian_part(rho0 / np.trace(rho0).real)
+    return random_densities([spec])[0]
+
+
+def random_densities(specs: Sequence[RandomSpec]) -> list[DensityMatrix]:
+    """random_density of each spec, all of one dim, bitwise as if alone but built
+    and checked in one pass over a (k, d, d) stack (one spec: one (d, d) matrix);
+    a failed check names the worst state by its index in ``specs``."""
+    if len({spec.dim for spec in specs}) != 1:
+        raise DimensionMismatch(f"expected specs of one dim, got dims {[spec.dim for spec in specs]}")
+    d = specs[0].dim
+    z = np.array([np.random.Generator(np.random.PCG64(s.seed)).standard_normal((2, d, d)) for s in specs])
+    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    g = g[0] if len(specs) == 1 else g
+    rho0 = g @ g.conj().swapaxes(-1, -2)
+    rho0 = hermitian_part(rho0 / np.trace(rho0, 0, -2, -1).real[..., None, None])
     eig = _eigh(rho0)
-    low = float(eig.eigenvalues[0])
-    floor = spec.min_eigenvalue
-    if low < floor:
-        # the mixture keeps the eigenvectors and maps each eigenvalue affinely
-        lam = (floor - low) / (1.0 / d - low)
-        rho0 = (1.0 - lam) * rho0 + lam * np.eye(d) / d
-        eig = HermitianEigen((1.0 - lam) * eig.eigenvalues + lam / d, eig.eigenvectors)
-    return state_from_eig(rho0, eig)
+    w, m = eig.eigenvalues.reshape(-1, d), rho0.reshape(-1, d, d)  # views, one row per state
+    for k, spec in enumerate(specs):
+        low, floor = float(w[k, 0]), spec.min_eigenvalue
+        if low < floor:
+            # the mixture keeps the eigenvectors and maps each eigenvalue affinely
+            lam = (floor - low) / (1.0 / d - low)
+            m[k] = (1.0 - lam) * m[k] + lam * np.eye(d) / d
+            w[k] = (1.0 - lam) * w[k] + lam / d
+    return _states_from_eig(rho0, eig)
 
 
 def random_direction(dim: int, seed: int) -> np.ndarray:

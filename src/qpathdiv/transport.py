@@ -31,9 +31,9 @@ from .errors import DimensionMismatch, DomainError, TargetMismatch
 from .linalg import (
     HermitianEigen,
     _CachedEigen,
+    check_reconstruction,
     eig_hermitian,
     frobenius,
-    herm_power,
     hermitian_part,
     log_sum_exp,
     point_array,
@@ -59,12 +59,10 @@ class GeodesicKind(enum.Enum):
     @property
     def sandwich_power(self) -> float | None:
         """p of the curve sigma^p F sigma^{1-2p} F sigma^p; None for kind b."""
-        return {
-            GeodesicKind.SLD: 0.0,
-            GeodesicKind.BOGOLJUBOV: None,
-            GeodesicKind.RLD: 0.5,
-            GeodesicKind.HALF: 0.25,
-        }[self]
+        return _SANDWICH_POWERS[self]
+
+
+_SANDWICH_POWERS = dict(zip(GeodesicKind, (0.0, None, 0.5, 0.25)))  # s, b, r, half
 
 
 @dataclass(frozen=True)
@@ -262,6 +260,9 @@ def sandwich_record(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
     F = sigma^{p-1/2} (sigma^{1/2-2p} rho sigma^{1/2-2p})^{1/2} sigma^{p-1/2}
 
     F is built once per (kind, rho) and kept on sigma, so it dies with sigma.
+    When the inner power is 0 (kind half), X is rho and its decomposition is
+    rho.eig; when the outer power is 0 (kind r), F = X^{1/2} and F's
+    decomposition is X's with square-rooted eigenvalues, checked against F.
     """
     p = kind.sandwich_power
     if p is None:
@@ -269,13 +270,18 @@ def sandwich_record(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
     kept = sigma.__dict__.setdefault("_sandwiches", {})
     key = (kind, id(rho))
     if key not in kept:
-        outer = sigma.eig.power(p - 0.5)
-        inner = sigma.eig.power(0.5 - 2.0 * p)
-        root = herm_power(hermitian_part(inner @ rho.matrix @ inner), 0.5)
-        f = hermitian_part(outer @ root @ outer)
+        inner_p, outer_p = 0.5 - 2.0 * p, p - 0.5
+        inner, outer = sigma.eig.power(inner_p), sigma.eig.power(outer_p)
+        x = rho.eig if inner_p == 0 else eig_hermitian(hermitian_part(inner @ rho.matrix @ inner))
+        f = hermitian_part(outer @ x.power(0.5) @ outer)
         f.flags.writeable = False
+        record = SandwichOperator(f)
+        if outer_p == 0:  # F = X^{1/2}
+            eig = HermitianEigen(np.sqrt(np.maximum(x.eigenvalues, 0.0)), x.eigenvectors)
+            check_reconstruction(eig, f)
+            SandwichOperator.eig.keep(record, eig)
         # the entry holds rho, so no other state can take its id while sigma keeps it
-        kept[key] = (rho, SandwichOperator(f))
+        kept[key] = (rho, record)
     return kept[key][1]
 
 

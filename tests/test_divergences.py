@@ -759,8 +759,12 @@ def test_adaptive_quadrature_names_each_row_not_converged():
 @pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
 def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
     # G = 2 log F is read off F's kept decomposition, so on a fresh pair the
-    # closed form and the quadrature decompose F once and G never
+    # closed form and the quadrature decompose G never; of X = s rho s with
+    # s = sigma^{1/2-2p} and F = X^{1/2} sandwiched by sigma^{p-1/2}, kind s
+    # decomposes X and F once each, kind r (F = X^{1/2}) X once and F never,
+    # and kind half (X = rho, which keeps its decomposition) F once
     from qpathdiv import linalg
+    from qpathdiv.linalg import hermitian_part
     from qpathdiv.transport import sandwich_operator, solve_direction
 
     rho = random_density(RandomSpec(3, 961, 0.05))
@@ -775,9 +779,13 @@ def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
     monkeypatch.setattr(linalg, "_eigh", counted)
     closed = e_divergence_closed(kind, rho, sigma)
     quad = e_divergence_quadrature(kind, rho, sigma)
+    inner = sigma.eig.power(0.5 - 2.0 * kind.sandwich_power)
+    x = hermitian_part(inner @ rho.matrix @ inner)
     f = sandwich_operator(kind, rho, sigma)
     gen = solve_direction(kind, rho, sigma).aux_direction
-    assert sum(np.array_equal(h, f) for h in decomposed) == 1
+    expected = {GeodesicKind.SLD: (1, 1), GeodesicKind.RLD: (1, 0), GeodesicKind.HALF: (0, 1)}[kind]
+    assert tuple(sum(np.array_equal(h, a) for h in decomposed) for a in (x, f)) == expected
+    assert not any(np.array_equal(h, rho.matrix) for h in decomposed)
     assert not any(np.allclose(h, gen, rtol=0.0, atol=1e-8) for h in decomposed)
     # a repeat decomposes nothing
     decomposed.clear()

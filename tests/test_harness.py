@@ -39,6 +39,19 @@ def test_derive_seed_stable():
     assert 0 <= derive_seed("anything") < 2**63
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_pair_states_are_the_random_density_of_their_specs(dim):
+    from qpathdiv.states import RandomSpec, random_density
+
+    for seed in range(5):
+        pair = harness._pair(dim, seed)
+        for name, state in zip(("rho", "sigma"), pair):
+            alone = random_density(RandomSpec(dim, derive_seed(seed, name), harness._FLOOR))
+            assert state.matrix.tobytes() == alone.matrix.tobytes()
+            assert state.eig.eigenvalues.tobytes() == alone.eig.eigenvalues.tobytes()
+            assert state.eig.eigenvectors.tobytes() == alone.eig.eigenvectors.tobytes()
+
+
 def test_unknown_claim():
     with pytest.raises(UnknownClaim):
         run_claim("no-such-claim", 1)

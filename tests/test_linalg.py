@@ -276,3 +276,10 @@ def test_power_outside_its_domain_keeps_nothing():
         with pytest.raises(DomainError):
             eig.power(-0.5)
     assert np.array_equal(eig.power(0.5), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("what", ["log", 0.5, -1.0])
+def test_spectral_domain_checks_fail_on_a_nan_eigenvalue(what):
+    eig = HermitianEigen(np.array([np.nan, 0.5]), np.eye(2, dtype=complex))
+    with pytest.raises(DomainError, match="undefined: eigenvalue nan"):
+        eig.log() if what == "log" else eig.power(what)

@@ -378,3 +378,8 @@ def test_fisher_mixture_kind_tuple_not_full_rank_report():
         reports.append((str(info.value), info.value.defect))
     assert reports[0] == reports[1]
     assert "t=1 has minimum eigenvalue 2.000e-13" in reports[1][0]
+
+
+def test_kernel_matrix_fails_on_a_nan_eigenvalue():
+    with pytest.raises(DomainError, match="strictly positive spectrum, min nan"):
+        kernel_matrix(SLD, np.array([np.nan, 0.5]))

@@ -25,6 +25,7 @@ from qpathdiv.states import (
     commutation_defect,
     max_mixed,
     random_commuting_pair,
+    random_densities,
     random_density,
     random_direction,
     require_full_rank,
@@ -414,3 +415,53 @@ def test_random_density_checks_the_lapack_step_once_against_the_state(monkeypatc
     with pytest.raises(ConvergenceFailure, match="reconstruction defect"):
         random_density(spec)
     assert calls == [(3, 3)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+@pytest.mark.parametrize("floors", [(0.0, 0.0), (0.05, 0.05), (1e-3, 1e-3), (0.0, 0.05), (0.05, 1e-3)])
+def test_random_densities_equal_random_density_bitwise(dim, floors):
+    for seed in range(0, 40, 2):
+        specs = [RandomSpec(dim, seed, floors[0]), RandomSpec(dim, seed + 1, floors[1])]
+        for state, spec in zip(random_densities(specs), specs):
+            alone = random_density(spec)
+            assert state.matrix.tobytes() == alone.matrix.tobytes()
+            assert state.min_eigenvalue == alone.min_eigenvalue
+            assert state.eig.eigenvalues.tobytes() == alone.eig.eigenvalues.tobytes()
+            assert state.eig.eigenvectors.tobytes() == alone.eig.eigenvectors.tobytes()
+            assert not state.eig.eigenvalues.flags.writeable and not state.eig.eigenvectors.flags.writeable
+
+
+@pytest.mark.parametrize("corrupt", [0, 1])
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+def test_random_densities_check_each_state_of_the_stack(monkeypatch, corrupt, floor):
+    from qpathdiv import states
+
+    eigh = states._eigh
+    calls = []
+
+    def perturbed(h):
+        eig = eigh(h)
+        u = eig.eigenvectors.copy()
+        u[corrupt, :, 0] += 1e-6 * u[corrupt, :, 1]
+        calls.append(h.shape)
+        return HermitianEigen(eig.eigenvalues, u)
+
+    monkeypatch.setattr(states, "_eigh", perturbed)
+    named = rf"reconstruction defect .* \(matrix {corrupt} of 2 in the stack\)"
+    with pytest.raises(ConvergenceFailure, match=named):
+        random_densities([RandomSpec(3, 78, floor), RandomSpec(3, 79, floor)])
+    assert calls == [(2, 3, 3)]
+
+
+def test_random_densities_need_one_dim():
+    with pytest.raises(DimensionMismatch, match=r"dims \[2, 3\]"):
+        random_densities([RandomSpec(2, 1), RandomSpec(3, 2)])
+    with pytest.raises(DimensionMismatch):
+        random_densities([])
+
+
+def test_psd_check_fails_on_a_nan_eigenvalue():
+    from qpathdiv import states
+
+    with pytest.raises(NotPSD, match="minimum eigenvalue nan"):
+        states._check_psd(np.array([np.nan, 0.5]))

@@ -9,7 +9,7 @@ from qpathdiv.errors import (
     NotHermitian,
     TargetMismatch,
 )
-from qpathdiv.linalg import frobenius, tensor_product
+from qpathdiv.linalg import HermitianEigen, eig_hermitian, frobenius, hermitian_part, tensor_product
 from qpathdiv.metrics import fisher_info_numeric
 from qpathdiv.states import (
     RandomSpec,
@@ -102,6 +102,39 @@ def test_kept_sandwich_operator_and_its_decomposition_are_read_only(kind):
     for array in (record.matrix, record.eig.eigenvalues, record.eig.eigenvectors):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_kind_r_keeps_f_decomposed_from_x():
+    # F = X^{1/2} with X = sigma^{-1/2} rho sigma^{-1/2}: F's decomposition is
+    # X's eigenvectors with the square roots of X's eigenvalues
+    rho = random_density(RandomSpec(4, 55, 1e-3))
+    sigma = random_density(RandomSpec(4, 56, 1e-3))
+    record = sandwich_record(GeodesicKind.RLD, rho, sigma)
+    inner = sigma.eig.power(-0.5)
+    x = eig_hermitian(hermitian_part(inner @ rho.matrix @ inner))
+    eig = record.eig
+    assert not eig.eigenvalues.flags.writeable and not eig.eigenvectors.flags.writeable
+    assert frobenius(eig.reconstruct() - record.matrix) <= 1e-10 * frobenius(record.matrix)
+    assert np.array_equal(eig.eigenvectors, x.eigenvectors)
+    assert np.allclose(2.0 * np.log(eig.eigenvalues), np.log(x.eigenvalues), rtol=0.0, atol=1e-13)
+
+
+def test_kind_half_takes_its_root_from_rho(monkeypatch):
+    rho = random_density(RandomSpec(3, 57, 0.05))
+    sigma = random_density(RandomSpec(3, 58, 0.05))
+    power = HermitianEigen.power
+    calls = []
+
+    def spied(self, p):
+        calls.append((self, p, power(self, p)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(HermitianEigen, "power", spied)
+    f = sandwich_operator(GeodesicKind.HALF, rho, sigma)
+    roots = [result for _, p, result in calls if p == 0.5]
+    assert len(roots) == 1 and roots[0] is rho.eig.power(0.5)
+    outer = sigma.eig.power(-0.25)
+    assert np.array_equal(f, hermitian_part(outer @ roots[0] @ outer))
 
 
 @pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
