@@ -42,8 +42,8 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .linalg import SUPPORT_EPS, eig_hermitian, herm_log, hermitian_part, log_sum_exp
-from .states import DensityMatrix, check_densities, check_pair, validate_density
+from .linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, herm_log, hermitian_part, log_partition
+from .states import DensityMatrix, _checked_against_eig, check_pair, state_from_eig
 from .transport import GeodesicKind, sandwich_record, solve_direction
 
 _KL_CUTOFF = 1e-15
@@ -429,17 +429,15 @@ class ExponentialFamily:
     def dim(self) -> int:
         return self.features.shape[0]
 
-    def _log_unnorm(self, theta: np.ndarray) -> np.ndarray:
+    def _log_partition(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = np.asarray(theta, dtype=float)
-        return np.log(self.base) + (theta[..., None, :] @ self.features)[..., 0, :]
+        return log_partition((theta[..., None, :] @ self.features)[..., 0, :], self.base)
 
     def moment(self, theta: np.ndarray) -> float | np.ndarray:
-        return log_sum_exp(self._log_unnorm(theta))
+        return self._log_partition(theta)[0]
 
     def distribution(self, theta: np.ndarray) -> np.ndarray:
-        z = self._log_unnorm(theta)
-        w = np.exp(z - z.max(axis=-1, keepdims=True))
-        return w / w.sum(axis=-1, keepdims=True)
+        return self._log_partition(theta)[1]
 
     def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
         return (self.features @ self.distribution(theta)[..., None])[..., 0]
@@ -500,19 +498,20 @@ class QuantumExponentialFamily:
     def moment(self, theta: np.ndarray) -> float | np.ndarray:
         # eigenvalues only, and no check: G is Hermitian by construction (real
         # theta, Hermitian basis); a stack of G is one eigvalsh call
-        return log_sum_exp(np.linalg.eigvalsh(self._generator(theta))) - np.log(self.dim)
+        return log_partition(np.linalg.eigvalsh(self._generator(theta)))[0] - np.log(self.dim)
 
-    def _densities(self, theta: np.ndarray) -> np.ndarray:
-        """exp(G - moment) from one validated eig_hermitian of G (a matrix or a stack)."""
-        eig = eig_hermitian(hermitian_part(self._generator(theta)))
-        p = np.exp(eig.eigenvalues - eig.eigenvalues.max(axis=-1, keepdims=True))
-        return eig._with_eigenvalues(p / p.sum(axis=-1, keepdims=True))
+    def _densities(self, theta: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
+        """exp(G - moment) (a matrix or a stack) and its decomposition: G's
+        eigenvectors (one validated eig_hermitian) and log_partition's weights."""
+        g = eig_hermitian(hermitian_part(self._generator(theta)))
+        eig = HermitianEigen(log_partition(g.eigenvalues)[1], g.eigenvectors)
+        return eig.reconstruct(), eig
 
     def state(self, theta: np.ndarray) -> DensityMatrix:
-        return validate_density(self._densities(theta))
+        return state_from_eig(*self._densities(theta))
 
     def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
-        return self._coordinates(check_densities(self._densities(theta))[0])
+        return self._coordinates(_checked_against_eig(*self._densities(theta)))
 
     def mixture_coordinates(self, state: DensityMatrix) -> np.ndarray:
         """eta_i = Tr rho X_i."""

@@ -43,11 +43,12 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import ConfigError, InvalidShape, QPathDivError, UnknownClaim
-from .linalg import eig_hermitian, herm_log, hermitian_part, tensor_product
+from .linalg import eig_hermitian, herm_log, tensor_product
 from .metrics import BOGOLJUBOV, HALF, RLD, SLD, fisher_info_mixture, fisher_info_numeric
 from .states import (
     DensityMatrix,
     RandomSpec,
+    _state_in_basis,
     commutation_defect,
     random_commuting_pair,
     random_densities,
@@ -501,18 +502,23 @@ def _commuting_reduction(dim: int, seed: int):
 _NEAR_BOUNDARY_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10)
 
 
+def _pinned(base: DensityMatrix, floor: float) -> DensityMatrix:
+    """base with its smallest eigenvalue pinned at ``floor`` and the others
+    scaled to keep the trace, in base's eigenbasis."""
+    w = base.eig.eigenvalues
+    return _state_in_basis(base.eig.eigenvectors, np.concatenate([[floor], w[1:] * ((1.0 - floor) / w[1:].sum())]))
+
+
 @_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=18, tolerance=1e-9, mode="equality")
 def _near_boundary(dim: int, seed: int):
     # every trial runs all floors; the smallest eigenvalue of rho is pinned at
     # the floor in the shared eigenbasis (random_commuting_pair's floor only lifts)
     base, sigma = random_commuting_pair(dim, seed, _FLOOR)
     u = base.eig.eigenvectors
-    w = base.eig.eigenvalues
     q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
     defects = []
     for floor in _NEAR_BOUNDARY_FLOORS:
-        w_pinned = np.concatenate([[floor], w[1:] * ((1.0 - floor) / w[1:].sum())])
-        rho = validate_density(hermitian_part((u * w_pinned) @ u.conj().T))
+        rho = _pinned(base, floor)
         kl = classical_kl(np.diagonal(u.conj().T @ rho.matrix @ u).real, q)
         values = [value for value, _ in m_divergence_detail(_METRIC_KINDS, rho, sigma)]
         for kind in _GEODESIC_KINDS:

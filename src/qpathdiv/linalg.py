@@ -74,11 +74,14 @@ def point_array(x: float | np.ndarray, name: str) -> np.ndarray:
     return xs
 
 
-def log_sum_exp(x: np.ndarray) -> float | np.ndarray:
-    """log sum exp(x) over the last axis (one value per row of a stack), with
-    the largest entry factored out so nothing overflows."""
-    top = x.max(axis=-1)
-    return top + np.log(np.sum(np.exp(x - top[..., None]), axis=-1))
+def log_partition(z: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """mu = log sum_i w_i exp(z_i) over the last axis, a mu per row of a stack (w = 1 when ``weights``
+    is None), and the normalized weights w_i exp(z_i - mu). The largest z is factored out, so
+    nothing overflows, and zero weights are allowed."""
+    top = z.max(axis=-1, keepdims=True)
+    p = np.exp(z - top) if weights is None else weights * np.exp(z - top)
+    total = p.sum(axis=-1, keepdims=True)
+    return (top + np.log(total))[..., 0], p / total
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,9 +106,9 @@ class HermitianEigen:
         return self._with_eigenvalues(self.eigenvalues)
 
     def power(self, p: float) -> np.ndarray:
-        """H^p, with H^0 = I. A fractional p > 0 needs the spectrum above
-        -SUPPORT_EPS and clips it at 0; a negative p needs it above SUPPORT_EPS.
-        The result is kept (_kept)."""
+        """H^p, with H^0 = I. An integer p > 0 needs a finite spectrum; a
+        fractional p > 0 needs it above -SUPPORT_EPS and clips it at 0; a
+        negative p needs it above SUPPORT_EPS. The result is kept (_kept)."""
         return self._kept(p, self._power)
 
     def _power(self, p: float) -> np.ndarray:
@@ -119,6 +122,8 @@ class HermitianEigen:
             if not low >= -SUPPORT_EPS:  # a NaN eigenvalue fails too
                 raise DomainError(f"power {p} undefined: eigenvalue {low:.3e} below -{SUPPORT_EPS:g}")
             d = np.maximum(d, 0.0)
+        elif not np.isfinite(d).all():
+            raise DomainError(f"power {p} undefined: eigenvalue {d[~np.isfinite(d)].flat[0]:.3e} is not finite")
         return self._with_eigenvalues(d**p)
 
     def log(self) -> np.ndarray:

@@ -77,24 +77,9 @@ class RandomSpec:
             )
 
 
-def check_densities(m: np.ndarray, tol: float = DENSITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Check the density-matrix invariants of a matrix, or of every matrix in
-    a stack (..., n, n); return the hermitized matrices and the minimum
-    eigenvalue of each.
-
-    Raises InvalidShape for a non-finite entry, and NotHermitian /
-    TraceNotOne / NotPSD naming the violated invariant with the measured
-    defect; on a stack the message names the worst matrix.
-    """
-    h = _hermitized_density(m, tol)
-    w = np.linalg.eigvalsh(h)
-    _check_psd(w)
-    return h, w[..., 0]
-
-
 def _hermitized_density(m: np.ndarray, tol: float) -> np.ndarray:
-    """The checks of check_densities before PSD (shape, finite, Hermitian,
-    trace); returns the hermitized matrices."""
+    """The density-matrix checks before PSD (shape, finite, Hermitian, trace) of a matrix or a stack
+    (..., n, n), with the measured defect and the worst matrix named; the hermitized matrices."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvalidShape(f"expected a nonempty square matrix or a stack of them, got shape {m.shape}")
@@ -116,12 +101,14 @@ def _check_psd(w: np.ndarray) -> None:
 
 
 def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
-    """Check the density-matrix invariants (check_densities) of one matrix
-    and wrap the hermitized matrix."""
+    """Check the density-matrix invariants of one matrix whose spectrum is not
+    known, PSD by an eigvalsh minimum, and wrap the hermitized matrix."""
     if np.ndim(m) != 2:
         raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
-    h, low = check_densities(m, tol)
-    return DensityMatrix(matrix=h, min_eigenvalue=float(low))
+    h = _hermitized_density(m, tol)
+    w = np.linalg.eigvalsh(h)
+    _check_psd(w)
+    return DensityMatrix(matrix=h, min_eigenvalue=float(w[0]))
 
 
 def state_from_eig(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:
@@ -136,17 +123,30 @@ def state_from_eig(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:
     return _states_from_eig(m, eig)[0]
 
 
-def _states_from_eig(m: np.ndarray, eig: HermitianEigen) -> list[DensityMatrix]:
-    """state_from_eig's checks, once over a matrix or a stack (k, n, n); a state per matrix."""
+def _checked_against_eig(m: np.ndarray, eig: HermitianEigen) -> np.ndarray:
+    """state_from_eig's checks, once over a matrix or a stack (k, n, n); the hermitized matrices."""
     h = _hermitized_density(m, DENSITY_TOL)
     check_reconstruction(eig, h)
     _check_psd(eig.eigenvalues)
-    parts = (h, eig.eigenvalues, eig.eigenvectors)
+    return h
+
+
+def _states_from_eig(m: np.ndarray, eig: HermitianEigen) -> list[DensityMatrix]:
+    """A state per matrix of ``m`` (a matrix or a stack), after _checked_against_eig."""
+    parts = (_checked_against_eig(m, eig), eig.eigenvalues, eig.eigenvectors)
     states = []
-    for hk, w, u in zip(*parts) if h.ndim == 3 else [parts]:
+    for hk, w, u in zip(*parts) if np.ndim(m) == 3 else [parts]:
         states.append(DensityMatrix(matrix=hk, min_eigenvalue=float(w[0])))
         DensityMatrix.eig.keep(states[-1], HermitianEigen(w, u))
     return states
+
+
+def _state_in_basis(u: np.ndarray, w: np.ndarray) -> DensityMatrix:
+    """The state U diag(w) U^* of an orthonormal basis ``u`` and a spectrum
+    ``w`` in any order, built by state_from_eig from w sorted ascending and
+    u's columns permuted to match."""
+    order = np.argsort(w)
+    return state_from_eig((u * w) @ u.conj().T, HermitianEigen(w[order], u[:, order]))
 
 
 def max_mixed(dim: int) -> DensityMatrix:
@@ -225,11 +225,7 @@ def random_commuting_pair(
             w = (1.0 - lam) * w + lam / dim
         return w
 
-    states = []
-    for _ in range(2):
-        w = spectrum()
-        states.append(validate_density(hermitian_part((q * w) @ q.conj().T)))
-    return states[0], states[1]
+    return _state_in_basis(q, spectrum()), _state_in_basis(q, spectrum())
 
 
 def not_full_rank(name: str, low: float) -> NotFullRank:

@@ -35,7 +35,7 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     hermitian_part,
-    log_sum_exp,
+    log_partition,
     point_array,
     require_hermitian,
 )
@@ -161,49 +161,42 @@ class MomentFunction:
             return
         self._outer, outer_sq, self._inner = eig.power(p), eig.power(2.0 * p), eig.power(1.0 - 2.0 * p)
         self._gen = geodesic.aux_eig
-        g = self._gen.eigenvalues
-        v = self._gen.eigenvectors
-        self._energies = (g[:, None] + g[None, :]) / 2.0
-        self._weights = ((v.conj().T @ self._inner @ v) * (v.conj().T @ outer_sq @ v).T).real
+        g, v = self._gen.eigenvalues, self._gen.eigenvectors
+        # pairs (i, j) flattened, so each theta is one row of log_partition
+        self._energies = ((g[:, None] + g[None, :]) / 2.0).reshape(-1)
+        self._weights = ((v.conj().T @ self._inner @ v) * (v.conj().T @ outer_sq @ v).T).real.reshape(-1)
 
-    def _log_spectrum(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kind b: eigenpairs (h, U) of log sigma + theta L and mu, each
-        stacked over ths, from one validated eigendecomposition."""
+    def _log_spectrum(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Kind b: eigenpairs (h, U) of log sigma + theta L, mu and the state's spectrum
+        exp(h - mu), each stacked over ths, from one validated eigendecomposition."""
         eig = eig_hermitian(hermitian_part(self._log_sigma + ths[:, None, None] * self._direction))
-        return eig.eigenvalues, eig.eigenvectors, log_sum_exp(eig.eigenvalues)
+        return eig.eigenvalues, eig.eigenvectors, *log_partition(eig.eigenvalues)
 
     def _log_partition(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kinds s, r, half: mu and the normalized weights over eigenpairs,
-        each stacked over ths."""
-        z = ths[:, None, None] * self._energies
-        top = z.max(axis=(1, 2))
-        p = self._weights * np.exp(z - top[:, None, None])
-        total = p.sum(axis=(1, 2))
-        return top + np.log(total), p / total[:, None, None]
+        """mu and the normalized weights over pairs (kinds s, r, half) or eigenvalues (b), stacked over ths."""
+        if self._p is None:
+            return self._log_spectrum(ths)[2:]
+        return log_partition(ths[:, None] * self._energies, self._weights)
 
     def __call__(self, theta: float) -> float:
-        ths = point_array(float(theta), "theta")
-        if self._p is None:
-            return float(self._log_spectrum(ths)[2][0])
-        return float(self._log_partition(ths)[0][0])
+        return float(self._log_partition(point_array(float(theta), "theta"))[0][0])
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
-        ths = point_array(float(theta), "theta")
-        if self._p is None:
-            h, u, mu = (x[0] for x in self._log_spectrum(ths))
-            eig = HermitianEigen(np.exp(h - mu), u)
-            return state_from_eig(eig.reconstruct(), eig), float(mu)
-        g = self._gen.eigenvalues
-        u = self._gen.eigenvectors
-        top = float(np.max(theta * g))
-        f = (u * np.exp((theta * g - top) / 2.0)) @ u.conj().T
-        a = self._outer
-        t = a @ f @ self._inner @ f @ a
-        tau = float(np.trace(t).real)
-        return validate_density(hermitian_part(t / tau)), float(np.log(tau) + top)
+        """The state at theta and mu(theta), bitwise this function's value."""
+        if self._p is not None:
+            return self.state(theta), self(theta)
+        _, u, mu, p = (x[0] for x in self._log_spectrum(point_array(float(theta), "theta")))
+        eig = HermitianEigen(p, u)
+        return state_from_eig(eig.reconstruct(), eig), float(mu)
 
     def state(self, theta: float) -> DensityMatrix:
-        return self.state_and_moment(theta)[0]
+        if self._p is None:
+            return self.state_and_moment(theta)[0]
+        z = point_array(float(theta), "theta")[0] * self._gen.eigenvalues
+        a, u = self._outer, self._gen.eigenvectors
+        f = (u * np.exp((z - z.max()) / 2.0)) @ u.conj().T
+        t = a @ f @ self._inner @ f @ a
+        return validate_density(hermitian_part(t / float(np.trace(t).real)))
 
     def derivative(self, theta: float | np.ndarray, order: int) -> float | np.ndarray:
         """mu' (order 1) or mu'' (order 2) at theta, in closed form.
@@ -219,16 +212,16 @@ class MomentFunction:
             values = self._kubo_mori(ths, order)
         else:
             _, p = self._log_partition(ths)
-            values = np.sum(p * self._energies, axis=(1, 2))
+            values = np.sum(p * self._energies, axis=1)
             if order == 2:
-                values = np.sum(p * (self._energies - values[:, None, None]) ** 2, axis=(1, 2))
+                values = np.sum(p * (self._energies - values[:, None]) ** 2, axis=1)
         return float(values[0]) if np.ndim(theta) == 0 else values
 
     def _kubo_mori(self, ths: np.ndarray, order: int) -> np.ndarray:
         """Kind b: mu' (the mean of L) or mu'' (its Kubo-Mori variance) at each theta of ths."""
-        h, u, mu = self._log_spectrum(ths)
+        h, u, mu, p = self._log_spectrum(ths)
         lp = u.conj().swapaxes(-1, -2) @ self._direction @ u
-        mean = np.sum(np.exp(h - mu[:, None]) * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
+        mean = np.sum(p * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
         if order == 1:
             return mean
         # the larger exponent is factored out, so nothing overflows

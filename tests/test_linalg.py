@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +13,7 @@ from qpathdiv.linalg import (
     herm_log,
     herm_power,
     hermitian_part,
-    log_sum_exp,
+    log_partition,
     require_hermitian,
     tensor_product,
 )
@@ -224,11 +226,22 @@ def test_eig_stack_reports_worst_reconstruction_defect(monkeypatch):
         eig_hermitian(h)
 
 
-def test_log_sum_exp_stack_matches_rows():
-    x = np.array([[0.1, -2.0, 3.5], [800.0, 799.0, -5.0]])
-    rows = [log_sum_exp(row) for row in x]
-    assert np.array_equal(log_sum_exp(x), np.array(rows))
-    assert rows[1] == 800.0 + np.log(1.0 + np.exp(-1.0) + np.exp(-805.0))
+def test_log_partition_stack_matches_rows():
+    z = np.array([[0.1, -2.0, 3.5], [800.0, 799.0, -5.0], [-1000.0, 1000.0, 0.0]])
+    weights = np.array([[0.5, 0.0, 2.0], [0.0, 1.0, 3.0], [0.0, 1.0, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, and a zero weight takes no log
+        for w in (None, weights):
+            mu, p = log_partition(z, w)
+            rows = [log_partition(row, None if w is None else w[k]) for k, row in enumerate(z)]
+            assert np.array_equal(mu, [row[0] for row in rows])
+            assert np.array_equal(p, [row[1] for row in rows])
+            assert mu.shape == (3,) and np.isfinite(mu).all() and np.allclose(p.sum(axis=-1), 1.0)
+    assert rows[1][0] == 799.0 + np.log(1.0 + 3.0 * np.exp(-804.0))
+    assert rows[1][1][0] == 0.0 and rows[2][1][0] == 0.0
+    mu, p = log_partition(z[2])
+    assert mu == 1000.0 and np.array_equal(p, [0.0, 1.0, 0.0])  # exp(-1000) underflows to 0
+    assert log_partition(z)[0][1] == 800.0 + np.log(1.0 + np.exp(-1.0) + np.exp(-805.0))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -278,7 +291,7 @@ def test_power_outside_its_domain_keeps_nothing():
     assert np.array_equal(eig.power(0.5), np.diag([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("what", ["log", 0.5, -1.0])
+@pytest.mark.parametrize("what", ["log", 0.5, -1.0, 1.0, 2.0])
 def test_spectral_domain_checks_fail_on_a_nan_eigenvalue(what):
     eig = HermitianEigen(np.array([np.nan, 0.5]), np.eye(2, dtype=complex))
     with pytest.raises(DomainError, match="undefined: eigenvalue nan"):

@@ -17,11 +17,11 @@ from qpathdiv.errors import (
     NotPSD,
     TraceNotOne,
 )
-from qpathdiv.linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, hermitian_part
+from qpathdiv.linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, frobenius, hermitian_part
 from qpathdiv.metrics import SLD, e_to_m
 from qpathdiv.states import (
     RandomSpec,
-    check_densities,
+    _states_from_eig,
     commutation_defect,
     max_mixed,
     random_commuting_pair,
@@ -193,18 +193,20 @@ def _state_stack(n: int, dim: int, seed: int) -> np.ndarray:
     return np.stack([random_density(RandomSpec(dim, seed + i, 0.05)).matrix for i in range(n)])
 
 
-def test_check_densities_stack_matches_validate_density():
+def test_states_from_eig_stack_matches_validate_density():
     stack = _state_stack(3, 3, 800)
-    h, low = check_densities(stack)
+    eig = eig_hermitian(stack)
+    states = _states_from_eig(stack, eig)
     for k in range(len(stack)):
         single = validate_density(stack[k])
-        assert np.array_equal(h[k], single.matrix)
-        assert low[k] == np.linalg.eigvalsh(single.matrix).min()
-    h_one, low_one = check_densities(stack[0])
-    assert np.array_equal(h_one, h[0]) and low_one.shape == ()
+        assert np.array_equal(states[k].matrix, single.matrix)
+        assert states[k].min_eigenvalue == eig.eigenvalues[k, 0]
+        assert states[k].eig.eigenvalues.tobytes() == eig.eigenvalues[k].tobytes()
+    (one,) = _states_from_eig(stack[0], eig_hermitian(stack[0]))
+    assert np.array_equal(one.matrix, states[0].matrix)
 
 
-def test_check_densities_names_the_bad_matrix_of_a_stack():
+def test_stacked_checks_name_the_bad_matrix_of_a_stack():
     good = _state_stack(3, 2, 810)
     cases = [
         (NotHermitian, 1e-6, lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-6)),
@@ -215,7 +217,7 @@ def test_check_densities_names_the_bad_matrix_of_a_stack():
         stack = good.copy()
         corrupt(stack[1])
         with pytest.raises(error, match=r"\(matrix 1 of 3 in the stack\)") as info:
-            check_densities(stack)
+            _states_from_eig(stack, linalg._eigh(hermitian_part(stack)))
         assert info.value.defect == pytest.approx(defect, rel=1e-6)
         with pytest.raises(error) as single:
             validate_density(stack[1])
@@ -224,13 +226,13 @@ def test_check_densities_names_the_bad_matrix_of_a_stack():
     stack = good.copy()
     stack[2, 1, 0] = np.inf
     with pytest.raises(InvalidShape, match=r"non-finite entries \(matrix 2 of 3 in the stack\)"):
-        check_densities(stack)
+        _states_from_eig(stack, eig_hermitian(good))
 
 
-def test_check_densities_reports_the_worst_matrix():
+def test_stacked_checks_report_the_worst_matrix():
     stack = np.stack([np.diag([1.05, -0.05]), np.diag([0.5, 0.5]), np.diag([1.2, -0.2])]).astype(complex)
     with pytest.raises(NotPSD, match=r"-2\.000e-01 below .*\(matrix 2 of 3 in the stack\)"):
-        check_densities(stack)
+        _states_from_eig(stack, eig_hermitian(stack))
 
 
 def test_validate_density_rejects_a_stack_and_an_empty_matrix():
@@ -238,7 +240,7 @@ def test_validate_density_rejects_a_stack_and_an_empty_matrix():
         validate_density(_state_stack(2, 2, 820))
     for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
         with pytest.raises(InvalidShape, match=r"nonempty square matrix .* got shape \((3, )?0, 0\)"):
-            check_densities(empty)
+            _states_from_eig(empty, HermitianEigen(np.zeros(empty.shape[:-1]), empty))
     with pytest.raises(InvalidShape):
         validate_density(np.zeros((0, 0)))
 
@@ -366,6 +368,45 @@ def test_states_built_from_their_decomposition_agree_on_full_rank_and_log():
             assert state.full_rank
             judged_full_rank += 1
     assert 0 < judged_full_rank < 2000
+
+
+def _family_state(dim: int, seed: int):
+    from qpathdiv.divergences import QuantumExponentialFamily
+
+    family = QuantumExponentialFamily(dim)
+    return family.state(np.random.Generator(np.random.PCG64(seed)).uniform(-0.8, 0.8, family.k))
+
+
+def _pinned_states(dim: int, seed: int):
+    from qpathdiv.harness import _NEAR_BOUNDARY_FLOORS, _pinned
+
+    base, _ = random_commuting_pair(dim, seed, 0.05)
+    return [_pinned(base, floor) for floor in _NEAR_BOUNDARY_FLOORS]
+
+
+_SPECTRUM_BUILDERS = {
+    "family-state": lambda dim, seed: [_family_state(dim, seed)],
+    "commuting-pair": lambda dim, seed: list(random_commuting_pair(dim, seed, 0.05)),
+    "pinned-near-boundary": _pinned_states,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+@pytest.mark.parametrize("builder", sorted(_SPECTRUM_BUILDERS))
+def test_states_built_from_their_spectrum_decompose_nothing_more(monkeypatch, builder, dim):
+    states = [state for seed in (3, 4, 5) for state in _SPECTRUM_BUILDERS[builder](dim, seed)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state with a known spectrum was decomposed again")
+
+    monkeypatch.setattr(linalg, "_eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for state in states:
+        eig = state.eig
+        assert state.full_rank and state.min_eigenvalue == eig.eigenvalues[0]
+        assert np.all(np.diff(eig.eigenvalues) >= 0) and not eig.eigenvalues.flags.writeable
+        assert frobenius(eig.reconstruct() - state.matrix) <= 1e-12
+        assert np.isfinite(eig.log()).all()
 
 
 def test_state_from_eig_runs_every_density_check():

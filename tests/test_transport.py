@@ -458,6 +458,15 @@ def test_derivative_array_matches_scalar_bitwise(kind, dim, order):
     assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == singles[0]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_state_and_moment_returns_the_moment_bitwise(kind, dim):
+    # one log-partition: the moment that comes with a state is mf(theta), bit for bit
+    mf = _solved_moment(kind, dim, 231)
+    for theta in np.concatenate([np.linspace(-2.0, 3.0, 11), np.polynomial.legendre.leggauss(5)[0]]):
+        assert mf.state_and_moment(float(theta))[1] == mf(float(theta))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivative_rejects_malformed_theta(kind):
     mf = _solved_moment(kind, 2, 201)
