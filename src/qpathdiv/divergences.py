@@ -43,7 +43,7 @@ from .errors import (
     SupportViolation,
 )
 from .linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, herm_log, hermitian_part, log_partition
-from .states import DensityMatrix, _checked_against_eig, check_pair, state_from_eig
+from .states import DensityMatrix, _checked_basis, check_pair, require_full_rank, state_from_basis
 from .transport import GeodesicKind, sandwich_record, solve_direction
 
 _KL_CUTOFF = 1e-15
@@ -126,6 +126,7 @@ def adaptive_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
     config: QuadratureConfig = QuadratureConfig(),
     labels: tuple[str, ...] = (),
+    open_rows: np.ndarray | None = None,
 ) -> tuple:
     """Integrate f over [0, 1] by nested tanh-sinh quadrature until
     successive estimates agree to rel_tol; returns (value, nodes used).
@@ -149,7 +150,9 @@ def adaptive_gauss_legendre(
     the first level where it converges; later calls still evaluate it, but
     its values are not read. The result is then (the k (value, nodes) pairs,
     nodes of the last estimate), and ``labels`` names the rows that did not
-    converge.
+    converge. ``open_rows``, a boolean array with one entry per row, is
+    cleared at each row as it freezes, so an integrand that holds it may
+    skip the frozen rows.
     """
     level = _first_level(config.nodes)
     nodes, weights, offsets = _ts_levels(level)
@@ -170,6 +173,8 @@ def adaptive_gauss_legendre(
             cur, gap = estimate(i)
             if gap <= config.rel_tol * max(1.0, abs(cur)):
                 done[i] = (cur, _ts_nodes(level))
+                if open_rows is not None:
+                    open_rows[i] = False
         rows = [i for i in rows if i not in done]
         if not rows or _ts_nodes(level + 1) > config.max_nodes:
             break
@@ -258,14 +263,62 @@ def m_divergence_detail(
     the mixture states: each integrand call decomposes them once for every
     kind, and each kind keeps its own node count and value.
     """
-    check_pair(rho, sigma, ("rho", "sigma"))
+    return m_divergences(kind, [(rho, sigma)], config)[0]
+
+
+def m_divergences(
+    kind: metrics.MetricKind | tuple[metrics.MetricKind, ...],
+    pairs: list[tuple[DensityMatrix, DensityMatrix]],
+    config: QuadratureConfig = QuadratureConfig(),
+) -> list:
+    """m_divergence_detail of each (rho, sigma) in ``pairs``, each bitwise as
+    if alone, from one quadrature per dim (_m_rows). With more than one
+    pair, NotFullRank and QuadratureNotConverged name the pair by its index
+    in ``pairs``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    pairs, _ = adaptive_gauss_legendre(
-        lambda t: t * metrics.fisher_info_mixture(rho, sigma, kinds, t),
-        config,
-        tuple(f"m_{k.label()}" for k in kinds),
-    )
-    return pairs if isinstance(kind, tuple) else pairs[0]
+    one = len(pairs) == 1
+    for k, (rho, sigma) in enumerate(pairs):
+        if one:
+            check_pair(rho, sigma, ("rho", "sigma"))
+        else:
+            check_pair(rho, sigma)
+            require_full_rank(rho, f"rho of pair {k}")
+            require_full_rank(sigma, f"sigma of pair {k}")
+    out: list = [None] * len(pairs)
+    for dim in dict.fromkeys(rho.dim for rho, _ in pairs):
+        numbers = [k for k, (rho, _) in enumerate(pairs) if rho.dim == dim]
+        rows = _m_rows(kinds, [pairs[k] for k in numbers], None if one else numbers, config)
+        for j, k in enumerate(numbers):
+            out[k] = rows[j * len(kinds) : (j + 1) * len(kinds)]
+    return out if isinstance(kind, tuple) else [rows[0] for rows in out]
+
+
+def _m_rows(
+    kinds: tuple[metrics.MetricKind, ...],
+    pairs: list[tuple[DensityMatrix, DensityMatrix]],
+    numbers: list[int] | None,
+    config: QuadratureConfig,
+) -> tuple:
+    """The (value, nodes) of each pair x kind, pairs of one dim, from one
+    adaptive_gauss_legendre call whose rows are pair x kind. Each integrand
+    call decomposes the mixture states of every pair that still has an open
+    row as one stack (metrics._segment_info); the rows of a pair whose rows
+    have all frozen are left at zero, and never read. ``numbers`` names the
+    pairs in errors, None for one pair."""
+    open_rows = np.ones(len(pairs) * len(kinds), dtype=bool)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        live = np.flatnonzero(open_rows.reshape(len(pairs), -1).any(axis=1))
+        if len(live) == len(pairs):
+            return (t * metrics._segment_info(pairs, kinds, t, numbers)).reshape(-1, t.size)
+        names = None if numbers is None else [numbers[k] for k in live]
+        values = np.zeros((len(pairs), len(kinds), t.size))
+        values[live] = t * metrics._segment_info([pairs[k] for k in live], kinds, t, names)
+        return values.reshape(-1, t.size)
+
+    of = [""] if numbers is None else [f" of pair {k}" for k in numbers]
+    labels = tuple(f"m_{k.label()}{name}" for name in of for k in kinds)
+    return adaptive_gauss_legendre(integrand, config, labels, open_rows)[0]
 
 
 def m_divergence(
@@ -508,10 +561,10 @@ class QuantumExponentialFamily:
         return eig.reconstruct(), eig
 
     def state(self, theta: np.ndarray) -> DensityMatrix:
-        return state_from_eig(*self._densities(theta))
+        return state_from_basis(*self._densities(theta))
 
     def mean_parameters(self, theta: np.ndarray) -> np.ndarray:
-        return self._coordinates(_checked_against_eig(*self._densities(theta)))
+        return self._coordinates(_checked_basis(*self._densities(theta)))
 
     def mixture_coordinates(self, state: DensityMatrix) -> np.ndarray:
         """eta_i = Tr rho X_i."""

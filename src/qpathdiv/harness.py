@@ -3,8 +3,10 @@ asserts, as replayable pass/fail claims.
 
 Each claim derives an independent pseudo-random stream from
 (global seed, claim id, trial index) via SHA-256, so claims can run in any
-order or in parallel without changing a single trial. The worst trial of
-every claim is recorded as a witness that can be replayed standalone.
+order or in parallel without changing a single trial. Trials of one dim run
+in batches, and each gives bit for bit what a batch of that trial alone
+gives. The worst trial of every claim is recorded as a witness that can be
+replayed standalone.
 
 Claim modes:
   equality        worst_slack = max defect over trials; pass iff <= tolerance
@@ -39,6 +41,7 @@ from .divergences import (
     legendre_model,
     m_divergence,
     m_divergence_detail,
+    m_divergences,
     quantum_relative_entropy,
     von_neumann_entropy,
 )
@@ -68,6 +71,9 @@ _FLOOR = 0.05
 _STRICT_GAP = 1e-6
 _NONCOMMUTING = 1e-8
 _TIGHT_QUADRATURE = QuadratureConfig(nodes=64, rel_tol=1e-12, max_nodes=1024)
+# the most trials of one dim in a batch: every default claim runs one batch per
+# dim, and a claim's memory stays bounded whatever trial count a config sets
+_BATCH_TRIALS = 256
 
 _GEODESIC_KINDS = (GeodesicKind.SLD, GeodesicKind.BOGOLJUBOV, GeodesicKind.RLD, GeodesicKind.HALF)
 _METRIC_KINDS = (SLD, BOGOLJUBOV, RLD, HALF)
@@ -117,17 +123,23 @@ class ClaimRecord:
         return out
 
 
-# registry entry: (default spec, trial function, optional extra check)
-# trial(dim, trial_seed) -> (measure, extras); must be a pure function of
-# its arguments so witnesses replay exactly.
+# registry entry: (default spec, batch function, optional extra check)
+# batch(dim, trial_seeds) -> one (measure, extras) per seed, in seed order,
+# each bitwise what a batch of that seed alone gives; it must be a pure
+# function of its arguments so witnesses replay exactly.
 _TrialFn = Callable[[int, int], tuple[float, dict]]
-_REGISTRY: dict[str, tuple[ClaimSpec, _TrialFn, Callable | None]] = {}
+_BatchFn = Callable[[int, list[int]], list[tuple[float, dict]]]
+_REGISTRY: dict[str, tuple[ClaimSpec, _BatchFn, Callable | None]] = {}
 
 
-def _register(claim_id, dims, trials, tolerance, mode, extra_check=None):
-    def deco(fn: _TrialFn) -> _TrialFn:
+def _register(claim_id, dims, trials, tolerance, mode, extra_check=None, batched=False):
+    """Register a batch function, or with ``batched`` False a trial function
+    trial(dim, trial_seed) -> (measure, extras), run once per seed."""
+
+    def deco(fn):
         spec = ClaimSpec(claim_id, tuple(dims), trials, tolerance, mode)
-        _REGISTRY[claim_id] = (spec, fn, extra_check)
+        batch = fn if batched else lambda dim, seeds: [fn(dim, seed) for seed in seeds]
+        _REGISTRY[claim_id] = (spec, batch, extra_check)
         return fn
 
     return deco
@@ -137,7 +149,7 @@ def registered_claims() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def _registered(claim_id: str) -> tuple[ClaimSpec, _TrialFn, Callable | None]:
+def _registered(claim_id: str) -> tuple[ClaimSpec, _BatchFn, Callable | None]:
     """The registry entry of a claim; UnknownClaim when there is none."""
     if claim_id not in _REGISTRY:
         raise UnknownClaim(f"no claim registered under {claim_id!r}")
@@ -149,29 +161,53 @@ def default_spec(claim_id: str) -> ClaimSpec:
 
 
 def _pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
-    rho, sigma = random_densities([RandomSpec(dim, derive_seed(seed, n), _FLOOR) for n in ("rho", "sigma")])
-    return rho, sigma
+    return _pairs(dim, [seed])[0]
+
+
+def _pairs(dim: int, seeds: list[int]) -> list[tuple[DensityMatrix, DensityMatrix]]:
+    """_pair of each seed, all drawn by one random_densities call."""
+    specs = [RandomSpec(dim, derive_seed(seed, name), _FLOOR) for seed in seeds for name in ("rho", "sigma")]
+    states = random_densities(specs)
+    return list(zip(states[::2], states[1::2]))
+
+
+def _batch_results(batch: _BatchFn, dim: int, seeds: list[int]) -> list[tuple[float, dict, bool]]:
+    """(measure, extras, refused) of each seed's trial. A batch that raises a
+    QPathDivError runs again one seed at a time, so each refused trial keeps
+    its own error and the others their values."""
+    try:
+        return [(value, extras, False) for value, extras in batch(dim, seeds)]
+    except InvalidShape:
+        raise  # dims the claim cannot take: a config error whatever the draw
+    except QPathDivError as exc:
+        # a trial the library refuses measures NaN; any other exception is a bug
+        if len(seeds) > 1:
+            return [result for seed in seeds for result in _batch_results(batch, dim, [seed])]
+        return [(math.nan, {"error": f"{type(exc).__name__}: {exc}"}, True)]
 
 
 def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: ClaimSpec | None = None) -> ClaimRecord:
-    """Execute one registered claim; deterministic given (claim, seed)."""
-    default, trial_fn, extra_check = _registered(claim_id)
+    """Execute one registered claim; deterministic given (claim, seed). The
+    trials of each dim run in batches of up to _BATCH_TRIALS, and their
+    results are read in trial order."""
+    default, batch, extra_check = _registered(claim_id)
     spec = spec or default
     best_for_mode = max if spec.mode != "inequality" else min
     worst = -math.inf if spec.mode != "inequality" else math.inf
     witness: dict = {}
     extras_list: list[dict] = []
+    trials_of: dict[int, list[int]] = {}
     for t in range(spec.trials):
-        dim = spec.dims[t % len(spec.dims)]
-        trial_seed = derive_seed(global_seed, spec.id, dim, t)
-        try:
-            value, extras = trial_fn(dim, trial_seed)
-        except InvalidShape:
-            raise  # dims the claim cannot take: a config error whatever the draw
-        except QPathDivError as exc:
-            # a trial the library refuses measures NaN; any other exception is a bug
-            value, extras = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
-        else:
+        trials_of.setdefault(spec.dims[t % len(spec.dims)], []).append(t)
+    results: list = [None] * spec.trials
+    for dim, trials_of_dim in trials_of.items():
+        for start in range(0, len(trials_of_dim), _BATCH_TRIALS):
+            trials = trials_of_dim[start : start + _BATCH_TRIALS]
+            seeds = [derive_seed(global_seed, spec.id, dim, t) for t in trials]
+            for t, seed, result in zip(trials, seeds, _batch_results(batch, dim, seeds)):
+                results[t] = (dim, seed, *result)
+    for t, (dim, trial_seed, value, extras, refused) in enumerate(results):
+        if not refused:
             extras_list.append(extras)
         # a NaN measure is never beaten: the first one is the witness and fails the claim
         if not math.isnan(worst) and (math.isnan(value) or best_for_mode(value, worst) == value):
@@ -202,10 +238,11 @@ def run_claim(claim_id: str, global_seed: int = DEFAULT_GLOBAL_SEED, spec: Claim
 
 
 def replay_witness(claim_id: str, witness: dict) -> float:
-    """Re-run the recorded worst trial; returns the recomputed measure, or
-    raises again the error that a witness with an ``error`` entry recorded."""
-    _, trial_fn, _ = _registered(claim_id)
-    value, _extras = trial_fn(int(witness["dim"]), int(witness["seed"]))
+    """Re-run the recorded worst trial as a batch of one; returns the
+    recomputed measure, or raises again the error that a witness with an
+    ``error`` entry recorded."""
+    _, batch, _ = _registered(claim_id)
+    ((value, _extras),) = batch(int(witness["dim"]), [int(witness["seed"])])
     return value
 
 
@@ -245,21 +282,29 @@ def _relative_entropy_closed_form(dim: int, seed: int):
     return abs(via_path - direct), {"value": direct}
 
 
-@_register("m-path-bogoljubov-matches-relative-entropy", dims=(2, 3, 4), trials=201, tolerance=1e-6, mode="equality")
-def _m_b_matches_d(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    d = quantum_relative_entropy(rho, sigma)
-    m = m_divergence(BOGOLJUBOV, rho, sigma)
-    return abs(m - d), {"relative_entropy": d, "m_path": m}
+@_register(
+    "m-path-bogoljubov-matches-relative-entropy",
+    dims=(2, 3, 4),
+    trials=201,
+    tolerance=1e-6,
+    mode="equality",
+    batched=True,
+)
+def _m_b_matches_d(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    ds = [quantum_relative_entropy(rho, sigma) for rho, sigma in pairs]
+    ms = [m for m, _ in m_divergences(BOGOLJUBOV, pairs)]
+    return [(abs(m - d), {"relative_entropy": d, "m_path": m}) for d, m in zip(ds, ms)]
 
 
-@_register("rld-identity-e-m-bs", dims=(2, 3, 4), trials=201, tolerance=1e-6, mode="equality")
-def _rld_identity(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    bar = bs_divergence(rho, sigma)
-    e_r = e_divergence_closed(GeodesicKind.RLD, rho, sigma)
-    m_r = m_divergence(RLD, rho, sigma)
-    return max(abs(e_r - bar), abs(m_r - bar)), {"bs": bar, "e_path": e_r, "m_path": m_r}
+@_register("rld-identity-e-m-bs", dims=(2, 3, 4), trials=201, tolerance=1e-6, mode="equality", batched=True)
+def _rld_identity(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    closed = [(bs_divergence(rho, sigma), e_divergence_closed(GeodesicKind.RLD, rho, sigma)) for rho, sigma in pairs]
+    return [
+        (max(abs(e_r - bar), abs(m_r - bar)), {"bs": bar, "e_path": e_r, "m_path": m_r})
+        for (bar, e_r), (m_r, _) in zip(closed, m_divergences(RLD, pairs))
+    ]
 
 
 def _chain_genericity(spec: ClaimSpec, extras_list: list[dict]):
@@ -311,44 +356,55 @@ def _e_additivity(dim: int, seed: int):
     return worst, {"joint_values": values}
 
 
-@_register("m-path-monotonicity", dims=(2, 3, 4), trials=500, tolerance=1e-7, mode="inequality")
-def _m_monotonicity(dim: int, seed: int):
-    style = seed % 4
-    if style == 0:
-        rho, sigma = _pair(4, seed)
-        keep = "A" if seed % 2 == 0 else "B"
-        out_rho = partial_trace(rho, (2, 2), keep)
-        out_sigma = partial_trace(sigma, (2, 2), keep)
-        channel_desc = f"partial-trace-keep-{keep}"
-    else:
-        rho, sigma = _pair(dim, seed)
-        kraus_count = (1, 2, 4)[style - 1]
-        channel = random_channel(dim, dim, kraus_count, derive_seed(seed, "channel"))
-        out_rho = apply_channel(channel, rho)
-        out_sigma = apply_channel(channel, sigma)
-        channel_desc = f"random-kraus-{kraus_count}"
-    before = m_divergence_detail(_METRIC_KINDS, rho, sigma)
-    after = m_divergence_detail(_METRIC_KINDS, out_rho, out_sigma)
-    worst = math.inf
-    for (b, _), (a, _) in zip(before, after):
-        worst = min(worst, b - a)
-    return worst, {"channel": channel_desc}
+@_register("m-path-monotonicity", dims=(2, 3, 4), trials=500, tolerance=1e-7, mode="inequality", batched=True)
+def _m_monotonicity(dim: int, seeds: list[int]):
+    # style 0 (seed % 4) traces a dim-4 pair down to one qubit whatever the dim
+    pair_dims = [4 if seed % 4 == 0 else dim for seed in seeds]
+    drawn = {d: iter(_pairs(d, [s for s, e in zip(seeds, pair_dims) if e == d])) for d in set(pair_dims)}
+    before, after, descs = [], [], []
+    for seed, pair_dim in zip(seeds, pair_dims):
+        rho, sigma = next(drawn[pair_dim])
+        style = seed % 4
+        if style == 0:
+            keep = "A" if seed % 2 == 0 else "B"
+            out_rho = partial_trace(rho, (2, 2), keep)
+            out_sigma = partial_trace(sigma, (2, 2), keep)
+            descs.append(f"partial-trace-keep-{keep}")
+        else:
+            kraus_count = (1, 2, 4)[style - 1]
+            channel = random_channel(dim, dim, kraus_count, derive_seed(seed, "channel"))
+            out_rho = apply_channel(channel, rho)
+            out_sigma = apply_channel(channel, sigma)
+            descs.append(f"random-kraus-{kraus_count}")
+        before.append((rho, sigma))
+        after.append((out_rho, out_sigma))
+    out = []
+    for rows_before, rows_after, desc in zip(
+        m_divergences(_METRIC_KINDS, before), m_divergences(_METRIC_KINDS, after), descs
+    ):
+        worst = math.inf
+        for (b, _), (a, _) in zip(rows_before, rows_after):
+            worst = min(worst, b - a)
+        out.append((worst, {"channel": desc}))
+    return out
 
 
-@_register("rld-m-path-dominates", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality")
-def _rld_dominates(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    (top, _), *rest = m_divergence_detail((RLD, SLD, BOGOLJUBOV, HALF), rho, sigma)
-    worst = min(top - value for value, _ in rest)
-    return worst, {"rld_value": top}
+@_register("rld-m-path-dominates", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality", batched=True)
+def _rld_dominates(dim: int, seeds: list[int]):
+    out = []
+    for (top, _), *rest in m_divergences((RLD, SLD, BOGOLJUBOV, HALF), _pairs(dim, seeds)):
+        out.append((min(top - value for value, _ in rest), {"rld_value": top}))
+    return out
 
 
-@_register("sld-m-path-below-relative-entropy", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality")
-def _sld_below_d(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
-    d = quantum_relative_entropy(rho, sigma)
-    m_s = m_divergence(SLD, rho, sigma)
-    return d - m_s, {"relative_entropy": d, "m_path_sld": m_s}
+@_register(
+    "sld-m-path-below-relative-entropy", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality", batched=True
+)
+def _sld_below_d(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    ds = [quantum_relative_entropy(rho, sigma) for rho, sigma in pairs]
+    ms = [m_s for m_s, _ in m_divergences(SLD, pairs)]
+    return [(d - m_s, {"relative_entropy": d, "m_path_sld": m_s}) for d, m_s in zip(ds, ms)]
 
 
 @_register("sandwich-pvm-achieves-s-divergence", dims=(2, 3, 4), trials=201, tolerance=1e-8, mode="equality")
@@ -384,26 +440,35 @@ _register("transport-commutation-counterexample-r", dims=(2,), trials=60, tolera
 )
 
 
-def _gap_trial(path_divergence: Callable[[DensityMatrix, DensityMatrix], float], above: bool) -> _TrialFn:
+def _gap_trial(path_divergences: Callable[[list], list[float]], above: bool) -> _BatchFn:
     """The gap between D and a path divergence that lies ``above`` it (the
-    path divergence minus D) or below it (D minus the path divergence)."""
+    path divergence minus D) or below it (D minus the path divergence);
+    ``path_divergences`` maps a list of pairs to their values."""
 
-    def trial(dim: int, seed: int) -> tuple[float, dict]:
-        rho, sigma = _pair(dim, seed)
-        d, value = quantum_relative_entropy(rho, sigma), path_divergence(rho, sigma)
-        return (value - d if above else d - value), {}
+    def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
+        pairs = _pairs(dim, seeds)
+        ds = [quantum_relative_entropy(rho, sigma) for rho, sigma in pairs]
+        return [((value - d if above else d - value), {}) for d, value in zip(ds, path_divergences(pairs))]
 
-    return trial
+    return batch
 
 
-for _claim_id, _path_divergence, _above in (
-    ("e-path-gap-counterexample-s", lambda rho, sigma: e_divergence_closed(GeodesicKind.SLD, rho, sigma), False),
-    ("e-path-gap-counterexample-r", lambda rho, sigma: e_divergence_closed(GeodesicKind.RLD, rho, sigma), True),
-    ("m-path-gap-counterexample-s", lambda rho, sigma: m_divergence(SLD, rho, sigma), False),
-    ("m-path-gap-counterexample-r", lambda rho, sigma: m_divergence(RLD, rho, sigma), True),
+def _e_closed_each(kind: GeodesicKind) -> Callable[[list], list[float]]:
+    return lambda pairs: [e_divergence_closed(kind, rho, sigma) for rho, sigma in pairs]
+
+
+def _m_each(kind: metrics.MetricKind) -> Callable[[list], list[float]]:
+    return lambda pairs: [value for value, _ in m_divergences(kind, pairs)]
+
+
+for _claim_id, _path_divergences, _above in (
+    ("e-path-gap-counterexample-s", _e_closed_each(GeodesicKind.SLD), False),
+    ("e-path-gap-counterexample-r", _e_closed_each(GeodesicKind.RLD), True),
+    ("m-path-gap-counterexample-s", _m_each(SLD), False),
+    ("m-path-gap-counterexample-r", _m_each(RLD), True),
 ):
-    _register(_claim_id, dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")(
-        _gap_trial(_path_divergence, _above)
+    _register(_claim_id, dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample", batched=True)(
+        _gap_trial(_path_divergences, _above)
     )
 
 
@@ -479,24 +544,30 @@ def _exp_family_kl(dim: int, seed: int):
     return abs(via_model - via_kl), {"kl": via_kl}
 
 
-@_register("commuting-reduction", dims=(2, 3, 4), trials=100, tolerance=1e-10, mode="equality")
-def _commuting_reduction(dim: int, seed: int):
-    rho, sigma = random_commuting_pair(dim, seed, _FLOOR)
-    # simultaneous eigenbasis from a generic combination (spectra stay matched)
-    eig = eig_hermitian(rho.matrix + 0.618 * sigma.matrix)
-    u = eig.eigenvectors
-    p = np.diagonal(u.conj().T @ rho.matrix @ u).real
-    q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
-    kl = classical_kl(p, q)
-    values = [
-        quantum_relative_entropy(rho, sigma),
-        bs_divergence(rho, sigma),
-    ]
-    for kind in _GEODESIC_KINDS:
-        values.append(e_divergence_closed(kind, rho, sigma))
-    values += [value for value, _ in m_divergence_detail(_METRIC_KINDS, rho, sigma, _TIGHT_QUADRATURE)]
-    worst = max(abs(v - kl) for v in values)
-    return worst, {"classical_kl": kl}
+@_register("commuting-reduction", dims=(2, 3, 4), trials=100, tolerance=1e-10, mode="equality", batched=True)
+def _commuting_reduction(dim: int, seeds: list[int]):
+    pairs, closed = [], []
+    for seed in seeds:
+        rho, sigma = random_commuting_pair(dim, seed, _FLOOR)
+        # simultaneous eigenbasis from a generic combination (spectra stay matched)
+        eig = eig_hermitian(rho.matrix + 0.618 * sigma.matrix)
+        u = eig.eigenvectors
+        p = np.diagonal(u.conj().T @ rho.matrix @ u).real
+        q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
+        kl = classical_kl(p, q)
+        values = [
+            quantum_relative_entropy(rho, sigma),
+            bs_divergence(rho, sigma),
+        ]
+        for kind in _GEODESIC_KINDS:
+            values.append(e_divergence_closed(kind, rho, sigma))
+        pairs.append((rho, sigma))
+        closed.append((values, kl))
+    out = []
+    for (values, kl), rows in zip(closed, m_divergences(_METRIC_KINDS, pairs, _TIGHT_QUADRATURE)):
+        worst = max(abs(v - kl) for v in values + [value for value, _ in rows])
+        out.append((worst, {"classical_kl": kl}))
+    return out
 
 
 _NEAR_BOUNDARY_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10)

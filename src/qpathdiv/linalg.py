@@ -200,6 +200,19 @@ def check_reconstruction(eig: HermitianEigen, h: np.ndarray) -> None:
         )
 
 
+def check_unitary(u: np.ndarray) -> None:
+    """ConvergenceFailure when a basis U (a matrix or a stack) misses U^* U = I
+    by more than RECONSTRUCTION_TOL in Frobenius norm; the message reports
+    the worst matrix."""
+    defect = _frobenius_each(_adjoint(u) @ u - np.eye(u.shape[-1]))
+    if not (defect <= RECONSTRUCTION_TOL).all():  # a NaN defect fails too
+        k = int(np.argmax(defect))
+        raise ConvergenceFailure(
+            f"eigenvector basis is not unitary: U^* U misses I by {defect.flat[k]:.3e}, "
+            f"more than {RECONSTRUCTION_TOL:g}{_in_stack(defect)}"
+        )
+
+
 class _CachedEigen:
     """Descriptor for an instance's read-only ``eig_hermitian(matrix)``, taken
     on first access and then kept in the instance. It lives in the spectral

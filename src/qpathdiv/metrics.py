@@ -161,30 +161,47 @@ def fisher_info_mixture(
     A nonempty tuple of kinds adds a leading axis, one row of J_t per kind:
     the kinds share the decomposition and differ only in the kernel.
     """
-    check_pair(rho, sigma)
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not kinds:
-        raise InvalidShape("need at least one metric kind")
-    ts = point_array(t, "t")
-    # exactly Hermitian, since rho and sigma are and the weights are real
-    mt = (1.0 - ts)[:, None, None] * rho.matrix + ts[:, None, None] * sigma.matrix
-    eig = eig_hermitian(mt)
-    low = eig.eigenvalues[:, 0]
-    if np.any(low <= SUPPORT_EPS):
-        i = int(np.argmax(low <= SUPPORT_EPS))
-        raise not_full_rank(f"mixture state at t={ts[i]:g}", float(low[i]))
-    u = eig.eigenvectors
-    n = rho.dim
-    # Delta U_k for every node k as one (n, nodes n) product, then U_k^* (Delta U_k)
-    du = ((sigma.matrix - rho.matrix) @ u.transpose(1, 0, 2).reshape(n, -1)).reshape(n, ts.size, n)
-    dp = u.conj().swapaxes(-1, -2) @ du.transpose(1, 0, 2)
-    dp2 = dp.real**2 + dp.imag**2
-    rows = np.array(
-        [np.sum((dp2 / kernel_matrix(k, eig.eigenvalues)).reshape(ts.size, -1), axis=1) for k in kinds]
-    )
+    rows = _segment_info([(rho, sigma)], kind if isinstance(kind, tuple) else (kind,), t)[0]
     if isinstance(kind, tuple):
         return rows if np.ndim(t) else rows[:, 0]
     return rows[0] if np.ndim(t) else float(rows[0, 0])
+
+
+def _segment_info(
+    pairs: list[tuple[DensityMatrix, DensityMatrix]],
+    kinds: tuple[MetricKind, ...],
+    t: float | np.ndarray,
+    numbers: list[int] | None = None,
+) -> np.ndarray:
+    """fisher_info_mixture of each pair, all of one dim, at each t: a view
+    (pairs, kinds, t). Every pair is checked (check_pair), and the stack of
+    all (pairs, t) mixture states is decomposed by one validated
+    eig_hermitian; each pair's rows are bitwise those of a call on it alone.
+    ``numbers`` names the pairs in a NotFullRank ("of pair k"), None for a
+    call whose one pair needs no name."""
+    for rho, sigma in pairs:
+        check_pair(rho, sigma)
+    if not kinds:
+        raise InvalidShape("need at least one metric kind")
+    ts = point_array(t, "t")
+    p, m, n = len(pairs), ts.size, pairs[0][0].dim
+    rho = np.array([rho.matrix for rho, _ in pairs])
+    sigma = np.array([sigma.matrix for _, sigma in pairs])
+    # exactly Hermitian, since rho and sigma are and the weights are real
+    mt = (1.0 - ts)[:, None, None] * rho[:, None] + ts[:, None, None] * sigma[:, None]
+    eig = eig_hermitian(mt.reshape(p * m, n, n))
+    low = eig.eigenvalues[:, 0]
+    if np.any(low <= SUPPORT_EPS):
+        first = int(np.argmax(low <= SUPPORT_EPS))
+        of = "" if numbers is None else f" of pair {numbers[first // m]}"
+        raise not_full_rank(f"mixture state{of} at t={ts[first % m]:g}", float(low[first]))
+    u = eig.eigenvectors.reshape(p, m, n, n)
+    # Delta U_k for every node k as one (n, nodes n) product per pair, then U_k^* (Delta U_k)
+    du = ((sigma - rho) @ u.transpose(0, 2, 1, 3).reshape(p, n, m * n)).reshape(p, n, m, n)
+    dp = u.conj().swapaxes(-1, -2) @ du.transpose(0, 2, 1, 3)
+    dp2 = (dp.real**2 + dp.imag**2).reshape(p * m, n, n)
+    rows = np.array([np.sum((dp2 / kernel_matrix(k, eig.eigenvalues)).reshape(p * m, -1), axis=1) for k in kinds])
+    return rows.reshape(len(kinds), p, m).swapaxes(0, 1)
 
 
 def fisher_info_numeric(family: Callable[[float], DensityMatrix], theta: float, kind: MetricKind) -> float:

@@ -27,6 +27,7 @@ from .linalg import (
     _eigh,
     _in_stack,
     check_reconstruction,
+    check_unitary,
     frobenius,
     hermitian_part,
     require_hermitian,
@@ -123,6 +124,16 @@ def state_from_eig(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:
     return _states_from_eig(m, eig)[0]
 
 
+def state_from_basis(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:
+    """state_from_eig of a matrix ``m`` built as U diag(w) U^* from ``eig``'s
+    own basis and spectrum: such an ``m`` matches ``eig`` by construction, so
+    ConvergenceFailure comes from a basis that is not unitary
+    (linalg.check_unitary) in place of the reconstruction check."""
+    if np.ndim(m) != 2:
+        raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
+    return _states_from_eig(m, eig, _checked_basis)[0]
+
+
 def _checked_against_eig(m: np.ndarray, eig: HermitianEigen) -> np.ndarray:
     """state_from_eig's checks, once over a matrix or a stack (k, n, n); the hermitized matrices."""
     h = _hermitized_density(m, DENSITY_TOL)
@@ -131,9 +142,17 @@ def _checked_against_eig(m: np.ndarray, eig: HermitianEigen) -> np.ndarray:
     return h
 
 
-def _states_from_eig(m: np.ndarray, eig: HermitianEigen) -> list[DensityMatrix]:
-    """A state per matrix of ``m`` (a matrix or a stack), after _checked_against_eig."""
-    parts = (_checked_against_eig(m, eig), eig.eigenvalues, eig.eigenvectors)
+def _checked_basis(m: np.ndarray, eig: HermitianEigen) -> np.ndarray:
+    """state_from_basis's checks, once over a matrix or a stack (k, n, n); the hermitized matrices."""
+    h = _hermitized_density(m, DENSITY_TOL)
+    check_unitary(eig.eigenvectors)
+    _check_psd(eig.eigenvalues)
+    return h
+
+
+def _states_from_eig(m: np.ndarray, eig: HermitianEigen, checked=_checked_against_eig) -> list[DensityMatrix]:
+    """A state per matrix of ``m`` (a matrix or a stack), after ``checked(m, eig)``."""
+    parts = (checked(m, eig), eig.eigenvalues, eig.eigenvectors)
     states = []
     for hk, w, u in zip(*parts) if np.ndim(m) == 3 else [parts]:
         states.append(DensityMatrix(matrix=hk, min_eigenvalue=float(w[0])))
@@ -143,10 +162,10 @@ def _states_from_eig(m: np.ndarray, eig: HermitianEigen) -> list[DensityMatrix]:
 
 def _state_in_basis(u: np.ndarray, w: np.ndarray) -> DensityMatrix:
     """The state U diag(w) U^* of an orthonormal basis ``u`` and a spectrum
-    ``w`` in any order, built by state_from_eig from w sorted ascending and
+    ``w`` in any order, built by state_from_basis from w sorted ascending and
     u's columns permuted to match."""
     order = np.argsort(w)
-    return state_from_eig((u * w) @ u.conj().T, HermitianEigen(w[order], u[:, order]))
+    return state_from_basis((u * w) @ u.conj().T, HermitianEigen(w[order], u[:, order]))
 
 
 def max_mixed(dim: int) -> DensityMatrix:
@@ -181,13 +200,18 @@ def random_densities(specs: Sequence[RandomSpec]) -> list[DensityMatrix]:
     rho0 = hermitian_part(rho0 / np.trace(rho0, 0, -2, -1).real[..., None, None])
     eig = _eigh(rho0)
     w, m = eig.eigenvalues.reshape(-1, d), rho0.reshape(-1, d, d)  # views, one row per state
-    for k, spec in enumerate(specs):
-        low, floor = float(w[k, 0]), spec.min_eigenvalue
-        if low < floor:
-            # the mixture keeps the eigenvectors and maps each eigenvalue affinely
-            lam = (floor - low) / (1.0 / d - low)
-            m[k] = (1.0 - lam) * m[k] + lam * np.eye(d) / d
-            w[k] = (1.0 - lam) * w[k] + lam / d
+    lows = w[:, 0].tolist()
+    lift = [k for k, spec in enumerate(specs) if lows[k] < spec.min_eigenvalue]
+    if lift:
+        # a slice when every state lifts: a pair costs no more than a loop over its two states
+        rows = slice(None) if len(lift) == len(specs) else lift
+        floors = np.array([specs[k].min_eigenvalue for k in lift])
+        # the mixture keeps the eigenvectors and maps each eigenvalue affinely
+        low = w[rows, 0]
+        lam = ((floors - low) / (1.0 / d - low))[:, None]
+        keep, shift = 1.0 - lam, lam / d
+        m[rows] = keep[..., None] * m[rows] + shift[..., None] * np.eye(d)
+        w[rows] = keep * w[rows] + shift
     return _states_from_eig(rho0, eig)
 
 

@@ -39,7 +39,7 @@ from .linalg import (
     point_array,
     require_hermitian,
 )
-from .states import DensityMatrix, check_pair, require_full_rank, state_from_eig, validate_density
+from .states import DensityMatrix, check_pair, require_full_rank, state_from_basis, validate_density
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
@@ -187,7 +187,7 @@ class MomentFunction:
             return self.state(theta), self(theta)
         _, u, mu, p = (x[0] for x in self._log_spectrum(point_array(float(theta), "theta")))
         eig = HermitianEigen(p, u)
-        return state_from_eig(eig.reconstruct(), eig), float(mu)
+        return state_from_basis(eig.reconstruct(), eig), float(mu)
 
     def state(self, theta: float) -> DensityMatrix:
         if self._p is None:

@@ -19,6 +19,7 @@ from qpathdiv.divergences import (
     legendre_model,
     m_divergence,
     m_divergence_detail,
+    m_divergences,
     quantum_relative_entropy,
     traceless_hermitian_basis,
     von_neumann_entropy,
@@ -935,3 +936,53 @@ def test_quantum_dual_stacks_at_most_2k_matrices_and_one_eig_per_hessian(monkeyp
     assert all(eig_shapes[i] == (6, 2, 2) for i in hessians)
     assert set(eig_shapes) == {(2, 2), (6, 2, 2)}
 
+
+
+def test_m_divergences_refine_only_the_open_pairs(monkeypatch):
+    from qpathdiv import metrics
+
+    def pair(dim, seed, floor):
+        return random_density(RandomSpec(dim, seed, floor)), random_density(RandomSpec(dim, seed + 1000, floor))
+
+    # the dim-3 pair at seed 116 refines kinds s and r to 113 nodes, the dim-2 pair
+    # at seed 901 every kind; the pairs near I/3 settle at 57 nodes
+    settled = [pair(3, 500 + k, 0.3) for k in range(3)]
+    pairs = [settled[0], pair(3, 116, 1e-3), settled[1], pair(2, 901, 0.05), settled[2]]
+    alone = [m_divergence_detail(tuple(ALL_METRIC), *p) for p in pairs]
+    assert [[nodes for _, nodes in rows] for rows in alone] == [
+        [57] * 4, [113, 57, 113, 57], [57] * 4, [113] * 4, [57] * 4
+    ]
+    stacks = []
+    eig = metrics.eig_hermitian
+
+    def counted_eig(h):
+        stacks.append(h.shape[0])
+        return eig(h)
+
+    monkeypatch.setattr(metrics, "eig_hermitian", counted_eig)
+    assert m_divergences(tuple(ALL_METRIC), pairs) == alone
+    # one quadrature per dim, in order of first appearance; a refining level
+    # decomposes the mixture states of the one open pair only
+    assert stacks == [4 * 57, 56, 57, 56]
+    assert m_divergences(BOGOLJUBOV, pairs) == [m_divergence_detail(BOGOLJUBOV, *p) for p in pairs]
+
+
+def test_m_divergences_name_the_pair_in_errors():
+    good = (random_density(RandomSpec(2, 1, 0.05)), random_density(RandomSpec(2, 2, 0.05)))
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    with pytest.raises(NotFullRank, match=r"^sigma of pair 1 has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+        m_divergences(SLD, [good, (good[0], thin)])
+    with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+        m_divergences(SLD, [(good[0], thin)])
+    # within 57 nodes the pair at seed 1 converges and those at seeds 2 and 4 do not
+    config = QuadratureConfig(nodes=16, rel_tol=1e-8, max_nodes=57)
+    pairs = [(random_density(RandomSpec(2, s, 1e-3)), random_density(RandomSpec(2, s + 1000, 1e-3))) for s in (1, 2, 4)]
+    lone = []
+    for rho, sigma in pairs[1:]:
+        with pytest.raises(QuadratureNotConverged) as info:
+            m_divergence_detail(SLD, rho, sigma, config)
+        lone.append(str(info.value))
+        assert re.fullmatch(r"m_s: estimates still differ by \S+ at 57 nodes", lone[-1])
+    with pytest.raises(QuadratureNotConverged) as info:
+        m_divergences(SLD, pairs, config)
+    assert str(info.value) == "; ".join(m.replace("m_s:", f"m_s of pair {k}:") for k, m in enumerate(lone, 1))

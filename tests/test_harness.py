@@ -119,23 +119,26 @@ def test_nan_measure_fails_claim(monkeypatch, mode):
     # trial 1 returns NaN between finite measures; it must be the witness
     measures = iter([1e-12, math.nan, 1e-12, math.nan])
     spec = ClaimSpec("nan-probe", (2,), 4, 1e-6, mode)
-    monkeypatch.setitem(harness._REGISTRY, "nan-probe", (spec, lambda dim, seed: (next(measures), {}), None))
+    batch = lambda dim, seeds: [(next(measures), {}) for _ in seeds]  # noqa: E731
+    monkeypatch.setitem(harness._REGISTRY, "nan-probe", (spec, batch, None))
     record = run_claim("nan-probe", 1)
     assert not record.passed
     assert math.isnan(record.worst_slack)
     assert record.witness["trial"] == 1
 
 
-def _raising_probe(monkeypatch, mode, error):
-    """Register ``raise-probe``: trial 1 raises ``error``, the others measure 1e-12."""
+def _raising_probe(monkeypatch, mode, error, extra_check=None):
+    """Register ``raise-probe``, a batch function: a batch that holds trial 1
+    raises ``error``, and trial t measures 1e-12 * (t + 1)."""
+    measures = {derive_seed(1, "raise-probe", 2, t): 1e-12 * (t + 1) for t in range(4)}
 
-    def trial(dim, seed):
-        if seed == derive_seed(1, "raise-probe", 2, 1):
+    def batch(dim, seeds):
+        if derive_seed(1, "raise-probe", 2, 1) in seeds:
             raise error
-        return 1e-12, {"ok": True}
+        return [(measures[seed], {"ok": True, "measure": measures[seed]}) for seed in seeds]
 
     spec = ClaimSpec("raise-probe", (2,), 4, 1e-6, mode)
-    monkeypatch.setitem(harness._REGISTRY, "raise-probe", (spec, trial, None))
+    monkeypatch.setitem(harness._REGISTRY, "raise-probe", (spec, batch, extra_check))
 
 
 @pytest.mark.parametrize("mode", ["equality", "inequality", "counterexample"])
@@ -149,6 +152,21 @@ def test_raising_trial_fails_claim(monkeypatch, mode):
     assert record.witness["error"] == "QuadratureNotConverged: m_s: no agreement at 449 nodes"
     with pytest.raises(QuadratureNotConverged, match="no agreement at 449 nodes"):
         replay_witness("raise-probe", record.witness)
+
+
+def test_raising_trial_in_a_batch_keeps_the_other_trials(monkeypatch):
+    # the batch of four raises; run again one seed at a time, only trial 1 is refused
+    seen = []
+
+    def extra_check(spec, extras_list):
+        seen.extend(extras_list)
+        return True, {}
+
+    _raising_probe(monkeypatch, "equality", QuadratureNotConverged("m_s of pair 1"), extra_check)
+    record = run_claim("raise-probe", 1)
+    assert [e["measure"] for e in seen] == [1e-12, 3e-12, 4e-12]
+    assert record.witness["trial"] == 1
+    assert record.witness["error"] == "QuadratureNotConverged: m_s of pair 1"
 
 
 def test_raising_trial_is_reported_by_verify(monkeypatch, tmp_path, capsys):
@@ -288,3 +306,47 @@ def test_theorem2_suite_small():
         "m-path-gap-counterexample-r",
     ):
         assert by_id[claim_id].worst_slack > 1e-3
+
+
+BATCHED_CLAIMS = (
+    "m-path-monotonicity",
+    "rld-m-path-dominates",
+    "sld-m-path-below-relative-entropy",
+    "m-path-bogoljubov-matches-relative-entropy",
+    "rld-identity-e-m-bs",
+    "commuting-reduction",
+    "m-path-gap-counterexample-s",
+    "m-path-gap-counterexample-r",
+    "e-path-gap-counterexample-s",
+    "e-path-gap-counterexample-r",
+)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("claim_id", BATCHED_CLAIMS)
+def test_batch_equals_batches_of_one_bitwise(claim_id, dim):
+    # eight consecutive seeds take every m-path-monotonicity style, so a batch
+    # mixes its dim-4 partial-trace pairs with pairs of the batch's dim
+    _, batch, _ = harness._registered(claim_id)
+    seeds = list(range(4000, 4008))
+    together = batch(dim, seeds)
+    assert len(together) == len(seeds)
+    assert repr(together) == repr([batch(dim, [seed])[0] for seed in seeds])
+
+
+def test_batches_hold_at_most_batch_trials(monkeypatch):
+    claim_id = "rld-m-path-dominates"
+    spec = dataclasses.replace(default_spec(claim_id), trials=14)
+    whole = run_claim(claim_id, 3, spec)
+    _, batch, _ = harness._registered(claim_id)
+    sizes = []
+
+    def counted(dim, seeds):
+        sizes.append((dim, len(seeds)))
+        return batch(dim, seeds)
+
+    monkeypatch.setitem(harness._REGISTRY, claim_id, (default_spec(claim_id), counted, None))
+    monkeypatch.setattr(harness, "_BATCH_TRIALS", 3)
+    assert run_claim(claim_id, 3, spec) == whole
+    # seven trials of each dim, in batches of 3, 3 and 1
+    assert sizes == [(2, 3), (2, 3), (2, 1), (3, 3), (3, 3), (3, 1)]

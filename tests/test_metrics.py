@@ -383,3 +383,35 @@ def test_fisher_mixture_kind_tuple_not_full_rank_report():
 def test_kernel_matrix_fails_on_a_nan_eigenvalue():
     with pytest.raises(DomainError, match="strictly positive spectrum, min nan"):
         kernel_matrix(SLD, np.array([np.nan, 0.5]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_segment_info_stack_matches_one_pair_calls(dim):
+    from qpathdiv.metrics import _segment_info
+
+    pairs = [
+        (random_density(RandomSpec(dim, 720 + k, 0.01)), random_density(RandomSpec(dim, 820 + k, 0.01)))
+        for k in range(5)
+    ]
+    ts = (np.polynomial.legendre.leggauss(57)[0] + 1.0) / 2.0
+    kinds = tuple(STACK_KINDS)
+    stacked = _segment_info(pairs, kinds, ts)
+    assert stacked.shape == (len(pairs), len(kinds), ts.size)
+    for rows, (rho, sigma) in zip(stacked, pairs):
+        assert rows.tobytes() == fisher_info_mixture(rho, sigma, kinds, ts).tobytes()
+
+
+def test_segment_info_names_the_pair_of_a_singular_mixture_state():
+    from qpathdiv.metrics import _segment_info
+
+    rho = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    sigma = validate_density(np.diag([2e-13, 1.0 - 2e-13]))
+    full = validate_density(np.diag([0.4, 0.6]))
+    ts = np.array([0.3, 1.0, 0.0])
+    with pytest.raises(NotFullRank, match=r"^mixture state of pair 7 at t=1 has minimum eigenvalue 2\.000e-13"):
+        _segment_info([(full, full), (rho, sigma)], (SLD,), ts, [3, 7])
+    with pytest.raises(NotFullRank) as info:
+        fisher_info_mixture(rho, sigma, SLD, ts)
+    assert str(info.value) == (
+        "mixture state at t=1 has minimum eigenvalue 2.000e-13, at or below 1e-12 (measured defect 2.000000e-13)"
+    )

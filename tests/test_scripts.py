@@ -24,3 +24,35 @@ def test_gap_profile_writes_one_row_per_sample(tmp_path, monkeypatch):
         _, d, gap_low, gap_high, _ = (float(x) for x in row.split(","))
         assert d >= 0 and gap_low >= -1e-8 and gap_high >= -1e-8
 
+
+
+def test_replay_witnesses_checks_every_witness_bitwise(tmp_path, monkeypatch, capsys):
+    import json
+
+    from qpathdiv import harness
+    from qpathdiv.errors import QuadratureNotConverged
+
+    def refused(dim, seeds):
+        raise QuadratureNotConverged("m_s: estimates still differ")
+
+    spec = harness.ClaimSpec("refused-probe", (2,), 2, 1e-6, "equality")
+    monkeypatch.setitem(harness._REGISTRY, "refused-probe", (spec, refused, None))
+    claims = ["m-path-gap-counterexample-s", "rld-identity-e-m-bs", "refused-probe"]
+    config = harness.HarnessConfig(seed=3, claims=tuple(claims), overrides={c: {"trials": 4} for c in claims[:2]})
+    report = json.loads(harness.run_all(config).to_json())
+    assert report["claims"][2]["witness"]["error"] == "QuadratureNotConverged: m_s: estimates still differ"
+    path = tmp_path / "report.json"
+
+    def replayed(claims):
+        path.write_text(json.dumps({**report, "claims": claims}))
+        return _run_script(monkeypatch, "replay_witnesses.py", str(path))
+
+    assert replayed(report["claims"]) == 0
+    assert "3 of 3 witnesses replay" in capsys.readouterr().out
+    first, second, third = (json.loads(json.dumps(c)) for c in report["claims"])
+    first["witness"]["measure"] *= 1 + 2**-52  # one unit in the last place
+    third["witness"]["error"] = "QuadratureNotConverged: another defect"
+    assert replayed([first, second, third]) == 1
+    err = capsys.readouterr().err
+    assert "witness of m-path-gap-counterexample-s does not" in err and "witness of refused-probe does not" in err
+    assert "rld-identity-e-m-bs" not in err

@@ -506,3 +506,55 @@ def test_psd_check_fails_on_a_nan_eigenvalue():
 
     with pytest.raises(NotPSD, match="minimum eigenvalue nan"):
         states._check_psd(np.array([np.nan, 0.5]))
+
+
+def _lifted_one_at_a_time(spec: RandomSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix and spectrum of random_density(spec) by a floor lift of one
+    state at a time, from the state's draw at floor 0 (which never lifts)."""
+    drawn = random_density(RandomSpec(spec.dim, spec.seed))
+    d, m, w = spec.dim, drawn.matrix, drawn.eig.eigenvalues
+    low, floor = float(w[0]), spec.min_eigenvalue
+    if low < floor:
+        lam = (floor - low) / (1.0 / d - low)
+        m = (1.0 - lam) * m + lam * np.eye(d) / d
+        w = (1.0 - lam) * w + lam / d
+    return hermitian_part(m), w
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_random_densities_mix_lifted_and_unlifted_specs_bitwise(dim):
+    # floor 0 never lifts, 0.9 / dim always does, and 1e-3 and 0.05 lift some draws
+    floors = (0.0, 0.9 / dim, 1e-3, 0.05)
+    specs = [RandomSpec(dim, 300 + k, floors[k % 4]) for k in range(24)]
+    lifted = 0
+    for state, spec in zip(random_densities(specs), specs):
+        alone = random_density(spec)
+        assert state.matrix.tobytes() == alone.matrix.tobytes()
+        assert state.eig.eigenvalues.tobytes() == alone.eig.eigenvalues.tobytes()
+        assert state.eig.eigenvectors.tobytes() == alone.eig.eigenvectors.tobytes()
+        m, w = _lifted_one_at_a_time(spec)
+        assert state.matrix.tobytes() == m.tobytes() and state.eig.eigenvalues.tobytes() == w.tobytes()
+        assert state.min_eigenvalue >= spec.min_eigenvalue - 1e-15
+        lifted += abs(state.min_eigenvalue - spec.min_eigenvalue) <= 1e-15
+    assert 6 <= lifted <= 18  # the six floor-0 specs are never lifted
+
+
+def test_states_rebuilt_from_a_basis_check_that_it_is_unitary():
+    from qpathdiv.states import _checked_basis, _state_in_basis, state_from_basis
+
+    # U = diag(1, sqrt 2) is not unitary, yet U diag(0.2, 0.4) U^* = diag(0.2, 0.8) is a
+    # state that U and (0.2, 0.4) rebuild exactly: a reconstruction check passes it,
+    # though 0.4 is not an eigenvalue of it
+    u = np.diag([1.0, np.sqrt(2.0)]).astype(complex)
+    w = np.array([0.2, 0.4])
+    m = (u * w) @ u.conj().T
+    assert state_from_eig(m, HermitianEigen(w, u)).eig.eigenvalues[1] == 0.4
+    for build in (lambda: state_from_basis(m, HermitianEigen(w, u)), lambda: _state_in_basis(u, w)):
+        with pytest.raises(ConvergenceFailure, match=r"not unitary: U\^\* U misses I by 1\.000e\+00"):
+            build()
+    q = np.eye(2, dtype=complex)
+    good = _state_in_basis(q, w / w.sum())
+    assert good.matrix.tobytes() == ((q * (w / w.sum())) @ q.conj().T).tobytes()
+    stack = np.stack([m, good.matrix])
+    with pytest.raises(ConvergenceFailure, match=r"\(matrix 0 of 2 in the stack\)"):
+        _checked_basis(stack, HermitianEigen(np.stack([w, w / w.sum()]), np.stack([u, q])))
