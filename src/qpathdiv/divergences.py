@@ -9,6 +9,7 @@ Quantum functionals (all in nats, full-rank second argument throughout):
                              for kinds s, b, r, half
   e_divergence_quadrature    the same quantity from its defining integral
                              of theta * mu''(theta) along the solved curve
+                             (e_divergences: many pairs, one quadrature per dim)
   m_divergence               integral of t * J_t along the mixture segment
                              (1-t) rho + t sigma, any metric kind
 
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, herm_log, hermitian_part, log_partition
 from .states import DensityMatrix, _checked_basis, check_pair, require_full_rank, state_from_basis
-from .transport import GeodesicKind, sandwich_record, solve_direction
+from .transport import GeodesicKind, _moment_derivatives, sandwich_record, solve_direction
 
 _KL_CUTOFF = 1e-15
 # Legendre maximizer: the Newton stopping tolerance on the gradient
@@ -244,11 +245,53 @@ def e_divergence_quadrature(
 
     Solves the direction reaching rho from sigma, then integrates
     theta * mu''(theta) over [0, 1] (the curvature of the log-normalizer is
-    the Fisher information along the curve). All nodes of an integrand call go
-    to MomentFunction.derivative as one array.
+    the Fisher information along the curve): the one-pair case of
+    e_divergences.
     """
-    mf = solve_direction(kind, rho, sigma).moment
-    return adaptive_gauss_legendre(lambda ths: ths * mf.derivative(ths, 2), config)[0]
+    return e_divergences(kind, [(rho, sigma)], config)[0][0]
+
+
+def e_divergences(
+    kind: GeodesicKind,
+    pairs: list[tuple[DensityMatrix, DensityMatrix]],
+    config: QuadratureConfig = QuadratureConfig(),
+) -> list[tuple[float, int]]:
+    """The (value, nodes) of e_divergence_quadrature for each (rho, sigma)
+    in ``pairs``, each bitwise as if alone.
+
+    Each pair's direction is solved and checked on its own (solve_direction,
+    so TargetMismatch); then the pairs of each dim share one
+    adaptive_gauss_legendre call with one row per pair, whose integrand
+    takes mu'' of every pair that still has an open row as one stack
+    (transport._moment_derivatives). With more than one pair, NotFullRank
+    and QuadratureNotConverged name the pair by its index in ``pairs``.
+    """
+    if len(pairs) > 1:
+        for k, (rho, sigma) in enumerate(pairs):
+            check_pair(rho, sigma)
+            require_full_rank(rho, f"rho of pair {k}")
+            require_full_rank(sigma, f"sigma of pair {k}")
+    moments = [solve_direction(kind, rho, sigma).moment for rho, sigma in pairs]
+    out: list = [None] * len(pairs)
+    for dim in dict.fromkeys(rho.dim for rho, _ in pairs):
+        numbers = [k for k, (rho, _) in enumerate(pairs) if rho.dim == dim]
+        curves = [moments[k] for k in numbers]
+        open_rows = np.ones(len(curves), dtype=bool)
+
+        def integrand(ths: np.ndarray) -> np.ndarray:
+            live = np.flatnonzero(open_rows)
+            if len(live) == len(curves):
+                return ths * _moment_derivatives(curves, ths, 2)
+            # the rows of frozen pairs are left at zero, and never read
+            values = np.zeros((len(curves), ths.size))
+            values[live] = ths * _moment_derivatives([curves[j] for j in live], ths, 2)
+            return values
+
+        labels = () if len(pairs) == 1 else tuple(f"e_{kind.value} of pair {k}" for k in numbers)
+        rows, _ = adaptive_gauss_legendre(integrand, config, labels, open_rows)
+        for k, row in zip(numbers, rows):
+            out[k] = row
+    return out
 
 
 def m_divergence_detail(

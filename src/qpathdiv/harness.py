@@ -38,6 +38,7 @@ from .divergences import (
     classical_kl,
     e_divergence_closed,
     e_divergence_quadrature,
+    e_divergences,
     legendre_model,
     m_divergence,
     m_divergence_detail,
@@ -160,12 +161,9 @@ def default_spec(claim_id: str) -> ClaimSpec:
     return _registered(claim_id)[0]
 
 
-def _pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
-    return _pairs(dim, [seed])[0]
-
-
 def _pairs(dim: int, seeds: list[int]) -> list[tuple[DensityMatrix, DensityMatrix]]:
-    """_pair of each seed, all drawn by one random_densities call."""
+    """The (rho, sigma) of each seed, at the states' derived seeds, all
+    drawn by one random_densities call."""
     specs = [RandomSpec(dim, derive_seed(seed, name), _FLOOR) for seed in seeds for name in ("rho", "sigma")]
     states = random_densities(specs)
     return list(zip(states[::2], states[1::2]))
@@ -251,17 +249,36 @@ def replay_witness(claim_id: str, witness: dict) -> float:
 # --------------------------------------------------------------------------
 
 
-def _quadrature_agreement(kind: GeodesicKind) -> _TrialFn:
-    def trial(dim: int, seed: int) -> tuple[float, dict]:
-        rho, sigma = _pair(dim, seed)
-        closed = e_divergence_closed(kind, rho, sigma)
-        quad = e_divergence_quadrature(kind, rho, sigma)
-        # scaled so that measure <= 1e-6 iff |quad-closed| <= max(1e-6, 1e-5|closed|)
-        allowed = max(1e-6, 1e-5 * abs(closed))
-        measure = abs(quad - closed) * (1e-6 / allowed)
-        return measure, {"closed": closed, "quadrature": quad}
+def _pair_trials(*tags: str) -> Callable[[Callable], _BatchFn]:
+    """Make a batch function of a trial fn(seed, rho, sigma, ...) that gets
+    the pair drawn at its seed, or with ``tags`` the pair drawn at
+    derive_seed(seed, tag) for each tag in turn; all pairs of a batch come
+    from one _pairs call."""
 
-    return trial
+    def deco(trial: Callable) -> _BatchFn:
+        def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
+            pair_seeds = [derive_seed(seed, tag) for seed in seeds for tag in tags] if tags else seeds
+            states = [state for pair in _pairs(dim, pair_seeds) for state in pair]
+            width = 2 * max(1, len(tags))
+            return [trial(seed, *states[k * width : (k + 1) * width]) for k, seed in enumerate(seeds)]
+
+        return batch
+
+    return deco
+
+
+def _quadrature_agreement(kind: GeodesicKind) -> _BatchFn:
+    def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
+        pairs = _pairs(dim, seeds)
+        closed = [e_divergence_closed(kind, rho, sigma) for rho, sigma in pairs]
+        out = []
+        for c, (quad, _) in zip(closed, e_divergences(kind, pairs)):
+            # scaled so that measure <= 1e-6 iff |quad-closed| <= max(1e-6, 1e-5|closed|)
+            allowed = max(1e-6, 1e-5 * abs(c))
+            out.append((abs(quad - c) * (1e-6 / allowed), {"closed": c, "quadrature": quad}))
+        return out
+
+    return batch
 
 
 for _kind in _GEODESIC_KINDS:
@@ -271,12 +288,15 @@ for _kind in _GEODESIC_KINDS:
         trials=600,
         tolerance=1e-6,
         mode="equality",
+        batched=True,
     )(_quadrature_agreement(_kind))
 
 
-@_register("relative-entropy-closed-form", dims=(2, 3, 4), trials=201, tolerance=1e-10, mode="equality")
-def _relative_entropy_closed_form(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
+@_register(
+    "relative-entropy-closed-form", dims=(2, 3, 4), trials=201, tolerance=1e-10, mode="equality", batched=True
+)
+@_pair_trials()
+def _relative_entropy_closed_form(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     via_path = e_divergence_closed(GeodesicKind.BOGOLJUBOV, rho, sigma)
     direct = float(np.trace(rho.matrix @ (herm_log(rho.matrix) - herm_log(sigma.matrix))).real)
     return abs(via_path - direct), {"value": direct}
@@ -321,9 +341,10 @@ def _chain_genericity(spec: ClaimSpec, extras_list: list[dict]):
     tolerance=1e-8,
     mode="inequality",
     extra_check=_chain_genericity,
+    batched=True,
 )
-def _ordering_chain(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
+@_pair_trials()
+def _ordering_chain(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     d = quantum_relative_entropy(rho, sigma)
     e_s = e_divergence_closed(GeodesicKind.SLD, rho, sigma)
     bar = bs_divergence(rho, sigma)
@@ -340,10 +361,9 @@ def _ordering_chain(dim: int, seed: int):
     }
 
 
-@_register("e-path-additivity", dims=(2,), trials=200, tolerance=1e-6, mode="equality")
-def _e_additivity(dim: int, seed: int):
-    r1, s1 = _pair(dim, derive_seed(seed, "first"))
-    r2, s2 = _pair(dim, derive_seed(seed, "second"))
+@_register("e-path-additivity", dims=(2,), trials=200, tolerance=1e-6, mode="equality", batched=True)
+@_pair_trials("first", "second")
+def _e_additivity(seed: int, r1: DensityMatrix, s1: DensityMatrix, r2: DensityMatrix, s2: DensityMatrix):
     big_rho = validate_density(tensor_product(r1.matrix, r2.matrix))
     big_sigma = validate_density(tensor_product(s1.matrix, s2.matrix))
     worst = 0.0
@@ -407,9 +427,11 @@ def _sld_below_d(dim: int, seeds: list[int]):
     return [(d - m_s, {"relative_entropy": d, "m_path_sld": m_s}) for d, m_s in zip(ds, ms)]
 
 
-@_register("sandwich-pvm-achieves-s-divergence", dims=(2, 3, 4), trials=201, tolerance=1e-8, mode="equality")
-def _sandwich_equality(dim: int, seed: int):
-    rho, sigma = _pair(dim, seed)
+@_register(
+    "sandwich-pvm-achieves-s-divergence", dims=(2, 3, 4), trials=201, tolerance=1e-8, mode="equality", batched=True
+)
+@_pair_trials()
+def _sandwich_equality(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     pvm = sandwich_pvm(rho, sigma)
     induced = classical_kl(measure(rho, pvm), measure(sigma, pvm))
     target = e_divergence_closed(GeodesicKind.SLD, rho, sigma)
@@ -599,10 +621,12 @@ def _near_boundary(dim: int, seed: int):
     return defects[worst], {"floor": _NEAR_BOUNDARY_FLOORS[worst]}
 
 
-@_register("moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality")
-def _moment_curvature(dim: int, seed: int):
+@_register(
+    "moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality", batched=True
+)
+@_pair_trials()
+def _moment_curvature(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     kind = _GEODESIC_KINDS[seed % 4]
-    rho, sigma = _pair(dim, seed)
     geo = solve_direction(kind, rho, sigma)
     mf = geo.moment
     thetas = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -613,10 +637,10 @@ def _moment_curvature(dim: int, seed: int):
     return worst, {"kind": kind.value}
 
 
-@_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality")
-def _numeric_fisher(dim: int, seed: int):
+@_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality", batched=True)
+@_pair_trials()
+def _numeric_fisher(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     kind = _METRIC_KINDS[seed % 4]
-    rho, sigma = _pair(dim, seed)
     worst = 0.0
     for t in (0.2, 0.5, 0.8):
         numeric = fisher_info_numeric(lambda u: m_geodesic(rho, sigma, u), t, kind)

@@ -166,16 +166,10 @@ class MomentFunction:
         self._energies = ((g[:, None] + g[None, :]) / 2.0).reshape(-1)
         self._weights = ((v.conj().T @ self._inner @ v) * (v.conj().T @ outer_sq @ v).T).real.reshape(-1)
 
-    def _log_spectrum(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Kind b: eigenpairs (h, U) of log sigma + theta L, mu and the state's spectrum
-        exp(h - mu), each stacked over ths, from one validated eigendecomposition."""
-        eig = eig_hermitian(hermitian_part(self._log_sigma + ths[:, None, None] * self._direction))
-        return eig.eigenvalues, eig.eigenvectors, *log_partition(eig.eigenvalues)
-
     def _log_partition(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """mu and the normalized weights over pairs (kinds s, r, half) or eigenvalues (b), stacked over ths."""
         if self._p is None:
-            return self._log_spectrum(ths)[2:]
+            return _log_spectra(self._log_sigma[None], self._direction[None], ths)[2:]
         return log_partition(ths[:, None] * self._energies, self._weights)
 
     def __call__(self, theta: float) -> float:
@@ -185,7 +179,8 @@ class MomentFunction:
         """The state at theta and mu(theta), bitwise this function's value."""
         if self._p is not None:
             return self.state(theta), self(theta)
-        _, u, mu, p = (x[0] for x in self._log_spectrum(point_array(float(theta), "theta")))
+        ths = point_array(float(theta), "theta")
+        _, u, mu, p = (x[0] for x in _log_spectra(self._log_sigma[None], self._direction[None], ths))
         eig = HermitianEigen(p, u)
         return state_from_basis(eig.reconstruct(), eig), float(mu)
 
@@ -199,38 +194,57 @@ class MomentFunction:
         return validate_density(hermitian_part(t / float(np.trace(t).real)))
 
     def derivative(self, theta: float | np.ndarray, order: int) -> float | np.ndarray:
-        """mu' (order 1) or mu'' (order 2) at theta, in closed form.
+        """mu' (order 1) or mu'' (order 2) at theta, in closed form: the
+        one-curve case of _moment_derivatives.
 
         A float theta gives a float; a nonempty 1-d array gives an array.
-        Kind b decomposes the stacked log sigma + theta L with one validated
-        eig_hermitian.
         """
-        if order not in (1, 2):
-            raise DomainError(f"derivative order must be 1 or 2, got {order}")
-        ths = point_array(theta, "theta")
-        if self._p is None:
-            values = self._kubo_mori(ths, order)
-        else:
-            _, p = self._log_partition(ths)
-            values = np.sum(p * self._energies, axis=1)
-            if order == 2:
-                values = np.sum(p * (self._energies - values[:, None]) ** 2, axis=1)
+        values = _moment_derivatives([self], theta, order)[0]
         return float(values[0]) if np.ndim(theta) == 0 else values
 
-    def _kubo_mori(self, ths: np.ndarray, order: int) -> np.ndarray:
-        """Kind b: mu' (the mean of L) or mu'' (its Kubo-Mori variance) at each theta of ths."""
-        h, u, mu, p = self._log_spectrum(ths)
-        lp = u.conj().swapaxes(-1, -2) @ self._direction @ u
-        mean = np.sum(p * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
-        if order == 1:
-            return mean
+
+def _log_spectra(log_sigma: np.ndarray, direction: np.ndarray, ths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Kind b: eigenpairs (h, U) of log sigma + theta L, mu and the state's
+    spectrum exp(h - mu) of each curve, given by its log sigma and L (two
+    stacks (curves, d, d)), at each theta of ths, flattened to
+    (curves * thetas, ...), from one validated eigendecomposition."""
+    n = direction.shape[-1]
+    eig = eig_hermitian(hermitian_part(log_sigma[:, None] + ths[:, None, None] * direction[:, None]).reshape(-1, n, n))
+    return eig.eigenvalues, eig.eigenvectors, *log_partition(eig.eigenvalues)
+
+
+def _moment_derivatives(moments: list[MomentFunction], theta: float | np.ndarray, order: int) -> np.ndarray:
+    """mu' (order 1) or mu'' (order 2) of each curve, all of one kind and
+    dim, at each theta: an array (curves, thetas), each row bitwise that of
+    its curve alone.
+
+    Kinds s, r and half take the mean and variance of the energies from one
+    log_partition over (curves, thetas, d^2); kind b the mean of L and its
+    Kubo-Mori variance from one validated eig_hermitian of the
+    (curves * thetas, d, d) stack of log sigma + theta L.
+    """
+    if order not in (1, 2):
+        raise DomainError(f"derivative order must be 1 or 2, got {order}")
+    ths = point_array(theta, "theta")
+    if moments[0]._p is not None:
+        energies = np.array([mf._energies for mf in moments])[:, None]
+        _, p = log_partition(ths[:, None] * energies, np.array([mf._weights for mf in moments])[:, None])
+        mean = np.sum(p * energies, axis=-1)
+        return mean if order == 1 else np.sum(p * (energies - mean[..., None]) ** 2, axis=-1)
+    direction = np.array([mf._direction for mf in moments])
+    h, u, mu, p = _log_spectra(np.array([mf._log_sigma for mf in moments]), direction, ths)
+    n = direction.shape[-1]
+    # U^* L U of each curve's nodes, then flattened like h
+    u = u.reshape(len(moments), ths.size, n, n)
+    lp = (u.conj().swapaxes(-1, -2) @ direction[:, None] @ u).reshape(-1, n, n)
+    values = np.sum(p * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
+    if order == 2:
         # the larger exponent is factored out, so nothing overflows
         hi = np.maximum(h[:, :, None], h[:, None, :])
         lo = np.minimum(h[:, :, None], h[:, None, :])
-        centered = lp - mean[:, None, None] * np.eye(h.shape[1])
-        return np.sum(
-            np.abs(centered) ** 2 * np.exp(hi - mu[:, None, None]) * metrics.phi1(lo - hi), axis=(1, 2)
-        )
+        centered = lp - values[:, None, None] * np.eye(n)
+        values = np.sum(np.abs(centered) ** 2 * np.exp(hi - mu[:, None, None]) * metrics.phi1(lo - hi), axis=(1, 2))
+    return values.reshape(len(moments), ths.size)
 
 
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:

@@ -16,6 +16,7 @@ from qpathdiv.divergences import (
     classical_kl,
     e_divergence_closed,
     e_divergence_quadrature,
+    e_divergences,
     legendre_model,
     m_divergence,
     m_divergence_detail,
@@ -986,3 +987,74 @@ def test_m_divergences_name_the_pair_in_errors():
     with pytest.raises(QuadratureNotConverged) as info:
         m_divergences(SLD, pairs, config)
     assert str(info.value) == "; ".join(m.replace("m_s:", f"m_s of pair {k}:") for k, m in enumerate(lone, 1))
+
+
+def _e_pairs(dim: int, seeds, floor: float = 0.05) -> list:
+    """The pair (rho, sigma) drawn at seeds s and s + 1000, for each s."""
+    return [tuple(random_density(RandomSpec(dim, s + t, floor)) for t in (0, 1000)) for s in seeds]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(GeodesicKind))
+def test_e_divergences_equal_lone_calls_bitwise(kind, dim):
+    # six pairs of the dim between pairs of other dims: one quadrature per dim
+    pairs = _e_pairs(2 + dim % 3, [7]) + _e_pairs(dim, range(1, 7)) + _e_pairs(2 + (dim + 1) % 3, [8])
+    batched = e_divergences(kind, pairs)
+    alone = [e_divergences(kind, [pair])[0] for pair in pairs]
+    assert repr(batched) == repr(alone)
+    assert [value for value, _ in batched] == [e_divergence_quadrature(kind, *pair) for pair in pairs]
+    # the pairs settle at different levels, so a batch refines only some of them
+    assert {nodes for _, nodes in batched} == {57, 113}
+
+
+def test_e_divergences_stack_shrinks_as_rows_freeze(monkeypatch):
+    from qpathdiv import divergences
+
+    pairs = _e_pairs(3, range(1, 9))
+    stacks = []
+    stacked = divergences._moment_derivatives
+
+    def counted(moments, theta, order):
+        stacks.append(len(moments))
+        return stacked(moments, theta, order)
+
+    monkeypatch.setattr(divergences, "_moment_derivatives", counted)
+    nodes = [n for _, n in e_divergences(GeodesicKind.SLD, pairs)]
+    # the first call takes every pair, and the next level only the pairs
+    # still refining: those that settle beyond 57 nodes
+    assert sorted(set(nodes)) == [57, 113]
+    assert stacks == [len(pairs), sum(n > 57 for n in nodes)]
+
+
+def test_e_divergences_name_the_pair_when_not_converged():
+    from qpathdiv.transport import solve_direction
+
+    # within 57 nodes the pair at seed 1 converges and those at seeds 4 and 5 do not
+    config = QuadratureConfig(nodes=16, rel_tol=1e-8, max_nodes=57)
+    pairs = _e_pairs(2, (1, 4, 5))
+    lone = []
+    for rho, sigma in pairs[1:]:
+        with pytest.raises(QuadratureNotConverged) as info:
+            e_divergence_quadrature(GeodesicKind.SLD, rho, sigma, config)
+        lone.append(str(info.value))
+        # the one-pair message names no row, as a one-row integrand's does
+        mf = solve_direction(GeodesicKind.SLD, rho, sigma).moment
+        with pytest.raises(QuadratureNotConverged) as direct:
+            adaptive_gauss_legendre(lambda ths: ths * mf.derivative(ths, 2), config)
+        assert lone[-1] == str(direct.value)
+        assert re.fullmatch(r"estimates still differ by \S+ at 57 nodes", lone[-1])
+    with pytest.raises(QuadratureNotConverged) as info:
+        e_divergences(GeodesicKind.SLD, pairs, config)
+    assert str(info.value) == "; ".join(f"e_s of pair {k}: {m}" for k, m in enumerate(lone, 1))
+
+
+def test_e_divergences_name_the_pair_that_is_not_full_rank():
+    good = _e_pairs(2, [1])[0]
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    for kind in GeodesicKind:
+        with pytest.raises(NotFullRank, match=r"^sigma of pair 1 has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+            e_divergences(kind, [good, (good[0], thin)])
+        with pytest.raises(NotFullRank, match=r"^rho of pair 0 has minimum eigenvalue 5\.000e-13"):
+            e_divergences(kind, [(thin, good[1]), good])
+        with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+            e_divergences(kind, [(good[0], thin)])

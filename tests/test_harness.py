@@ -43,8 +43,7 @@ def test_derive_seed_stable():
 def test_pair_states_are_the_random_density_of_their_specs(dim):
     from qpathdiv.states import RandomSpec, random_density
 
-    for seed in range(5):
-        pair = harness._pair(dim, seed)
+    for seed, pair in enumerate(harness._pairs(dim, list(range(5)))):
         for name, state in zip(("rho", "sigma"), pair):
             alone = random_density(RandomSpec(dim, derive_seed(seed, name), harness._FLOOR))
             assert state.matrix.tobytes() == alone.matrix.tobytes()
@@ -319,11 +318,25 @@ BATCHED_CLAIMS = (
     "m-path-gap-counterexample-r",
     "e-path-gap-counterexample-s",
     "e-path-gap-counterexample-r",
+    "e-path-closed-vs-quadrature-s",
+    "e-path-closed-vs-quadrature-b",
+    "e-path-closed-vs-quadrature-r",
+    "e-path-closed-vs-quadrature-half",
+    "relative-entropy-closed-form",
+    "divergence-ordering-chain",
+    "sandwich-pvm-achieves-s-divergence",
+    "moment-curvature-matches-fisher-info",
+    "numeric-fisher-matches-mixture",
+    "e-path-additivity",
 )
+# e-path-additivity compares a divergence of qubit pairs with that of their
+# two-qubit tensor products, so it runs on qubits only
+_BATCH_DIMS = {"e-path-additivity": (2,)}
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("claim_id", BATCHED_CLAIMS)
+@pytest.mark.parametrize(
+    "claim_id, dim", [(claim_id, dim) for claim_id in BATCHED_CLAIMS for dim in _BATCH_DIMS.get(claim_id, (2, 3, 4))]
+)
 def test_batch_equals_batches_of_one_bitwise(claim_id, dim):
     # eight consecutive seeds take every m-path-monotonicity style, so a batch
     # mixes its dim-4 partial-trace pairs with pairs of the batch's dim
