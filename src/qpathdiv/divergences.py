@@ -9,9 +9,15 @@ Quantum functionals (all in nats, full-rank second argument throughout):
                              for kinds s, b, r, half
   e_divergence_quadrature    the same quantity from its defining integral
                              of theta * mu''(theta) along the solved curve
-                             (e_divergences: many pairs, one quadrature per dim)
   m_divergence               integral of t * J_t along the mixture segment
                              (1-t) rho + t sigma, any metric kind
+
+Each has a list form over (rho, sigma) pairs, whose values are bit for bit
+those of the pairs alone and whose errors name the pair by its index:
+relative_entropies, bs_divergences and e_divergences_closed run each step
+once over a (pairs, d, d) stack per dim; e_divergences and m_divergences
+run one quadrature per dim. Each one-pair function is its list form on one
+pair, which passes plain (d, d) arrays through the same code.
 
 Convex duality (ConvexFunctionModel, bregman_divergence, legendre_model)
 serves two families:
@@ -43,9 +49,18 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .linalg import SUPPORT_EPS, HermitianEigen, eig_hermitian, herm_log, hermitian_part, log_partition
-from .states import DensityMatrix, _checked_basis, check_pair, require_full_rank, state_from_basis
-from .transport import GeodesicKind, _moment_derivatives, sandwich_record, solve_direction
+from .linalg import (
+    SUPPORT_EPS,
+    HermitianEigen,
+    decomposition,
+    eig_hermitian,
+    herm_log,
+    hermitian_part,
+    log_partition,
+    matrices,
+)
+from .states import DensityMatrix, _checked_basis, check_pairs, state_from_basis
+from .transport import GeodesicKind, _moment_derivatives, sandwich_records, solve_direction
 
 _KL_CUTOFF = 1e-15
 # Legendre maximizer: the Newton stopping tolerance on the gradient
@@ -201,38 +216,106 @@ def adaptive_gauss_legendre(
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr rho log rho with 0 log 0 = 0."""
-    w = rho.spectrum()
+    return _entropy(rho.spectrum())
+
+
+def _entropy(w: np.ndarray) -> float:
+    """-sum w log w over the entries of a spectrum above SUPPORT_EPS."""
     support = w > SUPPORT_EPS
     return float(-np.sum(w[support] * np.log(w[support])))
 
 
+def _by_dim(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[list[int]]:
+    """The indices of ``pairs`` grouped by dim, the dims in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for k, (rho, _) in enumerate(pairs):
+        groups.setdefault(rho.dim, []).append(k)
+    return list(groups.values())
+
+
+def _per_dim(pairs: list[tuple[DensityMatrix, DensityMatrix]], values: Callable[[tuple, tuple], list]) -> list:
+    """values(rhos, sigmas) once per dim, on the pairs of that dim; the values in the order of ``pairs``."""
+    groups = _by_dim(pairs)
+    if len(groups) == 1:
+        return values(*zip(*pairs))
+    out: list = [None] * len(pairs)
+    for numbers in groups:
+        rhos, sigmas = zip(*(pairs[k] for k in numbers))
+        for k, value in zip(numbers, values(rhos, sigmas)):
+            out[k] = value
+    return out
+
+
+def _traces(rhos: tuple[DensityMatrix, ...], ops: np.ndarray) -> list[float]:
+    """Re Tr rho X of each rho and its X in ``ops``, a matrix for one rho or a stack."""
+    return (matrices(rhos) @ ops).trace(0, -2, -1).real.reshape(-1).tolist()
+
+
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (log rho - log sigma); rank-deficient rho uses 0 log 0 = 0."""
-    check_pair(rho, sigma, ("sigma",))
-    cross = float(np.trace(rho.matrix @ sigma.eig.log()).real)
-    return -von_neumann_entropy(rho) - cross
+    return relative_entropies([(rho, sigma)])[0]
+
+
+def relative_entropies(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
+    """quantum_relative_entropy of each (rho, sigma) in ``pairs``, each bitwise
+    as if alone, from one pass per dim. With more than one pair, NotFullRank
+    names the pair by its index in ``pairs``."""
+    check_pairs(pairs, ("sigma",))
+    return _per_dim(pairs, _relative_entropies)
+
+
+def _relative_entropies(rhos: tuple[DensityMatrix, ...], sigmas: tuple[DensityMatrix, ...]) -> list[float]:
+    spectra = decomposition(rhos).eigenvalues.reshape(len(rhos), -1)
+    cross = _traces(rhos, decomposition(sigmas).log())
+    return [-_entropy(w) - c for w, c in zip(spectra, cross)]
 
 
 def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})."""
-    check_pair(rho, sigma, ("rho", "sigma"))
-    rh = rho.eig.power(0.5)
-    si = sigma.eig.power(-1.0)
-    m = hermitian_part(rh @ si @ rh)
-    return float(np.trace(rho.matrix @ herm_log(m)).real)
+    """Tr rho log(rho^{1/2} sigma^{-1} rho^{1/2}): the one-pair case of bs_divergences."""
+    return bs_divergences([(rho, sigma)])[0]
+
+
+def bs_divergences(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
+    """bs_divergence of each (rho, sigma) in ``pairs``, each bitwise as if
+    alone, from one pass per dim over (pairs, d, d) stacks with one validated
+    eig_hermitian of the stack of rho^{1/2} sigma^{-1} rho^{1/2}. With more
+    than one pair, NotFullRank names the pair by its index in ``pairs``."""
+    check_pairs(pairs, ("rho", "sigma"))
+
+    def values(rhos: tuple, sigmas: tuple) -> list[float]:
+        rh = decomposition(rhos).power(0.5)
+        m = hermitian_part(rh @ decomposition(sigmas).power(-1.0) @ rh)
+        return _traces(rhos, herm_log(m))
+
+    return _per_dim(pairs, values)
 
 
 def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Closed-form exponential-path divergence: the relative entropy for kind b,
-    else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log F (transport.sandwich_record)."""
-    check_pair(rho, sigma, ("rho", "sigma"))
+    else mu'(1) = Re Tr rho sigma^p G sigma^{-p} with G = 2 log F (transport.sandwich_record).
+    The one-pair case of e_divergences_closed."""
+    return e_divergences_closed(kind, [(rho, sigma)])[0]
+
+
+def e_divergences_closed(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
+    """e_divergence_closed of each (rho, sigma) in ``pairs``, each bitwise as
+    if alone, from one pass per dim over (pairs, d, d) stacks: kind b is the
+    relative entropy, and the sandwich kinds read G off F's decomposition in
+    the records of transport.sandwich_records, which keeps them. With more
+    than one pair, NotFullRank names the pair by its index in ``pairs``."""
+    check_pairs(pairs, ("rho", "sigma"))
     p = kind.sandwich_power
     if p is None:
-        return quantum_relative_entropy(rho, sigma)
-    gen = 2.0 * sandwich_record(kind, rho, sigma).eig.log()
-    if p:
-        gen = sigma.eig.power(p) @ gen @ sigma.eig.power(-p)
-    return float(np.trace(rho.matrix @ gen).real)
+        return _per_dim(pairs, _relative_entropies)
+
+    def values(rhos: tuple, sigmas: tuple) -> list[float]:
+        gen = 2.0 * decomposition(sandwich_records(kind, list(zip(rhos, sigmas)))).log()
+        if p:
+            s = decomposition(sigmas)
+            gen = s.power(p) @ gen @ s.power(-p)
+        return _traces(rhos, gen)
+
+    return _per_dim(pairs, values)
 
 
 def e_divergence_quadrature(
@@ -266,15 +349,10 @@ def e_divergences(
     (transport._moment_derivatives). With more than one pair, NotFullRank
     and QuadratureNotConverged name the pair by its index in ``pairs``.
     """
-    if len(pairs) > 1:
-        for k, (rho, sigma) in enumerate(pairs):
-            check_pair(rho, sigma)
-            require_full_rank(rho, f"rho of pair {k}")
-            require_full_rank(sigma, f"sigma of pair {k}")
+    check_pairs(pairs, ("rho", "sigma"))
     moments = [solve_direction(kind, rho, sigma).moment for rho, sigma in pairs]
     out: list = [None] * len(pairs)
-    for dim in dict.fromkeys(rho.dim for rho, _ in pairs):
-        numbers = [k for k, (rho, _) in enumerate(pairs) if rho.dim == dim]
+    for numbers in _by_dim(pairs):
         curves = [moments[k] for k in numbers]
         open_rows = np.ones(len(curves), dtype=bool)
 
@@ -320,16 +398,9 @@ def m_divergences(
     in ``pairs``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     one = len(pairs) == 1
-    for k, (rho, sigma) in enumerate(pairs):
-        if one:
-            check_pair(rho, sigma, ("rho", "sigma"))
-        else:
-            check_pair(rho, sigma)
-            require_full_rank(rho, f"rho of pair {k}")
-            require_full_rank(sigma, f"sigma of pair {k}")
+    check_pairs(pairs, ("rho", "sigma"))
     out: list = [None] * len(pairs)
-    for dim in dict.fromkeys(rho.dim for rho, _ in pairs):
-        numbers = [k for k, (rho, _) in enumerate(pairs) if rho.dim == dim]
+    for numbers in _by_dim(pairs):
         rows = _m_rows(kinds, [pairs[k] for k in numbers], None if one else numbers, config)
         for j, k in enumerate(numbers):
             out[k] = rows[j * len(kinds) : (j + 1) * len(kinds)]

@@ -34,16 +34,18 @@ from .divergences import (
     QuantumExponentialFamily,
     adaptive_gauss_legendre,
     bregman_divergence,
-    bs_divergence,
+    bs_divergences,
     classical_kl,
     e_divergence_closed,
     e_divergence_quadrature,
     e_divergences,
+    e_divergences_closed,
     legendre_model,
     m_divergence,
     m_divergence_detail,
     m_divergences,
     quantum_relative_entropy,
+    relative_entropies,
     von_neumann_entropy,
 )
 from .errors import ConfigError, InvalidShape, QPathDivError, UnknownClaim
@@ -249,30 +251,21 @@ def replay_witness(claim_id: str, witness: dict) -> float:
 # --------------------------------------------------------------------------
 
 
-def _pair_trials(*tags: str) -> Callable[[Callable], _BatchFn]:
-    """Make a batch function of a trial fn(seed, rho, sigma, ...) that gets
-    the pair drawn at its seed, or with ``tags`` the pair drawn at
-    derive_seed(seed, tag) for each tag in turn; all pairs of a batch come
-    from one _pairs call."""
+def _pair_trials(trial: Callable) -> _BatchFn:
+    """Make a batch function of a trial fn(seed, rho, sigma) that gets the
+    pair drawn at its seed; all pairs of a batch come from one _pairs call."""
 
-    def deco(trial: Callable) -> _BatchFn:
-        def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
-            pair_seeds = [derive_seed(seed, tag) for seed in seeds for tag in tags] if tags else seeds
-            states = [state for pair in _pairs(dim, pair_seeds) for state in pair]
-            width = 2 * max(1, len(tags))
-            return [trial(seed, *states[k * width : (k + 1) * width]) for k, seed in enumerate(seeds)]
+    def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
+        return [trial(seed, rho, sigma) for seed, (rho, sigma) in zip(seeds, _pairs(dim, seeds))]
 
-        return batch
-
-    return deco
+    return batch
 
 
 def _quadrature_agreement(kind: GeodesicKind) -> _BatchFn:
     def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
         pairs = _pairs(dim, seeds)
-        closed = [e_divergence_closed(kind, rho, sigma) for rho, sigma in pairs]
         out = []
-        for c, (quad, _) in zip(closed, e_divergences(kind, pairs)):
+        for c, (quad, _) in zip(e_divergences_closed(kind, pairs), e_divergences(kind, pairs)):
             # scaled so that measure <= 1e-6 iff |quad-closed| <= max(1e-6, 1e-5|closed|)
             allowed = max(1e-6, 1e-5 * abs(c))
             out.append((abs(quad - c) * (1e-6 / allowed), {"closed": c, "quadrature": quad}))
@@ -295,11 +288,13 @@ for _kind in _GEODESIC_KINDS:
 @_register(
     "relative-entropy-closed-form", dims=(2, 3, 4), trials=201, tolerance=1e-10, mode="equality", batched=True
 )
-@_pair_trials()
-def _relative_entropy_closed_form(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
-    via_path = e_divergence_closed(GeodesicKind.BOGOLJUBOV, rho, sigma)
-    direct = float(np.trace(rho.matrix @ (herm_log(rho.matrix) - herm_log(sigma.matrix))).real)
-    return abs(via_path - direct), {"value": direct}
+def _relative_entropy_closed_form(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    out = []
+    for (rho, sigma), via_path in zip(pairs, e_divergences_closed(GeodesicKind.BOGOLJUBOV, pairs)):
+        direct = float(np.trace(rho.matrix @ (herm_log(rho.matrix) - herm_log(sigma.matrix))).real)
+        out.append((abs(via_path - direct), {"value": direct}))
+    return out
 
 
 @_register(
@@ -312,7 +307,7 @@ def _relative_entropy_closed_form(seed: int, rho: DensityMatrix, sigma: DensityM
 )
 def _m_b_matches_d(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
-    ds = [quantum_relative_entropy(rho, sigma) for rho, sigma in pairs]
+    ds = relative_entropies(pairs)
     ms = [m for m, _ in m_divergences(BOGOLJUBOV, pairs)]
     return [(abs(m - d), {"relative_entropy": d, "m_path": m}) for d, m in zip(ds, ms)]
 
@@ -320,7 +315,7 @@ def _m_b_matches_d(dim: int, seeds: list[int]):
 @_register("rld-identity-e-m-bs", dims=(2, 3, 4), trials=201, tolerance=1e-6, mode="equality", batched=True)
 def _rld_identity(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
-    closed = [(bs_divergence(rho, sigma), e_divergence_closed(GeodesicKind.RLD, rho, sigma)) for rho, sigma in pairs]
+    closed = zip(bs_divergences(pairs), e_divergences_closed(GeodesicKind.RLD, pairs))
     return [
         (max(abs(e_r - bar), abs(m_r - bar)), {"bs": bar, "e_path": e_r, "m_path": m_r})
         for (bar, e_r), (m_r, _) in zip(closed, m_divergences(RLD, pairs))
@@ -343,37 +338,39 @@ def _chain_genericity(spec: ClaimSpec, extras_list: list[dict]):
     extra_check=_chain_genericity,
     batched=True,
 )
-@_pair_trials()
-def _ordering_chain(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
-    d = quantum_relative_entropy(rho, sigma)
-    e_s = e_divergence_closed(GeodesicKind.SLD, rho, sigma)
-    bar = bs_divergence(rho, sigma)
-    low_gap = d - e_s
-    high_gap = bar - d
-    margin = min(low_gap, high_gap)
-    noncommuting = commutation_defect(rho, sigma) > _NONCOMMUTING
-    strict = low_gap > _STRICT_GAP and high_gap > _STRICT_GAP
-    return margin, {
-        "low_gap": low_gap,
-        "high_gap": high_gap,
-        "noncommuting": bool(noncommuting),
-        "strict": bool(strict),
-    }
+def _ordering_chain(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    out = []
+    for (rho, sigma), d, e_s, bar in zip(
+        pairs, relative_entropies(pairs), e_divergences_closed(GeodesicKind.SLD, pairs), bs_divergences(pairs)
+    ):
+        low_gap = d - e_s
+        high_gap = bar - d
+        noncommuting = commutation_defect(rho, sigma) > _NONCOMMUTING
+        strict = low_gap > _STRICT_GAP and high_gap > _STRICT_GAP
+        extras = {"low_gap": low_gap, "high_gap": high_gap, "noncommuting": bool(noncommuting), "strict": bool(strict)}
+        out.append((min(low_gap, high_gap), extras))
+    return out
 
 
 @_register("e-path-additivity", dims=(2,), trials=200, tolerance=1e-6, mode="equality", batched=True)
-@_pair_trials("first", "second")
-def _e_additivity(seed: int, r1: DensityMatrix, s1: DensityMatrix, r2: DensityMatrix, s2: DensityMatrix):
-    big_rho = validate_density(tensor_product(r1.matrix, r2.matrix))
-    big_sigma = validate_density(tensor_product(s1.matrix, s2.matrix))
-    worst = 0.0
-    values = {}
+def _e_additivity(dim: int, seeds: list[int]):
+    # the pairs at derive_seed(seed, "first") and derive_seed(seed, "second"), then their tensor products
+    pairs = _pairs(dim, [derive_seed(seed, tag) for seed in seeds for tag in ("first", "second")])
+    firsts, seconds = pairs[::2], pairs[1::2]
+    joints = [
+        tuple(validate_density(tensor_product(a.matrix, b.matrix)) for a, b in zip(first, second))
+        for first, second in zip(firsts, seconds)
+    ]
+    n = len(seeds)
+    worst, values = [0.0] * n, [{} for _ in seeds]
     for kind in _GEODESIC_KINDS:
-        joint = e_divergence_closed(kind, big_rho, big_sigma)
-        split = e_divergence_closed(kind, r1, s1) + e_divergence_closed(kind, r2, s2)
-        values[kind.value] = joint
-        worst = max(worst, abs(joint - split))
-    return worst, {"joint_values": values}
+        closed = e_divergences_closed(kind, firsts + seconds + joints)
+        for k in range(n):
+            joint = closed[2 * n + k]
+            values[k][kind.value] = joint
+            worst[k] = max(worst[k], abs(joint - (closed[k] + closed[n + k])))
+    return [(w, {"joint_values": v}) for w, v in zip(worst, values)]
 
 
 @_register("m-path-monotonicity", dims=(2, 3, 4), trials=500, tolerance=1e-7, mode="inequality", batched=True)
@@ -422,7 +419,7 @@ def _rld_dominates(dim: int, seeds: list[int]):
 )
 def _sld_below_d(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
-    ds = [quantum_relative_entropy(rho, sigma) for rho, sigma in pairs]
+    ds = relative_entropies(pairs)
     ms = [m_s for m_s, _ in m_divergences(SLD, pairs)]
     return [(d - m_s, {"relative_entropy": d, "m_path_sld": m_s}) for d, m_s in zip(ds, ms)]
 
@@ -430,12 +427,15 @@ def _sld_below_d(dim: int, seeds: list[int]):
 @_register(
     "sandwich-pvm-achieves-s-divergence", dims=(2, 3, 4), trials=201, tolerance=1e-8, mode="equality", batched=True
 )
-@_pair_trials()
-def _sandwich_equality(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
-    pvm = sandwich_pvm(rho, sigma)
-    induced = classical_kl(measure(rho, pvm), measure(sigma, pvm))
-    target = e_divergence_closed(GeodesicKind.SLD, rho, sigma)
-    return abs(induced - target), {"induced_kl": induced, "e_path_s": target}
+def _sandwich_equality(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    out = []
+    # the closed forms keep each pair's sandwich operator, whose spectral PVM sandwich_pvm reads
+    for (rho, sigma), target in zip(pairs, e_divergences_closed(GeodesicKind.SLD, pairs)):
+        pvm = sandwich_pvm(rho, sigma)
+        induced = classical_kl(measure(rho, pvm), measure(sigma, pvm))
+        out.append((abs(induced - target), {"induced_kl": induced, "e_path_s": target}))
+    return out
 
 
 def _commutation_trial(kind: GeodesicKind) -> _TrialFn:
@@ -469,14 +469,14 @@ def _gap_trial(path_divergences: Callable[[list], list[float]], above: bool) -> 
 
     def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
         pairs = _pairs(dim, seeds)
-        ds = [quantum_relative_entropy(rho, sigma) for rho, sigma in pairs]
+        ds = relative_entropies(pairs)
         return [((value - d if above else d - value), {}) for d, value in zip(ds, path_divergences(pairs))]
 
     return batch
 
 
 def _e_closed_each(kind: GeodesicKind) -> Callable[[list], list[float]]:
-    return lambda pairs: [e_divergence_closed(kind, rho, sigma) for rho, sigma in pairs]
+    return lambda pairs: e_divergences_closed(kind, pairs)
 
 
 def _m_each(kind: metrics.MetricKind) -> Callable[[list], list[float]]:
@@ -568,7 +568,7 @@ def _exp_family_kl(dim: int, seed: int):
 
 @_register("commuting-reduction", dims=(2, 3, 4), trials=100, tolerance=1e-10, mode="equality", batched=True)
 def _commuting_reduction(dim: int, seeds: list[int]):
-    pairs, closed = [], []
+    pairs, kls = [], []
     for seed in seeds:
         rho, sigma = random_commuting_pair(dim, seed, _FLOOR)
         # simultaneous eigenbasis from a generic combination (spectra stay matched)
@@ -576,18 +576,13 @@ def _commuting_reduction(dim: int, seeds: list[int]):
         u = eig.eigenvectors
         p = np.diagonal(u.conj().T @ rho.matrix @ u).real
         q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
-        kl = classical_kl(p, q)
-        values = [
-            quantum_relative_entropy(rho, sigma),
-            bs_divergence(rho, sigma),
-        ]
-        for kind in _GEODESIC_KINDS:
-            values.append(e_divergence_closed(kind, rho, sigma))
+        kls.append(classical_kl(p, q))
         pairs.append((rho, sigma))
-        closed.append((values, kl))
+    closed = [relative_entropies(pairs), bs_divergences(pairs)]
+    closed += [e_divergences_closed(kind, pairs) for kind in _GEODESIC_KINDS]
     out = []
-    for (values, kl), rows in zip(closed, m_divergences(_METRIC_KINDS, pairs, _TIGHT_QUADRATURE)):
-        worst = max(abs(v - kl) for v in values + [value for value, _ in rows])
+    for k, (kl, rows) in enumerate(zip(kls, m_divergences(_METRIC_KINDS, pairs, _TIGHT_QUADRATURE))):
+        worst = max(abs(v - kl) for v in [values[k] for values in closed] + [value for value, _ in rows])
         out.append((worst, {"classical_kl": kl}))
     return out
 
@@ -624,7 +619,7 @@ def _near_boundary(dim: int, seed: int):
 @_register(
     "moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality", batched=True
 )
-@_pair_trials()
+@_pair_trials
 def _moment_curvature(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     kind = _GEODESIC_KINDS[seed % 4]
     geo = solve_direction(kind, rho, sigma)
@@ -638,7 +633,7 @@ def _moment_curvature(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
 
 
 @_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality", batched=True)
-@_pair_trials()
+@_pair_trials
 def _numeric_fisher(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
     kind = _METRIC_KINDS[seed % 4]
     worst = 0.0

@@ -120,10 +120,15 @@ class HermitianEigen:
         if p != int(p):
             low = float(d.min())
             if not low >= -SUPPORT_EPS:  # a NaN eigenvalue fails too
-                raise DomainError(f"power {p} undefined: eigenvalue {low:.3e} below -{SUPPORT_EPS:g}")
+                raise DomainError(
+                    f"power {p} undefined: eigenvalue {low:.3e} below -{SUPPORT_EPS:g}{_in_stack(-d.min(-1))}"
+                )
             d = np.maximum(d, 0.0)
         elif not np.isfinite(d).all():
-            raise DomainError(f"power {p} undefined: eigenvalue {d[~np.isfinite(d)].flat[0]:.3e} is not finite")
+            bad = ~np.isfinite(d)
+            raise DomainError(
+                f"power {p} undefined: eigenvalue {d[bad].flat[0]:.3e} is not finite{_in_stack(bad.any(-1))}"
+            )
         return self._with_eigenvalues(d**p)
 
     def log(self) -> np.ndarray:
@@ -143,12 +148,20 @@ class HermitianEigen:
         if not low > SUPPORT_EPS:  # a NaN eigenvalue fails too
             raise DomainError(
                 f"{what} undefined: eigenvalue {low:.3e} at or below support threshold {SUPPORT_EPS:g}"
+                + _in_stack(-self.eigenvalues.min(-1))
             )
         return self.eigenvalues
 
     def _with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
         u = self.eigenvectors
         return (u * values[..., None, :]) @ _adjoint(u)
+
+
+def split(eig: HermitianEigen) -> list[HermitianEigen]:
+    """The decomposition of each matrix of a stack, as views; one decomposition as it is."""
+    if eig.eigenvalues.ndim == 1:
+        return [eig]
+    return [HermitianEigen(w, u) for w, u in zip(eig.eigenvalues, eig.eigenvectors)]
 
 
 def eig_hermitian(h: np.ndarray) -> HermitianEigen:
@@ -233,6 +246,30 @@ class _CachedEigen:
         eig.eigenvectors.flags.writeable = False
         obj.__dict__[self.name] = eig
         return eig
+
+
+def matrices(items) -> np.ndarray:
+    """The matrix of one item (an object with a ``matrix``, such as a state),
+    or the matrices of items of one dim as one stack: the one-item case of
+    stacked code runs on plain arrays."""
+    return items[0].matrix if len(items) == 1 else np.array([item.matrix for item in items])
+
+
+def decomposition(items) -> HermitianEigen:
+    """The decomposition (``.eig``, a _CachedEigen) of one item, as it is, so
+    that its kept results are shared, or of items of one dim as one stack.
+    The items that hold none yet are decomposed by one validated
+    eig_hermitian call and keep theirs; like _CachedEigen, this lives in the
+    spectral core, so a profile charges the decomposition to the layer that
+    asks for it."""
+    missing = list({id(item): item for item in items if "eig" not in item.__dict__}.values())
+    if missing:
+        for item, eig in zip(missing, split(eig_hermitian(matrices(missing)))):
+            type(item).eig.keep(item, eig)
+    if len(items) == 1:
+        return items[0].eig
+    eigs = [item.eig for item in items]
+    return HermitianEigen(np.array([e.eigenvalues for e in eigs]), np.array([e.eigenvectors for e in eigs]))
 
 
 def apply_fn(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -265,14 +265,25 @@ def require_full_rank(state: DensityMatrix, name: str) -> None:
         raise not_full_rank(name, state.min_eigenvalue)
 
 
-def check_pair(rho: DensityMatrix, sigma: DensityMatrix, full_rank: tuple[str, ...] = ()) -> None:
+def check_pair(rho: DensityMatrix, sigma: DensityMatrix, full_rank: tuple[str, ...] = (), of: str = "") -> None:
     """Equal dims, and full rank (require_full_rank) for each state named in
-    ``full_rank`` ("rho", "sigma")."""
+    ``full_rank`` ("rho", "sigma"); in its error the name is followed by
+    ``of`` (" of pair 3")."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
     for name, state in (("rho", rho), ("sigma", sigma)):
         if name in full_rank:
-            require_full_rank(state, name)
+            require_full_rank(state, name + of)
+
+
+def check_pairs(pairs: Sequence[tuple[DensityMatrix, DensityMatrix]], full_rank: tuple[str, ...] = ()) -> None:
+    """check_pair of each pair; with more than one pair, a NotFullRank names
+    the state by its pair's index in ``pairs`` ("rho of pair 3")."""
+    if len(pairs) == 1:
+        check_pair(*pairs[0], full_rank)
+        return
+    for k, (rho, sigma) in enumerate(pairs):
+        check_pair(rho, sigma, full_rank, f" of pair {k}")
 
 
 def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:

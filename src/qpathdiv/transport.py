@@ -32,12 +32,15 @@ from .linalg import (
     HermitianEigen,
     _CachedEigen,
     check_reconstruction,
+    decomposition,
     eig_hermitian,
     frobenius,
     hermitian_part,
     log_partition,
+    matrices,
     point_array,
     require_hermitian,
+    split,
 )
 from .states import DensityMatrix, check_pair, require_full_rank, state_from_basis, validate_density
 
@@ -266,30 +269,51 @@ def sandwich_record(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
 
     F = sigma^{p-1/2} (sigma^{1/2-2p} rho sigma^{1/2-2p})^{1/2} sigma^{p-1/2}
 
-    F is built once per (kind, rho) and kept on sigma, so it dies with sigma.
+    The one-pair case of sandwich_records.
+    """
+    return sandwich_records(kind, [(rho, sigma)])[0]
+
+
+def sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[SandwichOperator]:
+    """sandwich_record of each (rho, sigma) in ``pairs``, each bitwise as if alone.
+
+    Each record is built once per (kind, rho) and kept on sigma, so it dies
+    with sigma. The pairs of one dim whose record is not kept yet are built in
+    one pass over (pairs, d, d) stacks (plain (d, d) arrays for one pair).
     When the inner power is 0 (kind half), X is rho and its decomposition is
-    rho.eig; when the outer power is 0 (kind r), F = X^{1/2} and F's
-    decomposition is X's with square-rooted eigenvalues, checked against F.
+    rho's; when the outer power is 0 (kind r), F = X^{1/2} and F's
+    decomposition is X's with square-rooted eigenvalues, checked against F
+    and kept. Else F's validated decomposition is taken when first asked
+    for: linalg.decomposition takes it for a list of records in one call.
     """
     p = kind.sandwich_power
     if p is None:
         raise DomainError(f"kind {kind.value} has no sandwich operator")
-    kept = sigma.__dict__.setdefault("_sandwiches", {})
-    key = (kind, id(rho))
-    if key not in kept:
-        inner_p, outer_p = 0.5 - 2.0 * p, p - 0.5
-        inner, outer = sigma.eig.power(inner_p), sigma.eig.power(outer_p)
-        x = rho.eig if inner_p == 0 else eig_hermitian(hermitian_part(inner @ rho.matrix @ inner))
+    inner_p, outer_p = 0.5 - 2.0 * p, p - 0.5
+    fresh: dict[int, dict] = {}
+    for rho, sigma in pairs:
+        if (kind, id(rho)) not in sigma.__dict__.get("_sandwiches", ()):
+            fresh.setdefault(rho.dim, {})[id(rho), id(sigma)] = rho, sigma
+    for group in fresh.values():
+        rhos, sigmas = zip(*group.values())
+        s = decomposition(sigmas)
+        inner, outer = s.power(inner_p), s.power(outer_p)
+        if inner_p == 0:
+            x = decomposition(rhos)
+        else:
+            x = eig_hermitian(hermitian_part(inner @ matrices(rhos) @ inner))
         f = hermitian_part(outer @ x.power(0.5) @ outer)
         f.flags.writeable = False
-        record = SandwichOperator(f)
+        records = [SandwichOperator(fk) for fk in f.reshape(-1, *f.shape[-2:])]
         if outer_p == 0:  # F = X^{1/2}
             eig = HermitianEigen(np.sqrt(np.maximum(x.eigenvalues, 0.0)), x.eigenvectors)
             check_reconstruction(eig, f)
-            SandwichOperator.eig.keep(record, eig)
-        # the entry holds rho, so no other state can take its id while sigma keeps it
-        kept[key] = (rho, record)
-    return kept[key][1]
+            for record, eig_k in zip(records, split(eig)):
+                SandwichOperator.eig.keep(record, eig_k)
+        for rho, sigma, record in zip(rhos, sigmas, records):
+            # the entry holds rho, so no other state can take its id while sigma keeps it
+            sigma.__dict__.setdefault("_sandwiches", {})[kind, id(rho)] = (rho, record)
+    return [sigma.__dict__["_sandwiches"][kind, id(rho)][1] for rho, sigma in pairs]
 
 
 def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:

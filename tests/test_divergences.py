@@ -13,15 +13,18 @@ from qpathdiv.divergences import (
     adaptive_gauss_legendre,
     bregman_divergence,
     bs_divergence,
+    bs_divergences,
     classical_kl,
     e_divergence_closed,
     e_divergence_quadrature,
     e_divergences,
+    e_divergences_closed,
     legendre_model,
     m_divergence,
     m_divergence_detail,
     m_divergences,
     quantum_relative_entropy,
+    relative_entropies,
     traceless_hermitian_basis,
     von_neumann_entropy,
 )
@@ -1058,3 +1061,103 @@ def test_e_divergences_name_the_pair_that_is_not_full_rank():
             e_divergences(kind, [(thin, good[1]), good])
         with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
             e_divergences(kind, [(good[0], thin)])
+
+
+# each closed form's list form and its one-pair form
+CLOSED_FORMS = {
+    **{
+        kind.value: (
+            lambda pairs, kind=kind: e_divergences_closed(kind, pairs),
+            lambda rho, sigma, kind=kind: e_divergence_closed(kind, rho, sigma),
+        )
+        for kind in GeodesicKind
+    },
+    "bs": (bs_divergences, bs_divergence),
+    "D": (relative_entropies, quantum_relative_entropy),
+}
+
+
+def _closed_pairs(dims) -> list:
+    """Fresh pairs at floor 1e-3, one per entry of ``dims``; every third pair
+    is rebuilt from its matrices, so it holds no decomposition yet."""
+    pairs = []
+    for k, dim in enumerate(dims):
+        pair = _e_pairs(dim, [40 + k], 1e-3)[0]
+        pairs.append(tuple(validate_density(state.matrix) for state in pair) if k % 3 == 2 else pair)
+    return pairs
+
+
+@pytest.mark.parametrize("dims", [(2,) * 5, (3,) * 5, (4,) * 5, (2, 4, 3, 2, 4, 3)], ids=["2", "3", "4", "mixed"])
+@pytest.mark.parametrize("form", list(CLOSED_FORMS))
+def test_closed_list_forms_equal_lone_calls_bitwise(form, dims):
+    batch, lone = CLOSED_FORMS[form]
+    # fresh states for each side, so that no kept sandwich operator is shared
+    batched = batch(_closed_pairs(dims))
+    assert repr(batched) == repr([lone(*pair) for pair in _closed_pairs(dims)])
+    assert repr(batched) == repr([batch([pair])[0] for pair in _closed_pairs(dims)])
+
+
+@pytest.mark.parametrize("form", list(CLOSED_FORMS))
+def test_closed_list_forms_decompose_undecomposed_states_in_one_call(monkeypatch, form):
+    from qpathdiv import linalg
+
+    pairs = [tuple(validate_density(state.matrix) for state in pair) for pair in _closed_pairs((3,) * 4)]
+    shapes = []
+    eigh = linalg._eigh
+
+    def counted(h):
+        shapes.append(np.shape(h))
+        return eigh(h)
+
+    monkeypatch.setattr(linalg, "_eigh", counted)
+    CLOSED_FORMS[form][0](pairs)
+    # each of rho and sigma that a form reads is decomposed by one stacked call and keeps it
+    assert shapes.count((4, 3, 3)) == {"s": 3, "b": 2, "r": 2, "half": 3, "bs": 3, "D": 2}[form]
+    assert all(shape == (4, 3, 3) for shape in shapes)
+    read = [state for pair in pairs for state in pair if "eig" in state.__dict__]
+    # kinds s and r read no decomposition of rho
+    assert read == [sigma for _, sigma in pairs] if form in ("s", "r") else len(read) == 8
+    for state in read:
+        assert not state.eig.eigenvectors.flags.writeable
+        assert np.array_equal(state.eig.eigenvalues, np.linalg.eigh(state.matrix)[0])
+
+
+@pytest.mark.parametrize("form", list(CLOSED_FORMS))
+def test_closed_list_forms_name_the_pair_that_is_not_full_rank(form):
+    batch, lone = CLOSED_FORMS[form]
+    good = _e_pairs(2, [1])[0]
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    with pytest.raises(NotFullRank, match=r"^sigma of pair 1 has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+        batch([good, (good[0], thin)])
+    with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+        batch([(good[0], thin)])
+    with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+        lone(good[0], thin)
+    if form == "D":  # the relative entropy takes a rank-deficient rho
+        assert batch([good, (thin, good[1])])[1] == lone(thin, good[1])
+        return
+    with pytest.raises(NotFullRank, match=r"^rho of pair 0 has minimum eigenvalue 5\.000e-13"):
+        batch([(thin, good[1]), good])
+    with pytest.raises(NotFullRank, match=r"^rho has minimum eigenvalue 5\.000e-13"):
+        batch([(thin, good[1])])
+    with pytest.raises(NotFullRank, match=r"^rho has minimum eigenvalue 5\.000e-13"):
+        lone(thin, good[1])
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_solve_direction_after_the_closed_list_form_reuses_each_record(monkeypatch, kind):
+    from qpathdiv import linalg
+    from qpathdiv.transport import sandwich_record, sandwich_records, solve_direction
+
+    pairs = _closed_pairs((3, 3, 2, 3))[:2] + _e_pairs(3, [60, 61])
+    e_divergences_closed(kind, pairs)
+    records = sandwich_records(kind, pairs)
+    decomposed = []
+    eigh = linalg._eigh
+    monkeypatch.setattr(linalg, "_eigh", lambda h: decomposed.append(h) or eigh(h))
+    for (rho, sigma), record in zip(pairs, records):
+        assert sandwich_record(kind, rho, sigma) is record
+        geodesic = solve_direction(kind, rho, sigma)
+        # G = 2 log F is read off the kept decomposition of F
+        assert geodesic.aux_eig.eigenvectors is record.eig.eigenvectors
+    assert decomposed == []

@@ -15,6 +15,7 @@ from qpathdiv.linalg import (
     hermitian_part,
     log_partition,
     require_hermitian,
+    split,
     tensor_product,
 )
 
@@ -296,3 +297,41 @@ def test_spectral_domain_checks_fail_on_a_nan_eigenvalue(what):
     eig = HermitianEigen(np.array([np.nan, 0.5]), np.eye(2, dtype=complex))
     with pytest.raises(DomainError, match="undefined: eigenvalue nan"):
         eig.log() if what == "log" else eig.power(what)
+
+
+@pytest.mark.parametrize(
+    "what, spectrum, message",
+    [
+        ("log", [0.1, 0.0], r"^log undefined: eigenvalue 0\.000e\+00 at or below support threshold 1e-12"),
+        (0.5, [0.1, -0.2], r"^power 0\.5 undefined: eigenvalue -2\.000e-01 below -1e-12"),
+        (-1.0, [0.1, 0.0], r"^power -1\.0 undefined: eigenvalue 0\.000e\+00 at or below support threshold 1e-12"),
+        (2.0, [0.1, np.inf], r"^power 2\.0 undefined: eigenvalue inf is not finite"),
+    ],
+)
+def test_spectral_domain_checks_name_the_worst_matrix_of_a_stack(what, spectrum, message):
+    bad = HermitianEigen(np.array(spectrum), np.eye(2, dtype=complex))
+    stack = HermitianEigen(np.array([[0.3, 0.7], [0.3, 0.7], spectrum]), np.array([np.eye(2, dtype=complex)] * 3))
+    one = lambda eig: eig.log() if what == "log" else eig.power(what)
+    with pytest.raises(DomainError, match=message + "$"):
+        one(bad)
+    with pytest.raises(DomainError, match=message + r" \(matrix 2 of 3 in the stack\)$"):
+        one(stack)
+
+
+def test_decomposition_stacks_and_split_unstacks():
+    from types import SimpleNamespace
+
+    from qpathdiv.linalg import _CachedEigen, decomposition
+
+    class Item(SimpleNamespace):
+        eig = _CachedEigen()
+
+    items = [Item(matrix=np.diag([0.1 * k, 1.0]).astype(complex)) for k in range(1, 4)]
+    assert decomposition(items[:1]) is items[0].eig
+    stack = decomposition(items)
+    assert stack.eigenvalues.shape == (3, 2) and stack.eigenvectors.shape == (3, 2, 2)
+    assert split(items[0].eig) == [items[0].eig]
+    for got, item in zip(split(stack), items):
+        assert np.array_equal(got.eigenvalues, item.eig.eigenvalues)
+        assert np.array_equal(got.eigenvectors, item.eig.eigenvectors)
+        assert np.shares_memory(got.eigenvalues, stack.eigenvalues)

@@ -27,6 +27,7 @@ from qpathdiv.transport import (
     make_geodesic,
     sandwich_operator,
     sandwich_record,
+    sandwich_records,
     solve_auxiliary_direction,
     solve_direction,
     transport_commutation_defect,
@@ -527,3 +528,47 @@ def test_kind_b_transported_state_carries_its_spectrum(monkeypatch):
             state.eig.eigenvalues[0] = 0.0
         assert mu == mf(theta)
     assert frobenius(mf.state(1.0).matrix - rho.matrix) <= 1e-8
+
+
+def _fresh_pairs(dims) -> list:
+    """Fresh pairs at floor 1e-3, one per entry of ``dims``."""
+    return [tuple(random_density(RandomSpec(dim, 700 + 2 * k + t, 1e-3)) for t in (0, 1)) for k, dim in enumerate(dims)]
+
+
+@pytest.mark.parametrize("dims", [(2,) * 4, (3,) * 4, (4,) * 4, (3, 2, 4, 2, 3)], ids=["2", "3", "4", "mixed"])
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_sandwich_records_equal_lone_records_bitwise(kind, dims):
+    from qpathdiv.linalg import decomposition
+
+    batched = sandwich_records(kind, _fresh_pairs(dims))
+    # the records of each dim decomposed as one stack, each lone one on its own
+    for dim in set(dims):
+        decomposition([record for record in batched if record.matrix.shape[0] == dim])
+    lone = [sandwich_record(kind, *pair) for pair in _fresh_pairs(dims)]
+    for got, expected in zip(batched, lone):
+        for a, b in ((got.matrix, expected.matrix), (got.eig.eigenvalues, expected.eig.eigenvalues),
+                     (got.eig.eigenvectors, expected.eig.eigenvectors)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_sandwich_records_are_kept_and_built_once(monkeypatch, kind):
+    from qpathdiv import linalg
+
+    pairs = _fresh_pairs((3, 3, 3))
+    # a pair that comes twice is built once
+    records = sandwich_records(kind, pairs + pairs[:1])
+    assert records[3] is records[0]
+    decomposed = []
+    eigh = linalg._eigh
+    monkeypatch.setattr(linalg, "_eigh", lambda h: decomposed.append(h) or eigh(h))
+    again = sandwich_records(kind, pairs[::-1])
+    assert all(a is b for a, b in zip(again, records[2::-1]))
+    assert all(sandwich_record(kind, *pair) is record for pair, record in zip(pairs, records))
+    assert decomposed == []
+    # a new pair beside kept ones: only the new pair is built
+    new = _fresh_pairs((2, 3, 4, 5))[3]
+    assert all(a is b for a, b in zip(sandwich_records(kind, pairs + [new]), records[:3]))
+    # X for kinds s and r; kind half's X is rho, which holds its decomposition
+    assert [np.shape(h) for h in decomposed] == [(5, 5)] * (kind != GeodesicKind.HALF)
