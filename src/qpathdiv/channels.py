@@ -55,10 +55,6 @@ class QuantumChannel:
     def dim_in(self) -> int:
         return self.kraus[0].shape[1]
 
-    @property
-    def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
-
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != channel.dim_in:

@@ -12,12 +12,12 @@ Quantum functionals (all in nats, full-rank second argument throughout):
   m_divergence               integral of t * J_t along the mixture segment
                              (1-t) rho + t sigma, any metric kind
 
-Each has a list form over (rho, sigma) pairs, whose values are bit for bit
-those of the pairs alone and whose errors name the pair by its index:
-relative_entropies, bs_divergences and e_divergences_closed run each step
-once over a (pairs, d, d) stack per dim; e_divergences and m_divergences
-run one quadrature per dim. Each one-pair function is its list form on one
-pair, which passes plain (d, d) arrays through the same code.
+Each has a list form over (rho, sigma) pairs of one dim, whose values are
+bit for bit those of the pairs alone and whose errors name the pair by its
+index: relative_entropies, bs_divergences and e_divergences_closed run each
+step once over a (pairs, d, d) stack; e_divergences and m_divergences run
+one quadrature. Each one-pair function is its list form on one pair, which
+passes plain (d, d) arrays through the same code.
 
 Convex duality (ConvexFunctionModel, bregman_divergence, legendre_model)
 serves two families:
@@ -225,27 +225,6 @@ def _entropy(w: np.ndarray) -> float:
     return float(-np.sum(w[support] * np.log(w[support])))
 
 
-def _by_dim(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[list[int]]:
-    """The indices of ``pairs`` grouped by dim, the dims in order of first appearance."""
-    groups: dict[int, list[int]] = {}
-    for k, (rho, _) in enumerate(pairs):
-        groups.setdefault(rho.dim, []).append(k)
-    return list(groups.values())
-
-
-def _per_dim(pairs: list[tuple[DensityMatrix, DensityMatrix]], values: Callable[[tuple, tuple], list]) -> list:
-    """values(rhos, sigmas) once per dim, on the pairs of that dim; the values in the order of ``pairs``."""
-    groups = _by_dim(pairs)
-    if len(groups) == 1:
-        return values(*zip(*pairs))
-    out: list = [None] * len(pairs)
-    for numbers in groups:
-        rhos, sigmas = zip(*(pairs[k] for k in numbers))
-        for k, value in zip(numbers, values(rhos, sigmas)):
-            out[k] = value
-    return out
-
-
 def _traces(rhos: tuple[DensityMatrix, ...], ops: np.ndarray) -> list[float]:
     """Re Tr rho X of each rho and its X in ``ops``, a matrix for one rho or a stack."""
     return (matrices(rhos) @ ops).trace(0, -2, -1).real.reshape(-1).tolist()
@@ -257,14 +236,13 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def relative_entropies(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
-    """quantum_relative_entropy of each (rho, sigma) in ``pairs``, each bitwise
-    as if alone, from one pass per dim. With more than one pair, NotFullRank
-    names the pair by its index in ``pairs``."""
+    """quantum_relative_entropy of each (rho, sigma) in ``pairs``, all of one
+    dim, each bitwise as if alone, from one stacked pass. With more than one
+    pair, NotFullRank names the pair by its index in ``pairs``."""
     check_pairs(pairs, ("sigma",))
-    return _per_dim(pairs, _relative_entropies)
-
-
-def _relative_entropies(rhos: tuple[DensityMatrix, ...], sigmas: tuple[DensityMatrix, ...]) -> list[float]:
+    if not pairs:
+        return []
+    rhos, sigmas = zip(*pairs)
     spectra = decomposition(rhos).eigenvalues.reshape(len(rhos), -1)
     cross = _traces(rhos, decomposition(sigmas).log())
     return [-_entropy(w) - c for w, c in zip(spectra, cross)]
@@ -276,18 +254,17 @@ def bs_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def bs_divergences(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
-    """bs_divergence of each (rho, sigma) in ``pairs``, each bitwise as if
-    alone, from one pass per dim over (pairs, d, d) stacks with one validated
-    eig_hermitian of the stack of rho^{1/2} sigma^{-1} rho^{1/2}. With more
-    than one pair, NotFullRank names the pair by its index in ``pairs``."""
+    """bs_divergence of each (rho, sigma) in ``pairs``, all of one dim, each
+    bitwise as if alone, from one pass over (pairs, d, d) stacks with one
+    validated eig_hermitian of the stack of rho^{1/2} sigma^{-1} rho^{1/2}.
+    With more than one pair, NotFullRank names the pair by its index in ``pairs``."""
     check_pairs(pairs, ("rho", "sigma"))
-
-    def values(rhos: tuple, sigmas: tuple) -> list[float]:
-        rh = decomposition(rhos).power(0.5)
-        m = hermitian_part(rh @ decomposition(sigmas).power(-1.0) @ rh)
-        return _traces(rhos, herm_log(m))
-
-    return _per_dim(pairs, values)
+    if not pairs:
+        return []
+    rhos, sigmas = zip(*pairs)
+    rh = decomposition(rhos).power(0.5)
+    m = hermitian_part(rh @ decomposition(sigmas).power(-1.0) @ rh)
+    return _traces(rhos, herm_log(m))
 
 
 def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -298,24 +275,24 @@ def e_divergence_closed(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMa
 
 
 def e_divergences_closed(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
-    """e_divergence_closed of each (rho, sigma) in ``pairs``, each bitwise as
-    if alone, from one pass per dim over (pairs, d, d) stacks: kind b is the
-    relative entropy, and the sandwich kinds read G off F's decomposition in
-    the records of transport.sandwich_records, which keeps them. With more
-    than one pair, NotFullRank names the pair by its index in ``pairs``."""
+    """e_divergence_closed of each (rho, sigma) in ``pairs``, all of one dim,
+    each bitwise as if alone, from one pass over (pairs, d, d) stacks: kind b
+    is relative_entropies, and the sandwich kinds read G off F's
+    decomposition in the records of transport.sandwich_records, which keeps
+    them. With more than one pair, NotFullRank names the pair by its index
+    in ``pairs``."""
     check_pairs(pairs, ("rho", "sigma"))
     p = kind.sandwich_power
     if p is None:
-        return _per_dim(pairs, _relative_entropies)
-
-    def values(rhos: tuple, sigmas: tuple) -> list[float]:
-        gen = 2.0 * decomposition(sandwich_records(kind, list(zip(rhos, sigmas)))).log()
-        if p:
-            s = decomposition(sigmas)
-            gen = s.power(p) @ gen @ s.power(-p)
-        return _traces(rhos, gen)
-
-    return _per_dim(pairs, values)
+        return relative_entropies(pairs)
+    if not pairs:
+        return []
+    rhos, sigmas = zip(*pairs)
+    gen = 2.0 * decomposition(sandwich_records(kind, pairs)).log()
+    if p:
+        s = decomposition(sigmas)
+        gen = s.power(p) @ gen @ s.power(-p)
+    return _traces(rhos, gen)
 
 
 def e_divergence_quadrature(
@@ -340,36 +317,33 @@ def e_divergences(
     config: QuadratureConfig = QuadratureConfig(),
 ) -> list[tuple[float, int]]:
     """The (value, nodes) of e_divergence_quadrature for each (rho, sigma)
-    in ``pairs``, each bitwise as if alone.
+    in ``pairs``, all of one dim, each bitwise as if alone.
 
     Each pair's direction is solved and checked on its own (solve_direction,
-    so TargetMismatch); then the pairs of each dim share one
-    adaptive_gauss_legendre call with one row per pair, whose integrand
-    takes mu'' of every pair that still has an open row as one stack
-    (transport._moment_derivatives). With more than one pair, NotFullRank
-    and QuadratureNotConverged name the pair by its index in ``pairs``.
+    so TargetMismatch); then the pairs share one adaptive_gauss_legendre
+    call with one row per pair, whose integrand takes mu'' of every pair
+    that still has an open row as one stack (transport._moment_derivatives).
+    With more than one pair, NotFullRank and QuadratureNotConverged name the
+    pair by its index in ``pairs``.
     """
-    check_pairs(pairs, ("rho", "sigma"))
+    names = check_pairs(pairs, ("rho", "sigma"))
+    if not pairs:
+        return []
     moments = [solve_direction(kind, rho, sigma).moment for rho, sigma in pairs]
-    out: list = [None] * len(pairs)
-    for numbers in _by_dim(pairs):
-        curves = [moments[k] for k in numbers]
-        open_rows = np.ones(len(curves), dtype=bool)
+    open_rows = np.ones(len(moments), dtype=bool)
 
-        def integrand(ths: np.ndarray) -> np.ndarray:
-            live = np.flatnonzero(open_rows)
-            if len(live) == len(curves):
-                return ths * _moment_derivatives(curves, ths, 2)
-            # the rows of frozen pairs are left at zero, and never read
-            values = np.zeros((len(curves), ths.size))
-            values[live] = ths * _moment_derivatives([curves[j] for j in live], ths, 2)
-            return values
+    def integrand(ths: np.ndarray) -> np.ndarray:
+        live = np.flatnonzero(open_rows)
+        if len(live) == len(moments):
+            return ths * _moment_derivatives(moments, ths, 2)
+        # the rows of frozen pairs are left at zero, and never read
+        values = np.zeros((len(moments), ths.size))
+        values[live] = ths * _moment_derivatives([moments[j] for j in live], ths, 2)
+        return values
 
-        labels = () if len(pairs) == 1 else tuple(f"e_{kind.value} of pair {k}" for k in numbers)
-        rows, _ = adaptive_gauss_legendre(integrand, config, labels, open_rows)
-        for k, row in zip(numbers, rows):
-            out[k] = row
-    return out
+    # the one-pair message names no row, as a one-row integrand's does
+    labels = () if len(pairs) == 1 else tuple(f"e_{kind.value}{name}" for name in names)
+    return list(adaptive_gauss_legendre(integrand, config, labels, open_rows)[0])
 
 
 def m_divergence_detail(
@@ -392,47 +366,32 @@ def m_divergences(
     pairs: list[tuple[DensityMatrix, DensityMatrix]],
     config: QuadratureConfig = QuadratureConfig(),
 ) -> list:
-    """m_divergence_detail of each (rho, sigma) in ``pairs``, each bitwise as
-    if alone, from one quadrature per dim (_m_rows). With more than one
-    pair, NotFullRank and QuadratureNotConverged name the pair by its index
-    in ``pairs``."""
+    """m_divergence_detail of each (rho, sigma) in ``pairs``, all of one dim,
+    each bitwise as if alone, from one adaptive_gauss_legendre call whose
+    rows are pair x kind. Each integrand call decomposes the mixture states
+    of every pair that still has an open row as one stack
+    (metrics._segment_info); the rows of a pair whose rows have all frozen
+    are left at zero, and never read. With more than one pair, NotFullRank
+    and QuadratureNotConverged name the pair by its index in ``pairs``."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    one = len(pairs) == 1
-    check_pairs(pairs, ("rho", "sigma"))
-    out: list = [None] * len(pairs)
-    for numbers in _by_dim(pairs):
-        rows = _m_rows(kinds, [pairs[k] for k in numbers], None if one else numbers, config)
-        for j, k in enumerate(numbers):
-            out[k] = rows[j * len(kinds) : (j + 1) * len(kinds)]
-    return out if isinstance(kind, tuple) else [rows[0] for rows in out]
-
-
-def _m_rows(
-    kinds: tuple[metrics.MetricKind, ...],
-    pairs: list[tuple[DensityMatrix, DensityMatrix]],
-    numbers: list[int] | None,
-    config: QuadratureConfig,
-) -> tuple:
-    """The (value, nodes) of each pair x kind, pairs of one dim, from one
-    adaptive_gauss_legendre call whose rows are pair x kind. Each integrand
-    call decomposes the mixture states of every pair that still has an open
-    row as one stack (metrics._segment_info); the rows of a pair whose rows
-    have all frozen are left at zero, and never read. ``numbers`` names the
-    pairs in errors, None for one pair."""
+    names = check_pairs(pairs, ("rho", "sigma"))
+    if not pairs:
+        return []
     open_rows = np.ones(len(pairs) * len(kinds), dtype=bool)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(open_rows.reshape(len(pairs), -1).any(axis=1))
         if len(live) == len(pairs):
-            return (t * metrics._segment_info(pairs, kinds, t, numbers)).reshape(-1, t.size)
-        names = None if numbers is None else [numbers[k] for k in live]
+            return (t * metrics._segment_info(pairs, kinds, t, names)).reshape(-1, t.size)
         values = np.zeros((len(pairs), len(kinds), t.size))
-        values[live] = t * metrics._segment_info([pairs[k] for k in live], kinds, t, names)
+        values[live] = t * metrics._segment_info([pairs[k] for k in live], kinds, t, [names[k] for k in live])
         return values.reshape(-1, t.size)
 
-    of = [""] if numbers is None else [f" of pair {k}" for k in numbers]
-    labels = tuple(f"m_{k.label()}{name}" for name in of for k in kinds)
-    return adaptive_gauss_legendre(integrand, config, labels, open_rows)[0]
+    labels = tuple(f"m_{k.label()}{name}" for name in names for k in kinds)
+    rows = adaptive_gauss_legendre(integrand, config, labels, open_rows)[0]
+    if not isinstance(kind, tuple):
+        return list(rows)
+    return [rows[j * len(kinds) : (j + 1) * len(kinds)] for j in range(len(pairs))]
 
 
 def m_divergence(

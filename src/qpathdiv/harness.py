@@ -365,45 +365,40 @@ def _e_additivity(dim: int, seeds: list[int]):
     n = len(seeds)
     worst, values = [0.0] * n, [{} for _ in seeds]
     for kind in _GEODESIC_KINDS:
-        closed = e_divergences_closed(kind, firsts + seconds + joints)
-        for k in range(n):
-            joint = closed[2 * n + k]
+        qubits = e_divergences_closed(kind, firsts + seconds)
+        for k, joint in enumerate(e_divergences_closed(kind, joints)):
             values[k][kind.value] = joint
-            worst[k] = max(worst[k], abs(joint - (closed[k] + closed[n + k])))
+            worst[k] = max(worst[k], abs(joint - (qubits[k] + qubits[n + k])))
     return [(w, {"joint_values": v}) for w, v in zip(worst, values)]
 
 
 @_register("m-path-monotonicity", dims=(2, 3, 4), trials=500, tolerance=1e-7, mode="inequality", batched=True)
 def _m_monotonicity(dim: int, seeds: list[int]):
-    # style 0 (seed % 4) traces a dim-4 pair down to one qubit whatever the dim
-    pair_dims = [4 if seed % 4 == 0 else dim for seed in seeds]
-    drawn = {d: iter(_pairs(d, [s for s, e in zip(seeds, pair_dims) if e == d])) for d in set(pair_dims)}
-    before, after, descs = [], [], []
-    for seed, pair_dim in zip(seeds, pair_dims):
-        rho, sigma = next(drawn[pair_dim])
-        style = seed % 4
-        if style == 0:
-            keep = "A" if seed % 2 == 0 else "B"
-            out_rho = partial_trace(rho, (2, 2), keep)
-            out_sigma = partial_trace(sigma, (2, 2), keep)
-            descs.append(f"partial-trace-keep-{keep}")
-        else:
-            kraus_count = (1, 2, 4)[style - 1]
-            channel = random_channel(dim, dim, kraus_count, derive_seed(seed, "channel"))
-            out_rho = apply_channel(channel, rho)
-            out_sigma = apply_channel(channel, sigma)
-            descs.append(f"random-kraus-{kraus_count}")
-        before.append((rho, sigma))
-        after.append((out_rho, out_sigma))
-    out = []
-    for rows_before, rows_after, desc in zip(
-        m_divergences(_METRIC_KINDS, before), m_divergences(_METRIC_KINDS, after), descs
-    ):
-        worst = math.inf
-        for (b, _), (a, _) in zip(rows_before, rows_after):
-            worst = min(worst, b - a)
-        out.append((worst, {"channel": desc}))
-    return out
+    # style 0 (seed % 4) traces a dim-4 pair down to one qubit whatever the dim, so the
+    # partial-trace trials and the channel trials each make one draw and one-dim lists
+    groups: dict[bool, list[int]] = {}
+    for seed in seeds:
+        groups.setdefault(seed % 4 == 0, []).append(seed)
+    out = {}
+    for traced, group in groups.items():
+        before, after, descs = _pairs(4 if traced else dim, group), [], []
+        for seed, (rho, sigma) in zip(group, before):
+            if traced:
+                keep = "A" if seed % 2 == 0 else "B"
+                after.append((partial_trace(rho, (2, 2), keep), partial_trace(sigma, (2, 2), keep)))
+                descs.append(f"partial-trace-keep-{keep}")
+            else:
+                kraus_count = (1, 2, 4)[seed % 4 - 1]
+                channel = random_channel(dim, dim, kraus_count, derive_seed(seed, "channel"))
+                after.append((apply_channel(channel, rho), apply_channel(channel, sigma)))
+                descs.append(f"random-kraus-{kraus_count}")
+        rows = zip(m_divergences(_METRIC_KINDS, before), m_divergences(_METRIC_KINDS, after))
+        for seed, desc, (rows_before, rows_after) in zip(group, descs, rows):
+            worst = math.inf
+            for (b, _), (a, _) in zip(rows_before, rows_after):
+                worst = min(worst, b - a)
+            out[seed] = worst, {"channel": desc}
+    return [out[seed] for seed in seeds]
 
 
 @_register("rld-m-path-dominates", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality", batched=True)

@@ -161,7 +161,8 @@ def fisher_info_mixture(
     A nonempty tuple of kinds adds a leading axis, one row of J_t per kind:
     the kinds share the decomposition and differ only in the kernel.
     """
-    rows = _segment_info([(rho, sigma)], kind if isinstance(kind, tuple) else (kind,), t)[0]
+    check_pair(rho, sigma)
+    rows = _segment_info([(rho, sigma)], kind if isinstance(kind, tuple) else (kind,), t, [""])[0]
     if isinstance(kind, tuple):
         return rows if np.ndim(t) else rows[:, 0]
     return rows[0] if np.ndim(t) else float(rows[0, 0])
@@ -171,16 +172,13 @@ def _segment_info(
     pairs: list[tuple[DensityMatrix, DensityMatrix]],
     kinds: tuple[MetricKind, ...],
     t: float | np.ndarray,
-    numbers: list[int] | None = None,
+    names: list[str],
 ) -> np.ndarray:
-    """fisher_info_mixture of each pair, all of one dim, at each t: a view
-    (pairs, kinds, t). Every pair is checked (check_pair), and the stack of
+    """fisher_info_mixture of each pair, all of one dim and checked by the
+    caller (check_pairs), at each t: a view (pairs, kinds, t). The stack of
     all (pairs, t) mixture states is decomposed by one validated
     eig_hermitian; each pair's rows are bitwise those of a call on it alone.
-    ``numbers`` names the pairs in a NotFullRank ("of pair k"), None for a
-    call whose one pair needs no name."""
-    for rho, sigma in pairs:
-        check_pair(rho, sigma)
+    ``names`` holds each pair's name in a NotFullRank (check_pairs)."""
     if not kinds:
         raise InvalidShape("need at least one metric kind")
     ts = point_array(t, "t")
@@ -193,8 +191,7 @@ def _segment_info(
     low = eig.eigenvalues[:, 0]
     if np.any(low <= SUPPORT_EPS):
         first = int(np.argmax(low <= SUPPORT_EPS))
-        of = "" if numbers is None else f" of pair {numbers[first // m]}"
-        raise not_full_rank(f"mixture state{of} at t={ts[first % m]:g}", float(low[first]))
+        raise not_full_rank(f"mixture state{names[first // m]} at t={ts[first % m]:g}", float(low[first]))
     u = eig.eigenvectors.reshape(p, m, n, n)
     # Delta U_k for every node k as one (n, nodes n) product per pair, then U_k^* (Delta U_k)
     du = ((sigma - rho) @ u.transpose(0, 2, 1, 3).reshape(p, n, m * n)).reshape(p, n, m, n)

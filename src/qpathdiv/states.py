@@ -267,23 +267,25 @@ def require_full_rank(state: DensityMatrix, name: str) -> None:
 
 def check_pair(rho: DensityMatrix, sigma: DensityMatrix, full_rank: tuple[str, ...] = (), of: str = "") -> None:
     """Equal dims, and full rank (require_full_rank) for each state named in
-    ``full_rank`` ("rho", "sigma"); in its error the name is followed by
-    ``of`` (" of pair 3")."""
+    ``full_rank`` ("rho", "sigma"); in its errors ``of`` (" of pair 3")
+    names the pair."""
     if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim} differ")
+        raise DimensionMismatch(f"dims {rho.dim} and {sigma.dim}{of} differ")
     for name, state in (("rho", rho), ("sigma", sigma)):
         if name in full_rank:
             require_full_rank(state, name + of)
 
 
-def check_pairs(pairs: Sequence[tuple[DensityMatrix, DensityMatrix]], full_rank: tuple[str, ...] = ()) -> None:
-    """check_pair of each pair; with more than one pair, a NotFullRank names
-    the state by its pair's index in ``pairs`` ("rho of pair 3")."""
-    if len(pairs) == 1:
-        check_pair(*pairs[0], full_rank)
-        return
+def check_pairs(pairs: Sequence[tuple[DensityMatrix, DensityMatrix]], full_rank: tuple[str, ...] = ()) -> list[str]:
+    """check_pair of each pair, which must all be of pair 0's dim (else
+    DimensionMismatch names the pair); returns each pair's name in errors,
+    "" for one pair, else " of pair k", its index in ``pairs`` ("rho of pair 3")."""
+    names = [""] if len(pairs) == 1 else [f" of pair {k}" for k in range(len(pairs))]
     for k, (rho, sigma) in enumerate(pairs):
-        check_pair(rho, sigma, full_rank, f" of pair {k}")
+        if k and rho.dim != pairs[0][0].dim:
+            raise DimensionMismatch(f"pair {k} has dim {rho.dim}, pair 0 has dim {pairs[0][0].dim}")
+        check_pair(rho, sigma, full_rank, names[k])
+    return names
 
 
 def commutation_defect(rho: DensityMatrix, sigma: DensityMatrix) -> float:

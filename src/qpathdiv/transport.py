@@ -42,7 +42,7 @@ from .linalg import (
     require_hermitian,
     split,
 )
-from .states import DensityMatrix, check_pair, require_full_rank, state_from_basis, validate_density
+from .states import DensityMatrix, check_pair, check_pairs, require_full_rank, state_from_basis, validate_density
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
@@ -277,9 +277,10 @@ def sandwich_record(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
 def sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[SandwichOperator]:
     """sandwich_record of each (rho, sigma) in ``pairs``, each bitwise as if alone.
 
-    Each record is built once per (kind, rho) and kept on sigma, so it dies
-    with sigma. The pairs of one dim whose record is not kept yet are built in
-    one pass over (pairs, d, d) stacks (plain (d, d) arrays for one pair).
+    The pairs are of one dim (check_pairs). Each record is built once per
+    (kind, rho) and kept on sigma, so it dies with sigma. The pairs whose
+    record is not kept yet are built in one pass over (pairs, d, d) stacks
+    (plain (d, d) arrays for one pair).
     When the inner power is 0 (kind half), X is rho and its decomposition is
     rho's; when the outer power is 0 (kind r), F = X^{1/2} and F's
     decomposition is X's with square-rooted eigenvalues, checked against F
@@ -289,13 +290,16 @@ def sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, Densit
     p = kind.sandwich_power
     if p is None:
         raise DomainError(f"kind {kind.value} has no sandwich operator")
+    check_pairs(pairs)
     inner_p, outer_p = 0.5 - 2.0 * p, p - 0.5
-    fresh: dict[int, dict] = {}
-    for rho, sigma in pairs:
-        if (kind, id(rho)) not in sigma.__dict__.get("_sandwiches", ()):
-            fresh.setdefault(rho.dim, {})[id(rho), id(sigma)] = rho, sigma
-    for group in fresh.values():
-        rhos, sigmas = zip(*group.values())
+    # each pair whose record is not kept yet, once
+    fresh = {
+        (id(rho), id(sigma)): (rho, sigma)
+        for rho, sigma in pairs
+        if (kind, id(rho)) not in sigma.__dict__.get("_sandwiches", ())
+    }
+    if fresh:
+        rhos, sigmas = zip(*fresh.values())
         s = decomposition(sigmas)
         inner, outer = s.power(inner_p), s.power(outer_p)
         if inner_p == 0:
@@ -314,11 +318,6 @@ def sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, Densit
             # the entry holds rho, so no other state can take its id while sigma keeps it
             sigma.__dict__.setdefault("_sandwiches", {})[kind, id(rho)] = (rho, record)
     return [sigma.__dict__["_sandwiches"][kind, id(rho)][1] for rho, sigma in pairs]
-
-
-def sandwich_operator(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    """The matrix of sandwich_record(kind, rho, sigma), read-only."""
-    return sandwich_record(kind, rho, sigma).matrix
 
 
 def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> Geodesic:

@@ -29,6 +29,7 @@ from qpathdiv.divergences import (
     von_neumann_entropy,
 )
 from qpathdiv.errors import (
+    DimensionMismatch,
     DomainError,
     InvalidShape,
     NotFullRank,
@@ -45,7 +46,7 @@ from qpathdiv.states import (
     random_density,
     validate_density,
 )
-from qpathdiv.transport import GeodesicKind
+from qpathdiv.transport import GeodesicKind, sandwich_records
 from qpathdiv.metrics import BOGOLJUBOV, HALF, RLD, SLD, lambda_kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -770,7 +771,7 @@ def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
     # and kind half (X = rho, which keeps its decomposition) F once
     from qpathdiv import linalg
     from qpathdiv.linalg import hermitian_part
-    from qpathdiv.transport import sandwich_operator, solve_direction
+    from qpathdiv.transport import sandwich_record, solve_direction
 
     rho = random_density(RandomSpec(3, 961, 0.05))
     sigma = random_density(RandomSpec(3, 962, 0.05))
@@ -786,7 +787,7 @@ def test_e_quadrature_decomposes_g_once(monkeypatch, kind):
     quad = e_divergence_quadrature(kind, rho, sigma)
     inner = sigma.eig.power(0.5 - 2.0 * kind.sandwich_power)
     x = hermitian_part(inner @ rho.matrix @ inner)
-    f = sandwich_operator(kind, rho, sigma)
+    f = sandwich_record(kind, rho, sigma).matrix
     gen = solve_direction(kind, rho, sigma).aux_direction
     expected = {GeodesicKind.SLD: (1, 1), GeodesicKind.RLD: (1, 0), GeodesicKind.HALF: (0, 1)}[kind]
     assert tuple(sum(np.array_equal(h, a) for h in decomposed) for a in (x, f)) == expected
@@ -949,12 +950,15 @@ def test_m_divergences_refine_only_the_open_pairs(monkeypatch):
         return random_density(RandomSpec(dim, seed, floor)), random_density(RandomSpec(dim, seed + 1000, floor))
 
     # the dim-3 pair at seed 116 refines kinds s and r to 113 nodes, the dim-2 pair
-    # at seed 901 every kind; the pairs near I/3 settle at 57 nodes
+    # at seed 901 every kind; the pairs near I/3 and I/2 settle at 57 nodes
     settled = [pair(3, 500 + k, 0.3) for k in range(3)]
-    pairs = [settled[0], pair(3, 116, 1e-3), settled[1], pair(2, 901, 0.05), settled[2]]
-    alone = [m_divergence_detail(tuple(ALL_METRIC), *p) for p in pairs]
-    assert [[nodes for _, nodes in rows] for rows in alone] == [
-        [57] * 4, [113, 57, 113, 57], [57] * 4, [113] * 4, [57] * 4
+    lists = [
+        [settled[0], pair(3, 116, 1e-3), settled[1], settled[2]],
+        [pair(2, 500, 0.3), pair(2, 901, 0.05), pair(2, 501, 0.3)],
+    ]
+    alone = [[m_divergence_detail(tuple(ALL_METRIC), *p) for p in pairs] for pairs in lists]
+    assert [[[nodes for _, nodes in rows] for rows in each] for each in alone] == [
+        [[57] * 4, [113, 57, 113, 57], [57] * 4, [57] * 4], [[57] * 4, [113] * 4, [57] * 4]
     ]
     stacks = []
     eig = metrics.eig_hermitian
@@ -964,11 +968,33 @@ def test_m_divergences_refine_only_the_open_pairs(monkeypatch):
         return eig(h)
 
     monkeypatch.setattr(metrics, "eig_hermitian", counted_eig)
-    assert m_divergences(tuple(ALL_METRIC), pairs) == alone
-    # one quadrature per dim, in order of first appearance; a refining level
-    # decomposes the mixture states of the one open pair only
-    assert stacks == [4 * 57, 56, 57, 56]
-    assert m_divergences(BOGOLJUBOV, pairs) == [m_divergence_detail(BOGOLJUBOV, *p) for p in pairs]
+    assert [m_divergences(tuple(ALL_METRIC), pairs) for pairs in lists] == alone
+    # one quadrature per list; a refining level decomposes the mixture states
+    # of the one open pair only
+    assert stacks == [4 * 57, 56, 3 * 57, 56]
+    for pairs in lists:
+        assert m_divergences(BOGOLJUBOV, pairs) == [m_divergence_detail(BOGOLJUBOV, *p) for p in pairs]
+
+
+def test_m_paths_check_each_pair_once_per_call(monkeypatch):
+    from qpathdiv import metrics, states
+
+    # the pair at seed 116 refines, so the m-path integrand runs more than once
+    pairs = [(random_density(RandomSpec(3, s, 1e-3)), random_density(RandomSpec(3, s + 1000, 1e-3))) for s in (1, 116)]
+    checked = []
+    check_pair = states.check_pair
+
+    def counted(rho, sigma, *args):
+        checked.append((rho, sigma))
+        return check_pair(rho, sigma, *args)
+
+    for module in (states, metrics):
+        monkeypatch.setattr(module, "check_pair", counted)
+    assert max(nodes for rows in m_divergences(tuple(ALL_METRIC), pairs) for _, nodes in rows) > 57
+    assert checked == pairs
+    checked.clear()
+    metrics.fisher_info_mixture(*pairs[0], SLD, np.linspace(0.1, 0.9, 5))
+    assert checked == pairs[:1]
 
 
 def test_m_divergences_name_the_pair_in_errors():
@@ -1000,8 +1026,8 @@ def _e_pairs(dim: int, seeds, floor: float = 0.05) -> list:
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("kind", list(GeodesicKind))
 def test_e_divergences_equal_lone_calls_bitwise(kind, dim):
-    # six pairs of the dim between pairs of other dims: one quadrature per dim
-    pairs = _e_pairs(2 + dim % 3, [7]) + _e_pairs(dim, range(1, 7)) + _e_pairs(2 + (dim + 1) % 3, [8])
+    # eight pairs of the dim: one quadrature
+    pairs = _e_pairs(dim, range(1, 9))
     batched = e_divergences(kind, pairs)
     alone = [e_divergences(kind, [pair])[0] for pair in pairs]
     assert repr(batched) == repr(alone)
@@ -1087,14 +1113,50 @@ def _closed_pairs(dims) -> list:
     return pairs
 
 
+def _one_dim_lists(pairs: list) -> list[list]:
+    """The pairs of each dim, in order, the dims in order of first appearance."""
+    dims = dict.fromkeys(rho.dim for rho, _ in pairs)
+    return [[pair for pair in pairs if pair[0].dim == dim] for dim in dims]
+
+
 @pytest.mark.parametrize("dims", [(2,) * 5, (3,) * 5, (4,) * 5, (2, 4, 3, 2, 4, 3)], ids=["2", "3", "4", "mixed"])
 @pytest.mark.parametrize("form", list(CLOSED_FORMS))
 def test_closed_list_forms_equal_lone_calls_bitwise(form, dims):
     batch, lone = CLOSED_FORMS[form]
-    # fresh states for each side, so that no kept sandwich operator is shared
-    batched = batch(_closed_pairs(dims))
-    assert repr(batched) == repr([lone(*pair) for pair in _closed_pairs(dims)])
-    assert repr(batched) == repr([batch([pair])[0] for pair in _closed_pairs(dims)])
+    # fresh states for each side, so that no kept sandwich operator is shared;
+    # the pairs of mixed dims run as one list per dim, one after the other
+    batched = [batch(pairs) for pairs in _one_dim_lists(_closed_pairs(dims))]
+    alone = [[lone(*pair) for pair in pairs] for pairs in _one_dim_lists(_closed_pairs(dims))]
+    lists_of_one = [[batch([pair])[0] for pair in pairs] for pairs in _one_dim_lists(_closed_pairs(dims))]
+    assert repr(batched) == repr(alone) == repr(lists_of_one)
+
+
+# every list form over (rho, sigma) pairs, each kind of a form in turn
+LIST_FORMS = {
+    "D": relative_entropies,
+    "bs": bs_divergences,
+    "e_closed": lambda pairs: [v for kind in GeodesicKind for v in e_divergences_closed(kind, pairs)],
+    "e_quadrature": lambda pairs: [v for kind in GeodesicKind for v in e_divergences(kind, pairs)],
+    "m": lambda pairs: m_divergences(tuple(ALL_METRIC), pairs) + m_divergences(SLD, pairs),
+    "sandwich": lambda pairs: [r for kind in (GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF)
+                               for r in sandwich_records(kind, pairs)],
+}
+
+
+@pytest.mark.parametrize("form", list(LIST_FORMS))
+def test_list_forms_take_an_empty_list(form):
+    assert LIST_FORMS[form]([]) == []
+
+
+@pytest.mark.parametrize("form", list(LIST_FORMS))
+def test_list_forms_refuse_pairs_of_mixed_dims(form):
+    # a list of pairs is of one dim, checked once at the call
+    pairs = _e_pairs(3, [1, 2]) + _e_pairs(2, [3])
+    with pytest.raises(DimensionMismatch, match=r"^pair 2 has dim 2, pair 0 has dim 3$"):
+        LIST_FORMS[form](pairs)
+    # a pair whose own states differ in dim is named too
+    with pytest.raises(DimensionMismatch, match=r"^dims 3 and 2 of pair 1 differ$"):
+        LIST_FORMS[form]([pairs[0], (pairs[1][0], pairs[2][1])])
 
 
 @pytest.mark.parametrize("form", list(CLOSED_FORMS))

@@ -23,7 +23,7 @@ from qpathdiv.metrics import (
     m_to_e,
     metric_from_tag,
 )
-from qpathdiv.states import RandomSpec, random_density, validate_density
+from qpathdiv.states import RandomSpec, check_pairs, random_density, validate_density
 from qpathdiv.transport import m_geodesic
 
 from conftest import random_hermitian
@@ -395,7 +395,7 @@ def test_segment_info_stack_matches_one_pair_calls(dim):
     ]
     ts = (np.polynomial.legendre.leggauss(57)[0] + 1.0) / 2.0
     kinds = tuple(STACK_KINDS)
-    stacked = _segment_info(pairs, kinds, ts)
+    stacked = _segment_info(pairs, kinds, ts, check_pairs(pairs))
     assert stacked.shape == (len(pairs), len(kinds), ts.size)
     for rows, (rho, sigma) in zip(stacked, pairs):
         assert rows.tobytes() == fisher_info_mixture(rho, sigma, kinds, ts).tobytes()
@@ -409,7 +409,7 @@ def test_segment_info_names_the_pair_of_a_singular_mixture_state():
     full = validate_density(np.diag([0.4, 0.6]))
     ts = np.array([0.3, 1.0, 0.0])
     with pytest.raises(NotFullRank, match=r"^mixture state of pair 7 at t=1 has minimum eigenvalue 2\.000e-13"):
-        _segment_info([(full, full), (rho, sigma)], (SLD,), ts, [3, 7])
+        _segment_info([(full, full), (rho, sigma)], (SLD,), ts, [" of pair 3", " of pair 7"])
     with pytest.raises(NotFullRank) as info:
         fisher_info_mixture(rho, sigma, SLD, ts)
     assert str(info.value) == (

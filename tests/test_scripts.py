@@ -56,3 +56,27 @@ def test_replay_witnesses_checks_every_witness_bitwise(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert "witness of m-path-gap-counterexample-s does not" in err and "witness of refused-probe does not" in err
     assert "rld-identity-e-m-bs" not in err
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    # perfbench/spans.py looks each traced name up with getattr and wraps the
+    # quadrature by its parameters ``f`` and ``config``, so a renamed or
+    # deleted name would crash every traced benchmark run
+    import importlib
+    import importlib.util
+    import inspect
+
+    from qpathdiv import divergences
+    from qpathdiv.transport import MomentFunction
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, name in spans.TRACED_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), name
+    assert callable(MomentFunction.__call__)
+    quadrature = getattr(divergences, "adaptive_gauss_legendre")
+    assert {"f", "config"} <= set(inspect.signature(quadrature).parameters)
+    value, nodes = quadrature(f=lambda t: 2.0 * t, config=divergences.QuadratureConfig())
+    assert abs(value - 1.0) <= 1e-12 and nodes == 57
