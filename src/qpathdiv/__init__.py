@@ -51,6 +51,7 @@ from .transport import (
     m_geodesic,
     make_geodesic,
     solve_direction,
+    solve_directions,
     transport_commutation_defect,
 )
 
@@ -98,6 +99,7 @@ __all__ = [
     "random_density",
     "sandwich_pvm",
     "solve_direction",
+    "solve_directions",
     "tensor_product",
     "transport_commutation_defect",
     "validate_density",

@@ -15,9 +15,10 @@ Quantum functionals (all in nats, full-rank second argument throughout):
 Each has a list form over (rho, sigma) pairs of one dim, whose values are
 bit for bit those of the pairs alone and whose errors name the pair by its
 index: relative_entropies, bs_divergences and e_divergences_closed run each
-step once over a (pairs, d, d) stack; e_divergences and m_divergences run
-one quadrature. Each one-pair function is its list form on one pair, which
-passes plain (d, d) arrays through the same code.
+step once over a (pairs, d, d) stack; e_divergences solves its pairs'
+directions in one stacked pass (transport.solve_directions) and, like
+m_divergences, runs one quadrature. Each one-pair function is its list form
+on one pair, which passes plain (d, d) arrays through the same code.
 
 Convex duality (ConvexFunctionModel, bregman_divergence, legendre_model)
 serves two families:
@@ -60,7 +61,7 @@ from .linalg import (
     matrices,
 )
 from .states import DensityMatrix, _checked_basis, check_pairs, state_from_basis
-from .transport import GeodesicKind, _moment_derivatives, sandwich_records, solve_direction
+from .transport import GeodesicKind, _moment_derivatives, _solved_directions, sandwich_records
 
 _KL_CUTOFF = 1e-15
 # Legendre maximizer: the Newton stopping tolerance on the gradient
@@ -319,17 +320,19 @@ def e_divergences(
     """The (value, nodes) of e_divergence_quadrature for each (rho, sigma)
     in ``pairs``, all of one dim, each bitwise as if alone.
 
-    Each pair's direction is solved and checked on its own (solve_direction,
-    so TargetMismatch); then the pairs share one adaptive_gauss_legendre
-    call with one row per pair, whose integrand takes mu'' of every pair
-    that still has an open row as one stack (transport._moment_derivatives).
-    With more than one pair, NotFullRank and QuadratureNotConverged name the
-    pair by its index in ``pairs``.
+    Each pair is checked once (check_pairs), and the directions of all the
+    pairs are solved and checked in one stacked pass (the unchecked core of
+    transport.solve_directions, so TargetMismatch); then the pairs share one
+    adaptive_gauss_legendre call with one row per pair, whose integrand
+    takes mu'' of every pair that still has an open row as one stack
+    (transport._moment_derivatives). With more than one pair, NotFullRank,
+    TargetMismatch and QuadratureNotConverged name the pair by its index in
+    ``pairs``.
     """
     names = check_pairs(pairs, ("rho", "sigma"))
     if not pairs:
         return []
-    moments = [solve_direction(kind, rho, sigma).moment for rho, sigma in pairs]
+    moments = [g.moment for g in _solved_directions(kind, pairs, names)]
     open_rows = np.ones(len(moments), dtype=bool)
 
     def integrand(ths: np.ndarray) -> np.ndarray:

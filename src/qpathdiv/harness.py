@@ -65,7 +65,7 @@ from .states import (
 from .transport import (
     GeodesicKind,
     m_geodesic,
-    solve_direction,
+    solve_directions,
     transport_commutation_defect,
 )
 
@@ -614,17 +614,24 @@ def _near_boundary(dim: int, seed: int):
 @_register(
     "moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality", batched=True
 )
-@_pair_trials
-def _moment_curvature(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
-    kind = _GEODESIC_KINDS[seed % 4]
-    geo = solve_direction(kind, rho, sigma)
-    mf = geo.moment
+def _moment_curvature(dim: int, seeds: list[int]):
+    pairs = _pairs(dim, seeds)
+    kinds = [_GEODESIC_KINDS[seed % 4] for seed in seeds]
+    # the trials of each kind solve their directions in one call
+    curves = {}
+    for kind in _GEODESIC_KINDS:
+        group = [k for k, trial_kind in enumerate(kinds) if trial_kind is kind]
+        curves.update(zip(group, solve_directions(kind, [pairs[k] for k in group])))
     thetas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    worst = 0.0
-    for theta, curvature in zip(thetas, mf.derivative(np.array(thetas), 2)):
-        info = fisher_info_numeric(mf.state, theta, kind.metric)
-        worst = max(worst, abs(float(curvature) - info))
-    return worst, {"kind": kind.value}
+    out = []
+    for k, kind in enumerate(kinds):
+        mf = curves[k].moment
+        worst = 0.0
+        for theta, curvature in zip(thetas, mf.derivative(np.array(thetas), 2)):
+            info = fisher_info_numeric(mf.state, theta, kind.metric)
+            worst = max(worst, abs(float(curvature) - info))
+        out.append((worst, {"kind": kind.value}))
+    return out
 
 
 @_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality", batched=True)

@@ -262,12 +262,12 @@ def decomposition(items) -> HermitianEigen:
     eig_hermitian call and keep theirs; like _CachedEigen, this lives in the
     spectral core, so a profile charges the decomposition to the layer that
     asks for it."""
+    if len(items) == 1:
+        return items[0].eig
     missing = list({id(item): item for item in items if "eig" not in item.__dict__}.values())
     if missing:
         for item, eig in zip(missing, split(eig_hermitian(matrices(missing)))):
             type(item).eig.keep(item, eig)
-    if len(items) == 1:
-        return items[0].eig
     eigs = [item.eig for item in items]
     return HermitianEigen(np.array([e.eigenvalues for e in eigs]), np.array([e.eigenvectors for e in eigs]))
 

@@ -106,10 +106,17 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
     known, PSD by an eigvalsh minimum, and wrap the hermitized matrix."""
     if np.ndim(m) != 2:
         raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
+    return _validated(m, tol)[0]
+
+
+def _validated(m: np.ndarray, tol: float = DENSITY_TOL) -> list[DensityMatrix]:
+    """validate_density of a matrix, or of each matrix of a stack (k, n, n)
+    with its checks run once over the stack, naming the worst matrix."""
     h = _hermitized_density(m, tol)
     w = np.linalg.eigvalsh(h)
     _check_psd(w)
-    return DensityMatrix(matrix=h, min_eigenvalue=float(w[0]))
+    rows = zip(h, w) if h.ndim == 3 else [(h, w)]
+    return [DensityMatrix(matrix=hk, min_eigenvalue=float(wk[0])) for hk, wk in rows]
 
 
 def state_from_eig(m: np.ndarray, eig: HermitianEigen) -> DensityMatrix:

@@ -16,12 +16,20 @@ is the Hermitian part of the transported operator,
 L = (sigma^{-p} G sigma^p + sigma^p G sigma^{-p}) / 2. All exponentials are
 evaluated with the largest exponent shifted to zero and the shift restored
 inside mu, so large |theta| cannot overflow.
+
+solve_directions finds, for each (rho, sigma) of a list of one dim, the
+curve through sigma whose transport to theta = 1 lands on rho, in one pass
+over (pairs, d, d) stacks; solve_direction is its one-pair case, on plain
+(d, d) arrays. The moment derivatives (_moment_derivatives) and the
+transported states (_transported) are stacked over curves the same way,
+and MomentFunction's methods are their one-curve cases.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +38,9 @@ from . import metrics
 from .errors import DimensionMismatch, DomainError, TargetMismatch
 from .linalg import (
     HermitianEigen,
+    _adjoint,
     _CachedEigen,
+    _frobenius_each,
     check_reconstruction,
     decomposition,
     eig_hermitian,
@@ -42,7 +52,16 @@ from .linalg import (
     require_hermitian,
     split,
 )
-from .states import DensityMatrix, check_pair, check_pairs, require_full_rank, state_from_basis, validate_density
+from .states import (
+    DensityMatrix,
+    _checked_basis,
+    _states_from_eig,
+    _validated,
+    check_pair,
+    check_pairs,
+    require_full_rank,
+    validate_density,
+)
 
 AUX_RELATION_TOL = 1e-9
 TARGET_TOL = 1e-8
@@ -80,7 +99,7 @@ class Geodesic:
 
     @functools.cached_property
     def aux_eig(self) -> HermitianEigen:
-        """G's decomposition; solve_direction seeds it from F's, since G = 2 log F."""
+        """G's decomposition; solve_directions seeds it from F's, since G = 2 log F."""
         return eig_hermitian(self.aux_direction)
 
     @functools.cached_property
@@ -102,7 +121,11 @@ def solve_auxiliary_direction(
     if p is None or p == 0:
         raise DomainError(f"kind {kind.value} has no auxiliary direction")
     require_full_rank(sigma, "sigma")
-    eig = sigma.eig
+    return _auxiliary(sigma.eig, p, direction)
+
+
+def _auxiliary(eig: HermitianEigen, p: float, direction: np.ndarray) -> np.ndarray:
+    """solve_auxiliary_direction at the base state of decomposition ``eig``."""
     d = eig.eigenvalues
     w = (d[None, :] / d[:, None]) ** p
     weights = 2.0 / (w + 1.0 / w)
@@ -126,20 +149,48 @@ def make_geodesic(
         raise DimensionMismatch(
             f"direction shape {direction.shape} does not match state dim {base.dim}"
         )
+    aux = _checked_aux(kind, base.eig, direction, aux_direction)
+    return Geodesic(base=base, direction=direction, kind=kind, aux_direction=aux)
+
+
+def _checked_aux(
+    kind: GeodesicKind,
+    eig: HermitianEigen,
+    direction: np.ndarray,
+    aux: np.ndarray | None = None,
+    names: Sequence[str] = ("",),
+) -> np.ndarray | None:
+    """make_geodesic's checks of a direction L at a base state of
+    decomposition ``eig``, or of a stack (k, n, n) of them at stacked base
+    states: NotHermitian, then for a sandwich kind the auxiliary direction G
+    (``aux``; None, for one L, takes L for kind s and solves G for kinds r
+    and half), with TargetMismatch when it violates
+    L = (sigma^{-p} G sigma^p + sigma^p G sigma^{-p}) / 2, naming the worst
+    curve by ``names``. Returns G; None for kind b."""
     require_hermitian(direction, name="direction")
     p = kind.sandwich_power
-    aux = None
-    if p is not None:
-        aux = aux_direction
-        if aux is None:
-            aux = direction if p == 0 else solve_auxiliary_direction(kind, base, direction)
-        sp, sm = base.eig.power(p), base.eig.power(-p)
-        defect = frobenius((sm @ aux @ sp + sp @ aux @ sm) / 2.0 - direction)
-        if defect > AUX_RELATION_TOL:
-            raise TargetMismatch(
-                f"auxiliary direction violates its defining relation by {defect:.3e}"
-            )
-    return Geodesic(base=base, direction=direction, kind=kind, aux_direction=aux)
+    if p is None:
+        return None
+    if aux is None:
+        aux = direction if p == 0 else _auxiliary(eig, p, direction)
+    sp, sm = eig.power(p), eig.power(-p)
+    worst = _worst_beyond((sm @ aux @ sp + sp @ aux @ sm) / 2.0 - direction, AUX_RELATION_TOL)
+    if worst:
+        k, defect = worst
+        raise TargetMismatch(f"auxiliary direction{names[k]} violates its defining relation by {defect:.3e}")
+    return aux
+
+
+def _worst_beyond(x: np.ndarray, tol: float) -> tuple[int, float] | None:
+    """The index in a stack ``x`` (0 for a matrix) and the Frobenius norm of
+    its matrix of largest norm, when that norm exceeds ``tol``; else None.
+    The norm of the whole stack bounds each matrix's, so the norm of each
+    matrix is taken only when the whole one exceeds ``tol``."""
+    if not frobenius(x) > tol:
+        return None
+    norms = _frobenius_each(x)
+    k = int(norms.argmax())
+    return (k, float(norms.flat[k])) if norms.flat[k] > tol else None
 
 
 class MomentFunction:
@@ -155,24 +206,23 @@ class MomentFunction:
     """
 
     def __init__(self, geodesic: Geodesic):
-        # no reference back to the geodesic, which caches this object as .moment
+        # the one-curve case of solve_directions' stacked arrays
+        p = geodesic.kind.sandwich_power
+        self._take(geodesic, _moment_arrays(p, geodesic.base.eig, None if p is None else geodesic.aux_eig))
+
+    def _take(self, geodesic: Geodesic, arrays: dict[str, np.ndarray]) -> None:
+        """Keep the curve's direction, G's decomposition and its _moment_arrays;
+        no reference back to the geodesic, which caches this object as .moment."""
         self._direction = geodesic.direction
-        eig = geodesic.base.eig
-        p = self._p = geodesic.kind.sandwich_power
-        if p is None:
-            self._log_sigma = eig.log()
-            return
-        self._outer, outer_sq, self._inner = eig.power(p), eig.power(2.0 * p), eig.power(1.0 - 2.0 * p)
-        self._gen = geodesic.aux_eig
-        g, v = self._gen.eigenvalues, self._gen.eigenvectors
-        # pairs (i, j) flattened, so each theta is one row of log_partition
-        self._energies = ((g[:, None] + g[None, :]) / 2.0).reshape(-1)
-        self._weights = ((v.conj().T @ self._inner @ v) * (v.conj().T @ outer_sq @ v).T).real.reshape(-1)
+        self._p = geodesic.kind.sandwich_power
+        if self._p is not None:
+            self._gen = geodesic.aux_eig
+        vars(self).update(arrays)
 
     def _log_partition(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """mu and the normalized weights over pairs (kinds s, r, half) or eigenvalues (b), stacked over ths."""
         if self._p is None:
-            return _log_spectra(self._log_sigma[None], self._direction[None], ths)[2:]
+            return _log_spectra(self._log_sigma, self._direction, ths)[2:]
         return log_partition(ths[:, None] * self._energies, self._weights)
 
     def __call__(self, theta: float) -> float:
@@ -180,21 +230,12 @@ class MomentFunction:
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
         """The state at theta and mu(theta), bitwise this function's value."""
-        if self._p is not None:
-            return self.state(theta), self(theta)
-        ths = point_array(float(theta), "theta")
-        _, u, mu, p = (x[0] for x in _log_spectra(self._log_sigma[None], self._direction[None], ths))
-        eig = HermitianEigen(p, u)
-        return state_from_basis(eig.reconstruct(), eig), float(mu)
+        states, mus = _transported([self], theta)
+        return states[0], self(theta) if mus is None else float(mus[0])
 
     def state(self, theta: float) -> DensityMatrix:
-        if self._p is None:
-            return self.state_and_moment(theta)[0]
-        z = point_array(float(theta), "theta")[0] * self._gen.eigenvalues
-        a, u = self._outer, self._gen.eigenvectors
-        f = (u * np.exp((z - z.max()) / 2.0)) @ u.conj().T
-        t = a @ f @ self._inner @ f @ a
-        return validate_density(hermitian_part(t / float(np.trace(t).real)))
+        """The state at theta: the one-curve case of _transported."""
+        return _transported([self], theta)[0][0]
 
     def derivative(self, theta: float | np.ndarray, order: int) -> float | np.ndarray:
         """mu' (order 1) or mu'' (order 2) at theta, in closed form: the
@@ -208,12 +249,63 @@ class MomentFunction:
 
 def _log_spectra(log_sigma: np.ndarray, direction: np.ndarray, ths: np.ndarray) -> tuple[np.ndarray, ...]:
     """Kind b: eigenpairs (h, U) of log sigma + theta L, mu and the state's
-    spectrum exp(h - mu) of each curve, given by its log sigma and L (two
-    stacks (curves, d, d)), at each theta of ths, flattened to
-    (curves * thetas, ...), from one validated eigendecomposition."""
+    spectrum exp(h - mu) of a curve, given by its log sigma and L (two
+    matrices), or of each curve (two stacks (curves, d, d)), at each theta
+    of ths, flattened to (curves * thetas, ...), from one validated
+    eigendecomposition."""
     n = direction.shape[-1]
-    eig = eig_hermitian(hermitian_part(log_sigma[:, None] + ths[:, None, None] * direction[:, None]).reshape(-1, n, n))
+    stack = log_sigma[..., None, :, :] + ths[:, None, None] * direction[..., None, :, :]
+    eig = eig_hermitian(hermitian_part(stack).reshape(-1, n, n))
     return eig.eigenvalues, eig.eigenvectors, *log_partition(eig.eigenvalues)
+
+
+def _moment_arrays(p: float | None, eig: HermitianEigen, gen: HermitianEigen | None) -> dict[str, np.ndarray]:
+    """The MomentFunction arrays of a curve of sandwich power ``p`` (None for
+    kind b) through the base state of decomposition ``eig``, with G's
+    decomposition ``gen``, or of each curve as a stack from stacked
+    decompositions: log sigma for kind b; A, B and, over G's eigenpairs
+    (i, j) flattened so that each theta is one row of log_partition, the
+    energies and weights w_ij for kinds s, r and half."""
+    if p is None:
+        return {"_log_sigma": eig.log()}
+    inner, outer_sq = eig.power(1.0 - 2.0 * p), eig.power(2.0 * p)
+    g, v = gen.eigenvalues, gen.eigenvectors
+    vh = _adjoint(v)
+    return {
+        "_outer": eig.power(p),
+        "_inner": inner,
+        "_energies": ((g[..., :, None] + g[..., None, :]) / 2.0).reshape(*g.shape[:-1], -1),
+        "_weights": ((vh @ inner @ v) * (vh @ outer_sq @ v).swapaxes(-1, -2)).real.reshape(*g.shape[:-1], -1),
+    }
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """One curve's array as it is, or the arrays of curves of one dim as one stack."""
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+
+def _transported(moments: list[MomentFunction], theta: float) -> tuple[list[DensityMatrix], np.ndarray | None]:
+    """The state an amount theta along each curve, all of one kind and dim,
+    from one pass over (curves, d, d) stacks (plain (d, d) arrays for one
+    curve), whose density checks run once over the stack and name the worst
+    matrix; and for kind b each mu(theta), from the same validated
+    eig_hermitian of the stack of log sigma + theta L (None for kinds s, r
+    and half, whose states are e^{-mu} A F B F A with F = e^{theta G / 2},
+    the largest exponent shifted to zero)."""
+    ths = point_array(float(theta), "theta")
+    if moments[0]._p is None:
+        log_sigma = _stacked([mf._log_sigma for mf in moments])
+        _, u, mu, w = _log_spectra(log_sigma, _stacked([mf._direction for mf in moments]), ths)
+        if len(moments) == 1:
+            w, u = w[0], u[0]
+        eig = HermitianEigen(w, u)
+        return _states_from_eig(eig.reconstruct(), eig, _checked_basis), mu
+    z = ths[0] * _stacked([mf._gen.eigenvalues for mf in moments])
+    u = _stacked([mf._gen.eigenvectors for mf in moments])
+    a = _stacked([mf._outer for mf in moments])
+    f = (u * np.exp((z - z.max(-1, keepdims=True)) / 2.0)[..., None, :]) @ _adjoint(u)
+    t = a @ f @ _stacked([mf._inner for mf in moments]) @ f @ a
+    return _validated(hermitian_part(t / np.trace(t, 0, -2, -1).real[..., None, None])), None
 
 
 def _moment_derivatives(moments: list[MomentFunction], theta: float | np.ndarray, order: int) -> np.ndarray:
@@ -287,10 +379,15 @@ def sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, Densit
     and kept. Else F's validated decomposition is taken when first asked
     for: linalg.decomposition takes it for a list of records in one call.
     """
-    p = kind.sandwich_power
-    if p is None:
+    if kind.sandwich_power is None:
         raise DomainError(f"kind {kind.value} has no sandwich operator")
     check_pairs(pairs)
+    return _sandwich_records(kind, pairs)
+
+
+def _sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[SandwichOperator]:
+    """sandwich_records of pairs that the caller has checked."""
+    p = kind.sandwich_power
     inner_p, outer_p = 0.5 - 2.0 * p, p - 0.5
     # each pair whose record is not kept yet, once
     fresh = {
@@ -325,24 +422,68 @@ def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
 
     The result is verified by transporting: a Frobenius defect above
     TARGET_TOL raises TargetMismatch (a numerical breakdown, not a user
-    error).
+    error). The one-pair case of solve_directions.
     """
-    check_pair(rho, sigma, ("rho", "sigma"))
+    return solve_directions(kind, [(rho, sigma)])[0]
+
+
+def solve_directions(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[Geodesic]:
+    """solve_direction of each (rho, sigma) in ``pairs``, all of one dim, each
+    bitwise as if alone, from one pass over (pairs, d, d) stacks (plain
+    (d, d) arrays for one pair). With more than one pair, NotFullRank and
+    TargetMismatch name the pair by its index in ``pairs``."""
+    return _solved_directions(kind, pairs, check_pairs(pairs, ("rho", "sigma")))
+
+
+def _solved_directions(
+    kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]], names: list[str]
+) -> list[Geodesic]:
+    """solve_directions of pairs that the caller has checked (check_pairs,
+    which gave ``names``).
+
+    Each step runs once over the stacks: L = log rho - log sigma (kind b) or
+    herm(sigma^{-p} G sigma^p) with G = 2 log F read off the kept sandwich
+    records, make_geodesic's checks (_checked_aux), each curve's moment
+    arrays (_moment_arrays; G's decomposition is F's with 2 log of its
+    eigenvalues), and the transport to theta = 1 (_transported), which must
+    land on each rho within TARGET_TOL.
+    """
+    if not pairs:
+        return []
+    rhos, sigmas = zip(*pairs)
+    s = decomposition(sigmas)
     p = kind.sandwich_power
-    gen = None
+    gen = gen_eig = None
     if p is None:
-        direction = rho.eig.log() - sigma.eig.log()
+        direction = decomposition(rhos).log() - s.log()
     else:
-        f = sandwich_record(kind, rho, sigma).eig
-        gen = 2.0 * f.log()
-        direction = sigma.eig.power(-p) @ gen @ sigma.eig.power(p)
-    g = make_geodesic(kind, sigma, hermitian_part(direction), aux_direction=gen)
-    if gen is not None:
-        g.__dict__["aux_eig"] = HermitianEigen(2.0 * np.log(f.eigenvalues), f.eigenvectors)
-    defect = frobenius(e_transport(g, 1.0).matrix - rho.matrix)
-    if defect > TARGET_TOL:
-        raise TargetMismatch(f"transport misses the target by {defect:.3e} (tolerance {TARGET_TOL:g})")
-    return g
+        f = decomposition(_sandwich_records(kind, pairs))
+        gen, gen_eig = 2.0 * f.log(), HermitianEigen(2.0 * np.log(f.eigenvalues), f.eigenvectors)
+        direction = s.power(-p) @ gen @ s.power(p)
+    direction = hermitian_part(direction)
+    _checked_aux(kind, s, direction, gen, names)
+    arrays = _moment_arrays(p, s, gen_eig)
+    many = len(pairs) > 1
+
+    def part(a: np.ndarray, k: int) -> np.ndarray:
+        """Pair k's slice of a stack; one pair's array as it is."""
+        return a[k] if many else a
+
+    gen_eigs = [None] * len(pairs) if gen_eig is None else split(gen_eig)
+    geodesics = []
+    for k, (sigma, gen_k) in enumerate(zip(sigmas, gen_eigs)):
+        g = Geodesic(sigma, part(direction, k), kind, None if gen is None else part(gen, k))
+        if gen_k is not None:
+            g.__dict__["aux_eig"] = gen_k
+        moment = g.__dict__["moment"] = MomentFunction.__new__(MomentFunction)
+        moment._take(g, {name: part(a, k) for name, a in arrays.items()})
+        geodesics.append(g)
+    states = _transported([g.moment for g in geodesics], 1.0)[0]
+    worst = _worst_beyond(matrices(states) - matrices(rhos), TARGET_TOL)
+    if worst:
+        k, defect = worst
+        raise TargetMismatch(f"transport{names[k]} misses the target by {defect:.3e} (tolerance {TARGET_TOL:g})")
+    return geodesics
 
 
 def m_geodesic(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> DensityMatrix:

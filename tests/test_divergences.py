@@ -46,7 +46,7 @@ from qpathdiv.states import (
     random_density,
     validate_density,
 )
-from qpathdiv.transport import GeodesicKind, sandwich_records
+from qpathdiv.transport import GeodesicKind, sandwich_records, solve_directions
 from qpathdiv.metrics import BOGOLJUBOV, HALF, RLD, SLD, lambda_kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -997,6 +997,28 @@ def test_m_paths_check_each_pair_once_per_call(monkeypatch):
     assert checked == pairs[:1]
 
 
+def test_e_paths_check_each_pair_once_per_call(monkeypatch):
+    from qpathdiv import states, transport
+
+    pairs = _e_pairs(3, [1, 2, 3])
+    checked = []
+    check_pair = states.check_pair
+
+    def counted(rho, sigma, *args):
+        checked.append((rho, sigma))
+        return check_pair(rho, sigma, *args)
+
+    for module in (states, transport):
+        monkeypatch.setattr(module, "check_pair", counted)
+    for kind in GeodesicKind:
+        checked.clear()
+        e_divergences(kind, pairs)
+        assert checked == pairs
+    checked.clear()
+    e_divergence_quadrature(GeodesicKind.HALF, *pairs[0])
+    assert checked == pairs[:1]
+
+
 def test_m_divergences_name_the_pair_in_errors():
     good = (random_density(RandomSpec(2, 1, 0.05)), random_density(RandomSpec(2, 2, 0.05)))
     thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
@@ -1140,6 +1162,7 @@ LIST_FORMS = {
     "m": lambda pairs: m_divergences(tuple(ALL_METRIC), pairs) + m_divergences(SLD, pairs),
     "sandwich": lambda pairs: [r for kind in (GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF)
                                for r in sandwich_records(kind, pairs)],
+    "directions": lambda pairs: [g for kind in GeodesicKind for g in solve_directions(kind, pairs)],
 }
 
 

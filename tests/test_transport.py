@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qpathdiv.linalg import HermitianEigen, eig_hermitian, frobenius, hermitian_
 from qpathdiv.metrics import fisher_info_numeric
 from qpathdiv.states import (
     RandomSpec,
+    _state_in_basis,
     max_mixed,
     random_commuting_pair,
     random_density,
@@ -29,6 +32,7 @@ from qpathdiv.transport import (
     sandwich_records,
     solve_auxiliary_direction,
     solve_direction,
+    solve_directions,
     transport_commutation_defect,
 )
 
@@ -575,3 +579,103 @@ def test_sandwich_records_are_kept_and_built_once(monkeypatch, kind):
     assert all(a is b for a, b in zip(sandwich_records(kind, pairs + [new]), records[:3]))
     # X for kinds s and r; kind half's X is rho, which holds its decomposition
     assert [np.shape(h) for h in decomposed] == [(3, 3)] * (kind != GeodesicKind.HALF)
+
+
+def _direction_pairs(dim: int, seeds) -> list:
+    """The pair (rho, sigma) drawn at seeds s and s + 1, for each s; every
+    third pair is rebuilt from its matrices, so it holds no decomposition yet."""
+    floor = 0.05 if dim < 16 else 0.005
+    pairs = [tuple(random_density(RandomSpec(dim, s + t, floor)) for t in (0, 1)) for s in seeds]
+    return [tuple(validate_density(x.matrix) for x in pair) if k % 3 == 2 else pair for k, pair in enumerate(pairs)]
+
+
+def _solved_arrays(geodesic) -> dict:
+    """Every array a solved geodesic holds: its direction, G and G's
+    decomposition, and its moment function's arrays."""
+    arrays = {"direction": geodesic.direction}
+    if geodesic.kind is not GeodesicKind.BOGOLJUBOV:
+        eig = geodesic.aux_eig
+        arrays.update(aux=geodesic.aux_direction, aux_values=eig.eigenvalues, aux_vectors=eig.eigenvectors)
+    moment = vars(geodesic.moment)
+    arrays.update({name: value for name, value in moment.items() if isinstance(value, np.ndarray)})
+    if "_gen" in moment:
+        assert moment["_gen"] is geodesic.aux_eig
+    return arrays
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_solve_directions_equal_lone_calls_bitwise(kind, dim):
+    seeds = range(300, 330, 5)
+    pairs = _direction_pairs(dim, seeds)
+    if kind is not GeodesicKind.BOGOLJUBOV:
+        # the even pairs hold their sandwich records already, the odd ones do not
+        sandwich_records(kind, pairs[::2])
+    batched = solve_directions(kind, pairs)
+    assert [g.base for g in batched] == [sigma for _, sigma in pairs]
+    lone = [solve_direction(kind, *pair) for pair in _direction_pairs(dim, seeds)]
+    for got, expected in zip(batched, lone):
+        a, b = _solved_arrays(got), _solved_arrays(expected)
+        assert a.keys() == b.keys() and len(a) == (3 if kind is GeodesicKind.BOGOLJUBOV else 9)
+        for name in a:
+            assert a[name].shape == b[name].shape and np.array_equal(a[name], b[name]), name
+        assert got.moment(0.7) == expected.moment(0.7)
+        assert got.moment.state(0.7).matrix.tobytes() == expected.moment.state(0.7).matrix.tobytes()
+
+
+def _thin_pair() -> tuple:
+    """A pair whose sigma has smallest eigenvalue 2e-12: the transport of
+    kinds s and r misses its rho by about 3e-6, far above TARGET_TOL."""
+    base = random_density(RandomSpec(3, 7, 0.05))
+    w = base.eig.eigenvalues
+    low = 2e-12
+    sigma = _state_in_basis(base.eig.eigenvectors, np.concatenate([[low], w[1:] * ((1.0 - low) / w[1:].sum())]))
+    return random_density(RandomSpec(3, 8, 0.05)), sigma
+
+
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD])
+def test_solve_directions_name_the_pair_that_misses_its_target(kind):
+    good = _direction_pairs(3, [1, 3])[:2]
+    with pytest.raises(TargetMismatch) as info:
+        solve_direction(kind, *_thin_pair())
+    lone = str(info.value)
+    assert re.fullmatch(r"transport misses the target by \d\.\d{3}e-0[5-7] \(tolerance 1e-08\)", lone)
+    with pytest.raises(TargetMismatch) as info:
+        solve_directions(kind, good + [_thin_pair()])
+    assert str(info.value) == lone.replace("transport", "transport of pair 2")
+    with pytest.raises(TargetMismatch, match=r"^transport misses the target"):
+        solve_directions(kind, [_thin_pair()])
+
+
+def test_solve_directions_name_the_pair_that_is_not_full_rank():
+    good = _direction_pairs(2, [1])[0]
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    for kind in ALL_KINDS:
+        with pytest.raises(NotFullRank, match=r"^sigma of pair 1 has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+            solve_directions(kind, [good, (good[0], thin)])
+        with pytest.raises(NotFullRank, match=r"^rho of pair 0 has minimum eigenvalue 5\.000e-13"):
+            solve_directions(kind, [(thin, good[1]), good])
+        with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+            solve_directions(kind, [(good[0], thin)])
+        with pytest.raises(NotFullRank, match=r"^sigma has minimum eigenvalue 5\.000e-13, at or below 1e-12"):
+            solve_direction(kind, good[0], thin)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_kind_b_target_check_is_one_stacked_decomposition(monkeypatch, k):
+    from qpathdiv import linalg, transport
+
+    pairs = _direction_pairs(3, range(400, 400 + 3 * k, 3))
+    for pair in pairs:  # every state holds its decomposition
+        pair[0].eig, pair[1].eig
+    calls = []
+    eig = transport.eig_hermitian
+
+    def counted(h):
+        calls.append(h.shape)
+        return eig(h)
+
+    monkeypatch.setattr(transport, "eig_hermitian", counted)
+    monkeypatch.setattr(linalg, "eig_hermitian", counted)
+    solve_directions(GeodesicKind.BOGOLJUBOV, pairs)
+    assert calls == [(k, 3, 3)]
