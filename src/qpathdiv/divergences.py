@@ -14,11 +14,12 @@ Quantum functionals (all in nats, full-rank second argument throughout):
 
 Each has a list form over (rho, sigma) pairs of one dim, whose values are
 bit for bit those of the pairs alone and whose errors name the pair by its
-index: relative_entropies, bs_divergences and e_divergences_closed run each
-step once over a (pairs, d, d) stack; e_divergences solves its pairs'
-directions in one stacked pass (transport.solve_directions) and, like
-m_divergences, runs one quadrature. Each one-pair function is its list form
-on one pair, which passes plain (d, d) arrays through the same code.
+index, and each checks every pair once: relative_entropies, bs_divergences
+and e_divergences_closed run each step once over a (pairs, d, d) stack;
+e_divergences solves its pairs' directions in one stacked pass
+(transport.solve_directions) and, like m_divergences, runs one quadrature,
+whose rows are the curves of one transport.MomentFunction. Each one-pair
+function is its list form on one pair.
 
 Convex duality (ConvexFunctionModel, bregman_divergence, legendre_model)
 serves two families:
@@ -61,7 +62,7 @@ from .linalg import (
     matrices,
 )
 from .states import DensityMatrix, _checked_basis, check_pairs, state_from_basis
-from .transport import GeodesicKind, _moment_derivatives, _solved_directions, sandwich_records
+from .transport import GeodesicKind, _sandwich_records, _solved_directions
 
 _KL_CUTOFF = 1e-15
 # Legendre maximizer: the Newton stopping tolerance on the gradient
@@ -241,6 +242,11 @@ def relative_entropies(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list
     dim, each bitwise as if alone, from one stacked pass. With more than one
     pair, NotFullRank names the pair by its index in ``pairs``."""
     check_pairs(pairs, ("sigma",))
+    return _relative_entropies(pairs)
+
+
+def _relative_entropies(pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[float]:
+    """relative_entropies of pairs that the caller has checked."""
     if not pairs:
         return []
     rhos, sigmas = zip(*pairs)
@@ -280,16 +286,16 @@ def e_divergences_closed(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, De
     each bitwise as if alone, from one pass over (pairs, d, d) stacks: kind b
     is relative_entropies, and the sandwich kinds read G off F's
     decomposition in the records of transport.sandwich_records, which keeps
-    them. With more than one pair, NotFullRank names the pair by its index
-    in ``pairs``."""
+    them. Each pair is checked once (check_pairs); with more than one pair,
+    NotFullRank names the pair by its index in ``pairs``."""
     check_pairs(pairs, ("rho", "sigma"))
     p = kind.sandwich_power
     if p is None:
-        return relative_entropies(pairs)
+        return _relative_entropies(pairs)
     if not pairs:
         return []
     rhos, sigmas = zip(*pairs)
-    gen = 2.0 * decomposition(sandwich_records(kind, pairs)).log()
+    gen = 2.0 * decomposition(_sandwich_records(kind, pairs)).log()
     if p:
         s = decomposition(sigmas)
         gen = s.power(p) @ gen @ s.power(-p)
@@ -324,24 +330,24 @@ def e_divergences(
     pairs are solved and checked in one stacked pass (the unchecked core of
     transport.solve_directions, so TargetMismatch); then the pairs share one
     adaptive_gauss_legendre call with one row per pair, whose integrand
-    takes mu'' of every pair that still has an open row as one stack
-    (transport._moment_derivatives). With more than one pair, NotFullRank,
+    takes mu'' of every pair that still has an open row from the rows of
+    the batch's one MomentFunction. With more than one pair, NotFullRank,
     TargetMismatch and QuadratureNotConverged name the pair by its index in
     ``pairs``.
     """
     names = check_pairs(pairs, ("rho", "sigma"))
     if not pairs:
         return []
-    moments = [g.moment for g in _solved_directions(kind, pairs, names)]
-    open_rows = np.ones(len(moments), dtype=bool)
+    moments = _solved_directions(kind, pairs, names)[0]
+    open_rows = np.ones(len(pairs), dtype=bool)
 
     def integrand(ths: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(open_rows)
-        if len(live) == len(moments):
-            return ths * _moment_derivatives(moments, ths, 2)
+        if len(live) == len(pairs):
+            return ths * moments._moments(ths, 2)
         # the rows of frozen pairs are left at zero, and never read
-        values = np.zeros((len(moments), ths.size))
-        values[live] = ths * _moment_derivatives([moments[j] for j in live], ths, 2)
+        values = np.zeros((len(pairs), ths.size))
+        values[live] = ths * moments._rows(live)._moments(ths, 2)
         return values
 
     # the one-pair message names no row, as a one-row integrand's does

@@ -37,8 +37,9 @@ def _frobenius_each(m: np.ndarray) -> np.ndarray:
 
 
 def _in_stack(per_matrix: np.ndarray) -> str:
-    """Names the matrix of a stack with the largest per-matrix measure; "" for one matrix."""
-    if np.ndim(per_matrix) == 0:
+    """Names the matrix of a stack with the largest per-matrix measure; "" for
+    one matrix or a stack of one, which reports as its matrix alone would."""
+    if np.size(per_matrix) == 1:
         return ""
     return f" (matrix {int(np.argmax(per_matrix))} of {np.size(per_matrix)} in the stack)"
 

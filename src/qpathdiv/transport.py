@@ -19,10 +19,10 @@ inside mu, so large |theta| cannot overflow.
 
 solve_directions finds, for each (rho, sigma) of a list of one dim, the
 curve through sigma whose transport to theta = 1 lands on rho, in one pass
-over (pairs, d, d) stacks; solve_direction is its one-pair case, on plain
-(d, d) arrays. The moment derivatives (_moment_derivatives) and the
-transported states (_transported) are stacked over curves the same way,
-and MomentFunction's methods are their one-curve cases.
+over (pairs, d, d) stacks; solve_direction is its one-pair case. One
+MomentFunction holds the curves of a batch: every array it holds has a
+leading curve axis, a lone curve is a stack of one, and mu, mu', mu'' and
+the transported states of all its curves come from one pass over the stacks.
 """
 
 from __future__ import annotations
@@ -203,143 +203,132 @@ class MomentFunction:
     mu = log sum_ij w_ij exp(theta (g_i + g_j) / 2) with w_ij = Re(B'_ij (A^2)'_ji),
     a classical log-partition whose mu' and mu'' are the mean and variance of
     the energies (g_i + g_j) / 2. For kind b, mu'' is the Kubo-Mori variance of L.
+
+    Every array it holds is stacked over curves of one kind and dim: a lone
+    curve is a stack of one, and solve_directions builds one moment function
+    for a batch, whose one-row views (_rows) are its geodesics' own.
     """
 
     def __init__(self, geodesic: Geodesic):
-        # the one-curve case of solve_directions' stacked arrays
         p = geodesic.kind.sandwich_power
-        self._take(geodesic, _moment_arrays(p, geodesic.base.eig, None if p is None else geodesic.aux_eig))
+        self._fill(p, geodesic.direction, geodesic.base.eig, None if p is None else geodesic.aux_eig)
 
-    def _take(self, geodesic: Geodesic, arrays: dict[str, np.ndarray]) -> None:
-        """Keep the curve's direction, G's decomposition and its _moment_arrays;
-        no reference back to the geodesic, which caches this object as .moment."""
-        self._direction = geodesic.direction
-        self._p = geodesic.kind.sandwich_power
-        if self._p is not None:
-            self._gen = geodesic.aux_eig
-        vars(self).update(arrays)
+    def _fill(
+        self, p: float | None, direction: np.ndarray, eig: HermitianEigen, gen: HermitianEigen | None
+    ) -> MomentFunction:
+        """Keep, with a leading curve axis, the arrays of the curve of sandwich
+        power ``p`` (None for kind b) and direction L through the base state
+        of decomposition ``eig``, with G's decomposition ``gen``, or of each
+        curve from stacks of them: L, and log sigma for kind b; A, B, G's
+        eigenpairs and, over G's eigenpairs (i, j) flattened so that each
+        theta is one row of log_partition, the energies and weights w_ij for
+        kinds s, r and half. No reference back to the geodesic, which caches
+        this object as .moment."""
+        n = direction.shape[-1]
+        self._p, self._direction = p, direction.reshape(-1, n, n)
+        if p is None:
+            self._log_sigma = eig.log().reshape(-1, n, n)
+            return self
+        parts = (eig.power(p), eig.power(1.0 - 2.0 * p), eig.power(2.0 * p), gen.eigenvectors)
+        self._outer, self._inner, outer_sq, v = (m.reshape(-1, n, n) for m in parts)
+        g = self._gen_values = gen.eigenvalues.reshape(-1, n)
+        self._gen_vectors, vh = v, _adjoint(v)
+        self._energies = ((g[:, :, None] + g[:, None, :]) / 2.0).reshape(len(g), -1)
+        self._weights = ((vh @ self._inner @ v) * (vh @ outer_sq @ v).swapaxes(-1, -2)).real.reshape(len(g), -1)
+        return self
 
-    def _log_partition(self, ths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mu and the normalized weights over pairs (kinds s, r, half) or eigenvalues (b), stacked over ths."""
-        if self._p is None:
-            return _log_spectra(self._log_sigma, self._direction, ths)[2:]
-        return log_partition(ths[:, None] * self._energies, self._weights)
+    def _rows(self, index: slice | np.ndarray) -> MomentFunction:
+        """The moment function of the curves that ``index`` picks out, viewing
+        this one's arrays when ``index`` is a slice."""
+        rows = MomentFunction.__new__(MomentFunction)
+        vars(rows).update({name: a if name == "_p" else a[index] for name, a in vars(self).items()})
+        return rows
 
     def __call__(self, theta: float) -> float:
-        return float(self._log_partition(point_array(float(theta), "theta"))[0][0])
+        return float(self._moments(float(theta), 0)[0, 0])
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
         """The state at theta and mu(theta), bitwise this function's value."""
-        states, mus = _transported([self], theta)
+        states, mus = self._states(theta)
         return states[0], self(theta) if mus is None else float(mus[0])
 
     def state(self, theta: float) -> DensityMatrix:
-        """The state at theta: the one-curve case of _transported."""
-        return _transported([self], theta)[0][0]
+        """The state at theta."""
+        return self._states(theta)[0][0]
 
     def derivative(self, theta: float | np.ndarray, order: int) -> float | np.ndarray:
-        """mu' (order 1) or mu'' (order 2) at theta, in closed form: the
-        one-curve case of _moment_derivatives.
+        """mu' (order 1) or mu'' (order 2) at theta, in closed form.
 
         A float theta gives a float; a nonempty 1-d array gives an array.
         """
-        values = _moment_derivatives([self], theta, order)[0]
+        if order not in (1, 2):
+            raise DomainError(f"derivative order must be 1 or 2, got {order}")
+        values = self._moments(theta, order)[0]
         return float(values[0]) if np.ndim(theta) == 0 else values
+
+    def _states(self, theta: float) -> tuple[list[DensityMatrix], np.ndarray | None]:
+        """The state an amount theta along each curve, from one pass over the
+        (curves, d, d) stacks, whose density checks run once over the stack
+        and name the worst matrix; and for kind b each mu(theta), from the
+        same validated eig_hermitian of the stack of log sigma + theta L
+        (None for kinds s, r and half, whose states are e^{-mu} A F B F A
+        with F = e^{theta G / 2}, the largest exponent shifted to zero)."""
+        ths = point_array(float(theta), "theta")
+        if self._p is None:
+            _, u, mu, w = _log_spectra(self._log_sigma, self._direction, ths)
+            eig = HermitianEigen(w, u)
+            return _states_from_eig(eig.reconstruct(), eig, _checked_basis), mu
+        z, u = ths[0] * self._gen_values, self._gen_vectors
+        f = (u * np.exp((z - z.max(-1, keepdims=True)) / 2.0)[..., None, :]) @ _adjoint(u)
+        t = self._outer @ f @ self._inner @ f @ self._outer
+        return _validated(hermitian_part(t / np.trace(t, 0, -2, -1).real[..., None, None])), None
+
+    def _moments(self, theta: float | np.ndarray, order: int) -> np.ndarray:
+        """mu (order 0), mu' (order 1) or mu'' (order 2) of each curve at
+        each theta: an array (curves, thetas), each row bitwise that of its
+        curve alone.
+
+        Kinds s, r and half take the log-partition of the energies and their
+        mean and variance from one log_partition over (curves, thetas, d^2);
+        kind b mu, the mean of L and its Kubo-Mori variance from one
+        validated eig_hermitian of the (curves * thetas, d, d) stack of
+        log sigma + theta L.
+        """
+        ths = point_array(theta, "theta")
+        if self._p is not None:
+            energies = self._energies[:, None]
+            mu, p = log_partition(ths[:, None] * energies, self._weights[:, None])
+            if order == 0:
+                return mu
+            mean = np.sum(p * energies, axis=-1)
+            return mean if order == 1 else np.sum(p * (energies - mean[..., None]) ** 2, axis=-1)
+        direction = self._direction
+        h, u, mu, p = _log_spectra(self._log_sigma, direction, ths)
+        curves, n = len(direction), direction.shape[-1]
+        if order == 0:
+            return mu.reshape(curves, ths.size)
+        # U^* L U of each curve's nodes, then flattened like h
+        u = u.reshape(curves, ths.size, n, n)
+        lp = (u.conj().swapaxes(-1, -2) @ direction[:, None] @ u).reshape(-1, n, n)
+        values = np.sum(p * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
+        if order == 2:
+            # the larger exponent is factored out, so nothing overflows
+            hi = np.maximum(h[:, :, None], h[:, None, :])
+            lo = np.minimum(h[:, :, None], h[:, None, :])
+            centered = lp - values[:, None, None] * np.eye(n)
+            values = np.sum(np.abs(centered) ** 2 * np.exp(hi - mu[:, None, None]) * metrics.phi1(lo - hi), axis=(1, 2))
+        return values.reshape(curves, ths.size)
 
 
 def _log_spectra(log_sigma: np.ndarray, direction: np.ndarray, ths: np.ndarray) -> tuple[np.ndarray, ...]:
     """Kind b: eigenpairs (h, U) of log sigma + theta L, mu and the state's
-    spectrum exp(h - mu) of a curve, given by its log sigma and L (two
-    matrices), or of each curve (two stacks (curves, d, d)), at each theta
-    of ths, flattened to (curves * thetas, ...), from one validated
-    eigendecomposition."""
+    spectrum exp(h - mu) of each curve, given by the stacks (curves, d, d)
+    of its log sigma and L, at each theta of ths, flattened to
+    (curves * thetas, ...), from one validated eigendecomposition."""
     n = direction.shape[-1]
-    stack = log_sigma[..., None, :, :] + ths[:, None, None] * direction[..., None, :, :]
+    stack = log_sigma[:, None] + ths[:, None, None] * direction[:, None]
     eig = eig_hermitian(hermitian_part(stack).reshape(-1, n, n))
     return eig.eigenvalues, eig.eigenvectors, *log_partition(eig.eigenvalues)
-
-
-def _moment_arrays(p: float | None, eig: HermitianEigen, gen: HermitianEigen | None) -> dict[str, np.ndarray]:
-    """The MomentFunction arrays of a curve of sandwich power ``p`` (None for
-    kind b) through the base state of decomposition ``eig``, with G's
-    decomposition ``gen``, or of each curve as a stack from stacked
-    decompositions: log sigma for kind b; A, B and, over G's eigenpairs
-    (i, j) flattened so that each theta is one row of log_partition, the
-    energies and weights w_ij for kinds s, r and half."""
-    if p is None:
-        return {"_log_sigma": eig.log()}
-    inner, outer_sq = eig.power(1.0 - 2.0 * p), eig.power(2.0 * p)
-    g, v = gen.eigenvalues, gen.eigenvectors
-    vh = _adjoint(v)
-    return {
-        "_outer": eig.power(p),
-        "_inner": inner,
-        "_energies": ((g[..., :, None] + g[..., None, :]) / 2.0).reshape(*g.shape[:-1], -1),
-        "_weights": ((vh @ inner @ v) * (vh @ outer_sq @ v).swapaxes(-1, -2)).real.reshape(*g.shape[:-1], -1),
-    }
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """One curve's array as it is, or the arrays of curves of one dim as one stack."""
-    return arrays[0] if len(arrays) == 1 else np.array(arrays)
-
-
-def _transported(moments: list[MomentFunction], theta: float) -> tuple[list[DensityMatrix], np.ndarray | None]:
-    """The state an amount theta along each curve, all of one kind and dim,
-    from one pass over (curves, d, d) stacks (plain (d, d) arrays for one
-    curve), whose density checks run once over the stack and name the worst
-    matrix; and for kind b each mu(theta), from the same validated
-    eig_hermitian of the stack of log sigma + theta L (None for kinds s, r
-    and half, whose states are e^{-mu} A F B F A with F = e^{theta G / 2},
-    the largest exponent shifted to zero)."""
-    ths = point_array(float(theta), "theta")
-    if moments[0]._p is None:
-        log_sigma = _stacked([mf._log_sigma for mf in moments])
-        _, u, mu, w = _log_spectra(log_sigma, _stacked([mf._direction for mf in moments]), ths)
-        if len(moments) == 1:
-            w, u = w[0], u[0]
-        eig = HermitianEigen(w, u)
-        return _states_from_eig(eig.reconstruct(), eig, _checked_basis), mu
-    z = ths[0] * _stacked([mf._gen.eigenvalues for mf in moments])
-    u = _stacked([mf._gen.eigenvectors for mf in moments])
-    a = _stacked([mf._outer for mf in moments])
-    f = (u * np.exp((z - z.max(-1, keepdims=True)) / 2.0)[..., None, :]) @ _adjoint(u)
-    t = a @ f @ _stacked([mf._inner for mf in moments]) @ f @ a
-    return _validated(hermitian_part(t / np.trace(t, 0, -2, -1).real[..., None, None])), None
-
-
-def _moment_derivatives(moments: list[MomentFunction], theta: float | np.ndarray, order: int) -> np.ndarray:
-    """mu' (order 1) or mu'' (order 2) of each curve, all of one kind and
-    dim, at each theta: an array (curves, thetas), each row bitwise that of
-    its curve alone.
-
-    Kinds s, r and half take the mean and variance of the energies from one
-    log_partition over (curves, thetas, d^2); kind b the mean of L and its
-    Kubo-Mori variance from one validated eig_hermitian of the
-    (curves * thetas, d, d) stack of log sigma + theta L.
-    """
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    ths = point_array(theta, "theta")
-    if moments[0]._p is not None:
-        energies = np.array([mf._energies for mf in moments])[:, None]
-        _, p = log_partition(ths[:, None] * energies, np.array([mf._weights for mf in moments])[:, None])
-        mean = np.sum(p * energies, axis=-1)
-        return mean if order == 1 else np.sum(p * (energies - mean[..., None]) ** 2, axis=-1)
-    direction = np.array([mf._direction for mf in moments])
-    h, u, mu, p = _log_spectra(np.array([mf._log_sigma for mf in moments]), direction, ths)
-    n = direction.shape[-1]
-    # U^* L U of each curve's nodes, then flattened like h
-    u = u.reshape(len(moments), ths.size, n, n)
-    lp = (u.conj().swapaxes(-1, -2) @ direction[:, None] @ u).reshape(-1, n, n)
-    values = np.sum(p * np.diagonal(lp, axis1=-2, axis2=-1).real, axis=1)
-    if order == 2:
-        # the larger exponent is factored out, so nothing overflows
-        hi = np.maximum(h[:, :, None], h[:, None, :])
-        lo = np.minimum(h[:, :, None], h[:, None, :])
-        centered = lp - values[:, None, None] * np.eye(n)
-        values = np.sum(np.abs(centered) ** 2 * np.exp(hi - mu[:, None, None]) * metrics.phi1(lo - hi), axis=(1, 2))
-    return values.reshape(len(moments), ths.size)
 
 
 def e_transport(geodesic: Geodesic, theta: float) -> DensityMatrix:
@@ -429,27 +418,27 @@ def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix
 
 def solve_directions(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]]) -> list[Geodesic]:
     """solve_direction of each (rho, sigma) in ``pairs``, all of one dim, each
-    bitwise as if alone, from one pass over (pairs, d, d) stacks (plain
-    (d, d) arrays for one pair). With more than one pair, NotFullRank and
-    TargetMismatch name the pair by its index in ``pairs``."""
-    return _solved_directions(kind, pairs, check_pairs(pairs, ("rho", "sigma")))
+    bitwise as if alone, from one pass over (pairs, d, d) stacks. With more
+    than one pair, NotFullRank and TargetMismatch name the pair by its index
+    in ``pairs``."""
+    return _solved_directions(kind, pairs, check_pairs(pairs, ("rho", "sigma")))[1]
 
 
 def _solved_directions(
     kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]], names: list[str]
-) -> list[Geodesic]:
+) -> tuple[MomentFunction | None, list[Geodesic]]:
     """solve_directions of pairs that the caller has checked (check_pairs,
-    which gave ``names``).
+    which gave ``names``), beside the one MomentFunction of all their curves,
+    whose one-row views are the geodesics' .moment (None for no pairs).
 
     Each step runs once over the stacks: L = log rho - log sigma (kind b) or
     herm(sigma^{-p} G sigma^p) with G = 2 log F read off the kept sandwich
-    records, make_geodesic's checks (_checked_aux), each curve's moment
-    arrays (_moment_arrays; G's decomposition is F's with 2 log of its
-    eigenvalues), and the transport to theta = 1 (_transported), which must
-    land on each rho within TARGET_TOL.
+    records, make_geodesic's checks (_checked_aux), the moment function's
+    arrays (G's decomposition is F's with 2 log of its eigenvalues), and the
+    transport to theta = 1, which must land on each rho within TARGET_TOL.
     """
     if not pairs:
-        return []
+        return None, []
     rhos, sigmas = zip(*pairs)
     s = decomposition(sigmas)
     p = kind.sandwich_power
@@ -462,28 +451,24 @@ def _solved_directions(
         direction = s.power(-p) @ gen @ s.power(p)
     direction = hermitian_part(direction)
     _checked_aux(kind, s, direction, gen, names)
-    arrays = _moment_arrays(p, s, gen_eig)
-    many = len(pairs) > 1
-
-    def part(a: np.ndarray, k: int) -> np.ndarray:
-        """Pair k's slice of a stack; one pair's array as it is."""
-        return a[k] if many else a
-
-    gen_eigs = [None] * len(pairs) if gen_eig is None else split(gen_eig)
+    moments = MomentFunction.__new__(MomentFunction)._fill(p, direction, s, gen_eig)
+    gens = gen_eigs = [None] * len(pairs)
+    if gen is not None:
+        gens, gen_eigs = gen.reshape(moments._direction.shape), split(gen_eig)
     geodesics = []
-    for k, (sigma, gen_k) in enumerate(zip(sigmas, gen_eigs)):
-        g = Geodesic(sigma, part(direction, k), kind, None if gen is None else part(gen, k))
-        if gen_k is not None:
-            g.__dict__["aux_eig"] = gen_k
-        moment = g.__dict__["moment"] = MomentFunction.__new__(MomentFunction)
-        moment._take(g, {name: part(a, k) for name, a in arrays.items()})
+    for k, (sigma, gen_k, gen_eig_k) in enumerate(zip(sigmas, gens, gen_eigs)):
+        # a batch of one is its own row, with no views to build
+        row = moments if len(pairs) == 1 else moments._rows(slice(k, k + 1))
+        g = Geodesic(sigma, row._direction[0], kind, gen_k)
+        g.__dict__["moment"] = row
+        if gen_eig_k is not None:
+            g.__dict__["aux_eig"] = gen_eig_k
         geodesics.append(g)
-    states = _transported([g.moment for g in geodesics], 1.0)[0]
-    worst = _worst_beyond(matrices(states) - matrices(rhos), TARGET_TOL)
+    worst = _worst_beyond(matrices(moments._states(1.0)[0]) - matrices(rhos), TARGET_TOL)
     if worst:
         k, defect = worst
         raise TargetMismatch(f"transport{names[k]} misses the target by {defect:.3e} (tolerance {TARGET_TOL:g})")
-    return geodesics
+    return moments, geodesics
 
 
 def m_geodesic(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> DensityMatrix:

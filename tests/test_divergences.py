@@ -1017,6 +1017,15 @@ def test_e_paths_check_each_pair_once_per_call(monkeypatch):
     checked.clear()
     e_divergence_quadrature(GeodesicKind.HALF, *pairs[0])
     assert checked == pairs[:1]
+    # the closed forms too, kind b through the relative entropy and the
+    # sandwich kinds through their records
+    for kind in GeodesicKind:
+        checked.clear()
+        e_divergences_closed(kind, pairs)
+        assert checked == pairs
+        checked.clear()
+        e_divergence_closed(kind, *pairs[0])
+        assert checked == pairs[:1]
 
 
 def test_m_divergences_name_the_pair_in_errors():
@@ -1058,18 +1067,43 @@ def test_e_divergences_equal_lone_calls_bitwise(kind, dim):
     assert {nodes for _, nodes in batched} == {57, 113}
 
 
+@pytest.mark.parametrize("kind", list(GeodesicKind))
+def test_a_repeated_pair_gives_its_lone_results_bitwise(kind):
+    from qpathdiv.transport import solve_direction
+
+    p, q = _e_pairs(3, [5, 6])
+    values = e_divergences(kind, [p, q, p])
+    geodesics = solve_directions(kind, [p, q, p])
+    thetas = np.linspace(-0.5, 1.5, 5)
+    # fresh states for each lone call, so that nothing kept is shared
+    for k, pair in enumerate(_e_pairs(3, [5, 6, 5])):
+        assert repr(values[k]) == repr(e_divergences(kind, [pair])[0])
+        got, lone = geodesics[k], solve_direction(kind, *pair)
+        assert got.direction.tobytes() == lone.direction.tobytes()
+        assert got.moment(0.7) == lone.moment(0.7)
+        assert got.moment.derivative(thetas, 2).tobytes() == lone.moment.derivative(thetas, 2).tobytes()
+        assert got.moment.state(0.7).matrix.tobytes() == lone.moment.state(0.7).matrix.tobytes()
+    # the two curves of the repeated pair are rows of one moment function,
+    # each its own: equal arrays, no memory shared
+    first, third = vars(geodesics[0].moment), vars(geodesics[2].moment)
+    assert first["_direction"].base is third["_direction"].base
+    for name, a in first.items():
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, third[name]) and not np.shares_memory(a, third[name]), name
+
+
 def test_e_divergences_stack_shrinks_as_rows_freeze(monkeypatch):
-    from qpathdiv import divergences
+    from qpathdiv.transport import MomentFunction
 
     pairs = _e_pairs(3, range(1, 9))
     stacks = []
-    stacked = divergences._moment_derivatives
+    stacked = MomentFunction._moments
 
     def counted(moments, theta, order):
-        stacks.append(len(moments))
+        stacks.append(len(moments._direction))
         return stacked(moments, theta, order)
 
-    monkeypatch.setattr(divergences, "_moment_derivatives", counted)
+    monkeypatch.setattr(MomentFunction, "_moments", counted)
     nodes = [n for _, n in e_divergences(GeodesicKind.SLD, pairs)]
     # the first call takes every pair, and the next level only the pairs
     # still refining: those that settle beyond 57 nodes

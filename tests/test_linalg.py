@@ -189,6 +189,12 @@ def test_eig_stack_rejects_one_non_hermitian_slice():
     with pytest.raises(NotHermitian, match=r"\(matrix 2 of 4 in the stack\)") as info:
         eig_hermitian(h)
     assert info.value.defect == pytest.approx(1e-6, rel=1e-6)
+    # a stack of one reports as its lone matrix does
+    with pytest.raises(NotHermitian) as lone:
+        eig_hermitian(h[2])
+    with pytest.raises(NotHermitian) as one:
+        eig_hermitian(h[2:3])
+    assert str(one.value) == str(lone.value) and "in the stack" not in str(one.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])

@@ -275,10 +275,13 @@ def test_moment_derivatives_match_differences(kind):
 
 
 def test_moment_derivative_orders():
+    # mu itself is the function's value, not a derivative of order 0
     base = random_density(RandomSpec(2, 51, 0.05))
-    g = make_geodesic(GeodesicKind.BOGOLJUBOV, base, random_direction(2, 52))
-    with pytest.raises(DomainError):
-        MomentFunction(g).derivative(0.5, 3)
+    for kind in ALL_KINDS:
+        mf = MomentFunction(make_geodesic(kind, base, random_direction(2, 52)))
+        for order in (0, 3):
+            with pytest.raises(DomainError, match=f"^derivative order must be 1 or 2, got {order}$"):
+                mf.derivative(0.5, order)
 
 
 def test_moment_second_derivative_nonnegative():
@@ -591,16 +594,17 @@ def _direction_pairs(dim: int, seeds) -> list:
 
 def _solved_arrays(geodesic) -> dict:
     """Every array a solved geodesic holds: its direction, G and G's
-    decomposition, and its moment function's arrays."""
+    decomposition, and its moment function's arrays, each a stack of one
+    curve; G's decomposition in the moment function is the geodesic's."""
     arrays = {"direction": geodesic.direction}
+    moment = {name: a for name, a in vars(geodesic.moment).items() if isinstance(a, np.ndarray)}
+    assert all(len(a) == 1 for a in moment.values())
     if geodesic.kind is not GeodesicKind.BOGOLJUBOV:
         eig = geodesic.aux_eig
         arrays.update(aux=geodesic.aux_direction, aux_values=eig.eigenvalues, aux_vectors=eig.eigenvectors)
-    moment = vars(geodesic.moment)
-    arrays.update({name: value for name, value in moment.items() if isinstance(value, np.ndarray)})
-    if "_gen" in moment:
-        assert moment["_gen"] is geodesic.aux_eig
-    return arrays
+        assert np.shares_memory(moment["_gen_values"], eig.eigenvalues)
+        assert np.shares_memory(moment["_gen_vectors"], eig.eigenvectors)
+    return {**arrays, **moment}
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 16])
@@ -616,7 +620,7 @@ def test_solve_directions_equal_lone_calls_bitwise(kind, dim):
     lone = [solve_direction(kind, *pair) for pair in _direction_pairs(dim, seeds)]
     for got, expected in zip(batched, lone):
         a, b = _solved_arrays(got), _solved_arrays(expected)
-        assert a.keys() == b.keys() and len(a) == (3 if kind is GeodesicKind.BOGOLJUBOV else 9)
+        assert a.keys() == b.keys() and len(a) == (3 if kind is GeodesicKind.BOGOLJUBOV else 11)
         for name in a:
             assert a[name].shape == b[name].shape and np.array_equal(a[name], b[name]), name
         assert got.moment(0.7) == expected.moment(0.7)
