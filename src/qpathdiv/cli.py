@@ -129,6 +129,10 @@ def _cmd_fisher(args) -> int:
     sigma = serialize.load_state(args.sigma)
     kind = metrics.metric_from_tag(args.metric)
     points = _parse_grid(args.points)
+    h = metrics.FD_STEP  # fisher_numeric takes the segment at t +- h, so every point is checked first
+    for t in points:
+        if not h <= t <= 1.0 - h:
+            raise ValidationError(f"point {float(t)!r} is outside [{h:g}, {1.0 - h:g}], the finite-difference range")
     lines = ["t,fisher_mixture,fisher_numeric"]
     for t in points:
         exact = metrics.fisher_info_mixture(rho, sigma, kind, t)

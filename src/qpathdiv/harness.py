@@ -50,24 +50,19 @@ from .divergences import (
 )
 from .errors import ConfigError, InvalidShape, QPathDivError, UnknownClaim
 from .linalg import eig_hermitian, herm_log, tensor_product
-from .metrics import BOGOLJUBOV, HALF, RLD, SLD, fisher_info_mixture, fisher_info_numeric
+from .metrics import _FD_OFFSETS, BOGOLJUBOV, HALF, RLD, SLD, _numeric_info, _segment_info
 from .states import (
     DensityMatrix,
     RandomSpec,
     _state_in_basis,
+    check_pairs,
     commutation_defect,
     random_commuting_pair,
     random_densities,
-    random_density,
     random_direction,
     validate_density,
 )
-from .transport import (
-    GeodesicKind,
-    m_geodesic,
-    solve_directions,
-    transport_commutation_defect,
-)
+from .transport import GeodesicKind, _commutation_defects, _mixture_states, _solved_directions
 
 DEFAULT_GLOBAL_SEED = 20250809
 _FLOOR = 0.05
@@ -130,7 +125,6 @@ class ClaimRecord:
 # batch(dim, trial_seeds) -> one (measure, extras) per seed, in seed order,
 # each bitwise what a batch of that seed alone gives; it must be a pure
 # function of its arguments so witnesses replay exactly.
-_TrialFn = Callable[[int, int], tuple[float, dict]]
 _BatchFn = Callable[[int, list[int]], list[tuple[float, dict]]]
 _REGISTRY: dict[str, tuple[ClaimSpec, _BatchFn, Callable | None]] = {}
 
@@ -249,16 +243,6 @@ def replay_witness(claim_id: str, witness: dict) -> float:
 # --------------------------------------------------------------------------
 # claim trial functions
 # --------------------------------------------------------------------------
-
-
-def _pair_trials(trial: Callable) -> _BatchFn:
-    """Make a batch function of a trial fn(seed, rho, sigma) that gets the
-    pair drawn at its seed; all pairs of a batch come from one _pairs call."""
-
-    def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
-        return [trial(seed, rho, sigma) for seed, (rho, sigma) in zip(seeds, _pairs(dim, seeds))]
-
-    return batch
 
 
 def _quadrature_agreement(kind: GeodesicKind) -> _BatchFn:
@@ -433,28 +417,26 @@ def _sandwich_equality(dim: int, seeds: list[int]):
     return out
 
 
-def _commutation_trial(kind: GeodesicKind) -> _TrialFn:
-    def trial(dim: int, seed: int) -> tuple[float, dict]:
-        sigma = random_density(RandomSpec(dim, derive_seed(seed, "base"), _FLOOR))
-        l1 = random_direction(dim, derive_seed(seed, "dir1"))
-        l2 = random_direction(dim, derive_seed(seed, "dir2"))
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "theta")))
-        theta1, theta2 = rng.uniform(-1.0, 1.0, size=2)
-        defect = transport_commutation_defect(kind, sigma, l1, l2, theta1, theta2)
-        return defect, {"theta1": float(theta1), "theta2": float(theta2)}
+def _commutation(kind: GeodesicKind) -> _BatchFn:
+    """The gap between the two orders of transport along two random directions, one stack per batch."""
 
-    return trial
+    def batch(dim: int, seeds: list[int]) -> list[tuple[float, dict]]:
+        sigmas = random_densities([RandomSpec(dim, derive_seed(seed, "base"), _FLOOR) for seed in seeds])
+        l1, l2 = ([random_direction(dim, derive_seed(seed, tag)) for seed in seeds] for tag in ("dir1", "dir2"))
+        rngs = [np.random.Generator(np.random.PCG64(derive_seed(seed, "theta"))) for seed in seeds]
+        theta1, theta2 = np.array([rng.uniform(-1.0, 1.0, size=2) for rng in rngs]).T
+        defects = _commutation_defects(kind, sigmas, l1, l2, theta1, theta2)
+        return [(defect, {"theta1": float(a), "theta2": float(b)}) for defect, a, b in zip(defects, theta1, theta2)]
+
+    return batch
 
 
-_register("transport-commutation-bogoljubov", dims=(2, 3), trials=100, tolerance=1e-8, mode="equality")(
-    _commutation_trial(GeodesicKind.BOGOLJUBOV)
-)
-_register("transport-commutation-counterexample-s", dims=(2,), trials=60, tolerance=1e-3, mode="counterexample")(
-    _commutation_trial(GeodesicKind.SLD)
-)
-_register("transport-commutation-counterexample-r", dims=(2,), trials=60, tolerance=1e-3, mode="counterexample")(
-    _commutation_trial(GeodesicKind.RLD)
-)
+for _claim_id, _kind, _dims, _trials, _tolerance, _mode in (
+    ("transport-commutation-bogoljubov", GeodesicKind.BOGOLJUBOV, (2, 3), 100, 1e-8, "equality"),
+    ("transport-commutation-counterexample-s", GeodesicKind.SLD, (2,), 60, 1e-3, "counterexample"),
+    ("transport-commutation-counterexample-r", GeodesicKind.RLD, (2,), 60, 1e-3, "counterexample"),
+):
+    _register(_claim_id, _dims, _trials, _tolerance, _mode, batched=True)(_commutation(_kind))
 
 
 def _gap_trial(path_divergences: Callable[[list], list[float]], above: bool) -> _BatchFn:
@@ -611,39 +593,48 @@ def _near_boundary(dim: int, seed: int):
     return defects[worst], {"floor": _NEAR_BOUNDARY_FLOORS[worst]}
 
 
+def _kind_groups(seeds: list[int], kinds: tuple) -> list[tuple]:
+    """Each kind that some trial takes (kinds[seed % 4]), with the indices of its trials in ``seeds``."""
+    groups = [[k for k, seed in enumerate(seeds) if seed % 4 == i] for i in range(len(kinds))]
+    return [(kind, group) for kind, group in zip(kinds, groups) if group]
+
+
 @_register(
     "moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality", batched=True
 )
 def _moment_curvature(dim: int, seeds: list[int]):
+    # per kind: one solve, one _states call on every stencil point, one numeric Fisher call
     pairs = _pairs(dim, seeds)
-    kinds = [_GEODESIC_KINDS[seed % 4] for seed in seeds]
-    # the trials of each kind solve their directions in one call
-    curves = {}
-    for kind in _GEODESIC_KINDS:
-        group = [k for k, trial_kind in enumerate(kinds) if trial_kind is kind]
-        curves.update(zip(group, solve_directions(kind, [pairs[k] for k in group])))
-    thetas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    out = []
-    for k, kind in enumerate(kinds):
-        mf = curves[k].moment
-        worst = 0.0
-        for theta, curvature in zip(thetas, mf.derivative(np.array(thetas), 2)):
-            info = fisher_info_numeric(mf.state, theta, kind.metric)
-            worst = max(worst, abs(float(curvature) - info))
-        out.append((worst, {"kind": kind.value}))
+    thetas = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    grid = (thetas[:, None] + np.array(_FD_OFFSETS)).ravel()
+    out: list = [None] * len(seeds)
+    for kind, group in _kind_groups(seeds, _GEODESIC_KINDS):
+        group_pairs = [pairs[k] for k in group]
+        moments = _solved_directions(kind, group_pairs, check_pairs(group_pairs, ("rho", "sigma")))[0]
+        states, _ = moments._states(np.broadcast_to(grid, (len(group), grid.size)))
+        infos = _numeric_info(kind.metric, states).reshape(len(group), thetas.size)
+        # max(0, ...) over a row keeps the NaN rule of a running max
+        for k, gaps in zip(group, np.abs(moments._moments(thetas, 2) - infos).tolist()):
+            out[k] = max(0.0, *gaps), {"kind": kind.value}
     return out
 
 
 @_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality", batched=True)
-@_pair_trials
-def _numeric_fisher(seed: int, rho: DensityMatrix, sigma: DensityMatrix):
-    kind = _METRIC_KINDS[seed % 4]
-    worst = 0.0
-    for t in (0.2, 0.5, 0.8):
-        numeric = fisher_info_numeric(lambda u: m_geodesic(rho, sigma, u), t, kind)
-        exact = fisher_info_mixture(rho, sigma, kind, t)
-        worst = max(worst, abs(numeric - exact))
-    return worst, {"kind": kind.label()}
+def _numeric_fisher(dim: int, seeds: list[int]):
+    # per kind: one stack of mixture states at every stencil point, one numeric Fisher
+    # call, and one exact call per t, as its product over a stack of t is not bitwise per t
+    pairs = _pairs(dim, seeds)
+    ts = np.array([0.2, 0.5, 0.8])
+    out: list = [None] * len(seeds)
+    for kind, group in _kind_groups(seeds, _METRIC_KINDS):
+        group_pairs = [pairs[k] for k in group]
+        names = check_pairs(group_pairs)
+        states = _mixture_states(group_pairs, (ts[:, None] + np.array(_FD_OFFSETS)).ravel())
+        numeric = _numeric_info(kind, states).reshape(len(group), ts.size)
+        exact = np.concatenate([_segment_info(group_pairs, (kind,), t, names)[:, 0] for t in ts], axis=1)
+        for k, gaps in zip(group, np.abs(numeric - exact).tolist()):
+            out[k] = max(0.0, *gaps), {"kind": kind.label()}
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,8 @@ Every kernel satisfies c(a, a) = a, so E_rho(I) = rho for each variant.
 Inverting E_rho is entrywise division by the same kernel, which is what
 makes the dual (mixture-side) inner product computable in O(n^2) after one
 eigendecomposition.
+fisher_info_numeric, a central difference for any family and an independent
+check of the exact fisher_info_mixture, is the one-point case of a stacked core.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidShape
-from .linalg import SUPPORT_EPS, eig_hermitian, point_array
+from .linalg import SUPPORT_EPS, HermitianEigen, _adjoint, decomposition, eig_hermitian, point_array
 from .states import DensityMatrix, check_pair, not_full_rank, require_full_rank
 
 FD_STEP = 1e-4
+# fisher_info_numeric takes its family at theta plus each of these, in this order
+_FD_OFFSETS = (0.0, FD_STEP / 2.0, -FD_STEP / 2.0, FD_STEP, -FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,16 @@ def e_to_m(rho: DensityMatrix, kind: MetricKind, x: np.ndarray) -> np.ndarray:
 
 def m_to_e(rho: DensityMatrix, kind: MetricKind, a: np.ndarray) -> np.ndarray:
     """X = E_rho^{-1}(A): entrywise division by the kernel in rho's eigenbasis."""
-    u, ap, c = _kernel_frame(rho, kind, a)
-    return u @ (ap / c) @ u.conj().T
+    a = _check_dim(rho, a)
+    require_full_rank(rho, "rho")
+    return _m_to_e(rho.eig, kind, a)
+
+
+def _m_to_e(eig: HermitianEigen, kind: MetricKind, a: np.ndarray) -> np.ndarray:
+    """m_to_e at the state of decomposition ``eig``, or at each state of a
+    stacked ``eig`` for a stack of tangents."""
+    u = eig.eigenvectors
+    return u @ ((_adjoint(u) @ a @ u) / kernel_matrix(kind, eig.eigenvalues)) @ _adjoint(u)
 
 
 def e_inner(rho: DensityMatrix, kind: MetricKind, y: np.ndarray, x: np.ndarray) -> complex:
@@ -205,12 +217,25 @@ def fisher_info_numeric(family: Callable[[float], DensityMatrix], theta: float, 
     """Fisher information of a one-parameter family by central differences.
 
     Richardson-extrapolates the derivative over steps FD_STEP and FD_STEP / 2,
-    then takes its squared mixture-side norm at family(theta).
+    then takes its squared mixture-side norm at family(theta). The one-point
+    case of _numeric_info.
     """
-    rho = family(theta)
+    return float(_numeric_info(kind, [family(theta + offset) for offset in _FD_OFFSETS])[0])
 
-    def derivative(step: float) -> np.ndarray:
-        return (family(theta + step).matrix - family(theta - step).matrix) / (2.0 * step)
 
-    d = (4.0 * derivative(FD_STEP / 2.0) - derivative(FD_STEP)) / 3.0
-    return float(m_inner(rho, kind, d, d).real)
+def _numeric_info(kind: MetricKind, states: list[DensityMatrix]) -> np.ndarray:
+    """fisher_info_numeric at several points of one dim, given the family's
+    states at theta + _FD_OFFSETS of each point, point by point, each value
+    bitwise as if alone: the Richardson difference A runs elementwise, and
+    Re Tr X^* A with X = m_to_e(A) over one decomposition of the states at
+    the points. With more than one point, NotFullRank names the point."""
+    n, width = states[0].dim, len(_FD_OFFSETS)
+    m = np.array([state.matrix for state in states]).reshape(-1, width, n, n)
+    # the central differences over steps FD_STEP / 2 and FD_STEP, then Richardson
+    half, full = ((m[:, i] - m[:, i + 1]) / (2.0 * step) for i, step in ((1, FD_STEP / 2.0), (3, FD_STEP)))
+    d = (4.0 * half - full) / 3.0
+    points = states[::width]
+    for k, rho in enumerate(points):
+        require_full_rank(rho, "rho" if len(points) == 1 else f"rho at point {k}")
+    x = _m_to_e(decomposition(points), kind, d)
+    return np.trace(_adjoint(x) @ d, 0, -2, -1).real

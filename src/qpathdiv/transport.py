@@ -22,7 +22,9 @@ curve through sigma whose transport to theta = 1 lands on rho, in one pass
 over (pairs, d, d) stacks; solve_direction is its one-pair case. One
 MomentFunction holds the curves of a batch: every array it holds has a
 leading curve axis, a lone curve is a stack of one, and mu, mu', mu'' and
-the transported states of all its curves come from one pass over the stacks.
+the transported states of all its curves (one theta each, or a grid) come
+from one pass over the stacks. transport_commutation_defect and m_geodesic
+are the one-trial cases of stacked bodies that take a batch in one pass.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .states import (
     check_pair,
     check_pairs,
     require_full_rank,
-    validate_density,
 )
 
 AUX_RELATION_TOL = 1e-9
@@ -125,32 +126,41 @@ def solve_auxiliary_direction(
 
 
 def _auxiliary(eig: HermitianEigen, p: float, direction: np.ndarray) -> np.ndarray:
-    """solve_auxiliary_direction at the base state of decomposition ``eig``."""
+    """solve_auxiliary_direction at the base state of decomposition ``eig``,
+    or at each base state of a stacked ``eig`` for a stack of directions."""
     d = eig.eigenvalues
-    w = (d[None, :] / d[:, None]) ** p
+    w = (d[..., None, :] / d[..., :, None]) ** p
     weights = 2.0 / (w + 1.0 / w)
     u = eig.eigenvectors
-    lp = u.conj().T @ direction @ u
-    return hermitian_part(u @ (weights * lp) @ u.conj().T)
+    lp = _adjoint(u) @ direction @ u
+    return hermitian_part(u @ (weights * lp) @ _adjoint(u))
 
 
 def make_geodesic(
-    kind: GeodesicKind,
-    base: DensityMatrix,
-    direction: np.ndarray,
-    aux_direction: np.ndarray | None = None,
+    kind: GeodesicKind, base: DensityMatrix, direction: np.ndarray, aux_direction: np.ndarray | None = None
 ) -> Geodesic:
     """Build a geodesic, solving and verifying the auxiliary direction G of
     a sandwich kind (for kind s, G = L). The direction must be Hermitian
     within linalg.HERMITIAN_TOL."""
-    require_full_rank(base, "base")
-    direction = np.asarray(direction, dtype=complex)
-    if direction.shape != (base.dim, base.dim):
-        raise DimensionMismatch(
-            f"direction shape {direction.shape} does not match state dim {base.dim}"
-        )
-    aux = _checked_aux(kind, base.eig, direction, aux_direction)
-    return Geodesic(base=base, direction=direction, kind=kind, aux_direction=aux)
+    aux = None if aux_direction is None else np.asarray(aux_direction)[None]
+    _, direction, aux = _checked_curves(kind, [base], [direction], aux, [""])
+    return Geodesic(base=base, direction=direction[0], kind=kind, aux_direction=None if aux is None else aux[0])
+
+
+def _checked_curves(
+    kind: GeodesicKind, bases: list[DensityMatrix], directions, aux: np.ndarray | None, names: list[str]
+) -> tuple[HermitianEigen, np.ndarray, np.ndarray | None]:
+    """make_geodesic's checks of the curve through each of ``bases`` along
+    its direction in ``directions``, each run once over the stacks and
+    naming the curve by ``names``: the bases' decomposition, the (curves,
+    d, d) stack of directions and that of G (None for kind b)."""
+    for base, name in zip(bases, names):
+        require_full_rank(base, "base" + name)
+    directions, n = np.asarray(directions, dtype=complex), bases[0].dim
+    if directions.shape != (len(bases), n, n):
+        raise DimensionMismatch(f"direction shape {directions.shape[1:]} does not match state dim {n}")
+    eig = decomposition(bases)
+    return eig, directions, _checked_aux(kind, eig, directions, aux, names)
 
 
 def _checked_aux(
@@ -163,8 +173,8 @@ def _checked_aux(
     """make_geodesic's checks of a direction L at a base state of
     decomposition ``eig``, or of a stack (k, n, n) of them at stacked base
     states: NotHermitian, then for a sandwich kind the auxiliary direction G
-    (``aux``; None, for one L, takes L for kind s and solves G for kinds r
-    and half), with TargetMismatch when it violates
+    (``aux``; None takes L for kind s and solves G for kinds r and half,
+    over the stack), with TargetMismatch when it violates
     L = (sigma^{-p} G sigma^p + sigma^p G sigma^{-p}) / 2, naming the worst
     curve by ``names``. Returns G; None for kind b."""
     require_hermitian(direction, name="direction")
@@ -205,8 +215,9 @@ class MomentFunction:
     the energies (g_i + g_j) / 2. For kind b, mu'' is the Kubo-Mori variance of L.
 
     Every array it holds is stacked over curves of one kind and dim: a lone
-    curve is a stack of one, and solve_directions builds one moment function
-    for a batch, whose one-row views (_rows) are its geodesics' own.
+    curve is a stack of one, and _solved_directions builds one moment
+    function for a batch, whose one-row views (_rows) are the geodesics'
+    own that solve_directions returns.
     """
 
     def __init__(self, geodesic: Geodesic):
@@ -249,12 +260,12 @@ class MomentFunction:
 
     def state_and_moment(self, theta: float) -> tuple[DensityMatrix, float]:
         """The state at theta and mu(theta), bitwise this function's value."""
-        states, mus = self._states(theta)
+        states, mus = self._states(np.full(len(self._direction), float(theta)))
         return states[0], self(theta) if mus is None else float(mus[0])
 
     def state(self, theta: float) -> DensityMatrix:
         """The state at theta."""
-        return self._states(theta)[0][0]
+        return self._states(np.full(len(self._direction), float(theta)))[0][0]
 
     def derivative(self, theta: float | np.ndarray, order: int) -> float | np.ndarray:
         """mu' (order 1) or mu'' (order 2) at theta, in closed form.
@@ -266,22 +277,24 @@ class MomentFunction:
         values = self._moments(theta, order)[0]
         return float(values[0]) if np.ndim(theta) == 0 else values
 
-    def _states(self, theta: float) -> tuple[list[DensityMatrix], np.ndarray | None]:
-        """The state an amount theta along each curve, from one pass over the
-        (curves, d, d) stacks, whose density checks run once over the stack
-        and name the worst matrix; and for kind b each mu(theta), from the
-        same validated eig_hermitian of the stack of log sigma + theta L
-        (None for kinds s, r and half, whose states are e^{-mu} A F B F A
-        with F = e^{theta G / 2}, the largest exponent shifted to zero)."""
-        ths = point_array(float(theta), "theta")
+    def _states(self, thetas: np.ndarray) -> tuple[list[DensityMatrix], np.ndarray | None]:
+        """The state at each theta of each curve, for one theta per curve
+        (curves,) or a grid (curves, m): a list in (curve, theta) order, each
+        bitwise as if alone, from one pass over (curves, m, d, d) stacks whose
+        density checks run once and name the worst matrix. Kind b also gives
+        each mu(theta), in that order, and each state keeps its decomposition,
+        from one validated eig_hermitian of the stack of log sigma + theta L;
+        kinds s, r and half give None (e^{-mu} A F B F A, F = e^{theta G / 2})."""
+        ths = point_array(np.ravel(thetas), "theta").reshape(len(self._direction), -1)
         if self._p is None:
             _, u, mu, w = _log_spectra(self._log_sigma, self._direction, ths)
             eig = HermitianEigen(w, u)
             return _states_from_eig(eig.reconstruct(), eig, _checked_basis), mu
-        z, u = ths[0] * self._gen_values, self._gen_vectors
+        z, u = ths[..., None] * self._gen_values[:, None], self._gen_vectors[:, None]
         f = (u * np.exp((z - z.max(-1, keepdims=True)) / 2.0)[..., None, :]) @ _adjoint(u)
-        t = self._outer @ f @ self._inner @ f @ self._outer
-        return _validated(hermitian_part(t / np.trace(t, 0, -2, -1).real[..., None, None])), None
+        t = self._outer[:, None] @ f @ self._inner[:, None] @ f @ self._outer[:, None]
+        t = hermitian_part(t / np.trace(t, 0, -2, -1).real[..., None, None])
+        return _validated(t.reshape(-1, *t.shape[-2:])), None
 
     def _moments(self, theta: float | np.ndarray, order: int) -> np.ndarray:
         """mu (order 0), mu' (order 1) or mu'' (order 2) of each curve at
@@ -323,10 +336,11 @@ class MomentFunction:
 def _log_spectra(log_sigma: np.ndarray, direction: np.ndarray, ths: np.ndarray) -> tuple[np.ndarray, ...]:
     """Kind b: eigenpairs (h, U) of log sigma + theta L, mu and the state's
     spectrum exp(h - mu) of each curve, given by the stacks (curves, d, d)
-    of its log sigma and L, at each theta of ths, flattened to
-    (curves * thetas, ...), from one validated eigendecomposition."""
+    of its log sigma and L, at each theta of ths (thetas,) or of its row of
+    ths (curves, thetas), flattened to (curves * thetas, ...), from one
+    validated eigendecomposition."""
     n = direction.shape[-1]
-    stack = log_sigma[:, None] + ths[:, None, None] * direction[:, None]
+    stack = log_sigma[:, None] + ths[..., None, None] * direction[:, None]
     eig = eig_hermitian(hermitian_part(stack).reshape(-1, n, n))
     return eig.eigenvalues, eig.eigenvectors, *log_partition(eig.eigenvalues)
 
@@ -420,16 +434,30 @@ def solve_directions(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, Densit
     """solve_direction of each (rho, sigma) in ``pairs``, all of one dim, each
     bitwise as if alone, from one pass over (pairs, d, d) stacks. With more
     than one pair, NotFullRank and TargetMismatch name the pair by its index
-    in ``pairs``."""
-    return _solved_directions(kind, pairs, check_pairs(pairs, ("rho", "sigma")))[1]
+    in ``pairs``. Each .moment is a one-row view of the batch's MomentFunction."""
+    moments, gen, gen_eig = _solved_directions(kind, pairs, check_pairs(pairs, ("rho", "sigma")))
+    gens = gen_eigs = [None] * len(pairs)
+    if gen is not None:
+        gens, gen_eigs = gen.reshape(moments._direction.shape), split(gen_eig)
+    geodesics = []
+    for k, ((_, sigma), gen_k, gen_eig_k) in enumerate(zip(pairs, gens, gen_eigs)):
+        # a batch of one is its own row, with no views to build
+        row = moments if len(pairs) == 1 else moments._rows(slice(k, k + 1))
+        g = Geodesic(sigma, row._direction[0], kind, gen_k)
+        g.__dict__["moment"] = row
+        if gen_eig_k is not None:
+            g.__dict__["aux_eig"] = gen_eig_k
+        geodesics.append(g)
+    return geodesics
 
 
 def _solved_directions(
     kind: GeodesicKind, pairs: list[tuple[DensityMatrix, DensityMatrix]], names: list[str]
-) -> tuple[MomentFunction | None, list[Geodesic]]:
-    """solve_directions of pairs that the caller has checked (check_pairs,
-    which gave ``names``), beside the one MomentFunction of all their curves,
-    whose one-row views are the geodesics' .moment (None for no pairs).
+) -> tuple[MomentFunction | None, np.ndarray | None, HermitianEigen | None]:
+    """The one MomentFunction of the curves that solve_directions finds for
+    pairs that the caller has checked (check_pairs, which gave ``names``;
+    None for no pairs), and the stacks of their G and its decomposition (a
+    matrix for one pair; None for kind b).
 
     Each step runs once over the stacks: L = log rho - log sigma (kind b) or
     herm(sigma^{-p} G sigma^p) with G = 2 log F read off the kept sandwich
@@ -438,7 +466,7 @@ def _solved_directions(
     transport to theta = 1, which must land on each rho within TARGET_TOL.
     """
     if not pairs:
-        return None, []
+        return None, None, None
     rhos, sigmas = zip(*pairs)
     s = decomposition(sigmas)
     p = kind.sandwich_power
@@ -452,31 +480,30 @@ def _solved_directions(
     direction = hermitian_part(direction)
     _checked_aux(kind, s, direction, gen, names)
     moments = MomentFunction.__new__(MomentFunction)._fill(p, direction, s, gen_eig)
-    gens = gen_eigs = [None] * len(pairs)
-    if gen is not None:
-        gens, gen_eigs = gen.reshape(moments._direction.shape), split(gen_eig)
-    geodesics = []
-    for k, (sigma, gen_k, gen_eig_k) in enumerate(zip(sigmas, gens, gen_eigs)):
-        # a batch of one is its own row, with no views to build
-        row = moments if len(pairs) == 1 else moments._rows(slice(k, k + 1))
-        g = Geodesic(sigma, row._direction[0], kind, gen_k)
-        g.__dict__["moment"] = row
-        if gen_eig_k is not None:
-            g.__dict__["aux_eig"] = gen_eig_k
-        geodesics.append(g)
-    worst = _worst_beyond(matrices(moments._states(1.0)[0]) - matrices(rhos), TARGET_TOL)
+    worst = _worst_beyond(matrices(moments._states(np.ones(len(pairs)))[0]) - matrices(rhos), TARGET_TOL)
     if worst:
         k, defect = worst
         raise TargetMismatch(f"transport{names[k]} misses the target by {defect:.3e} (tolerance {TARGET_TOL:g})")
-    return moments, geodesics
+    return moments, gen, gen_eig
 
 
 def m_geodesic(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> DensityMatrix:
-    """The mixture segment (1-t) rho + t sigma."""
+    """The mixture segment (1-t) rho + t sigma; the one-point case of _mixture_states."""
     check_pair(rho, sigma)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    return validate_density((1.0 - t) * rho.matrix + t * sigma.matrix)
+    return _mixture_states([(rho, sigma)], [t])[0]
+
+
+def _mixture_states(pairs: list[tuple[DensityMatrix, DensityMatrix]], ts) -> list[DensityMatrix]:
+    """m_geodesic of each pair, all of one dim and checked by the caller
+    (check_pairs), at each t of ``ts``: a list in (pair, t) order, each
+    bitwise as if alone, validated once as one (pairs * ts, d, d) stack."""
+    ts = np.asarray(ts, dtype=float)
+    outside = ~((0.0 <= ts) & (ts <= 1.0))  # a NaN t is outside too
+    if outside.any():
+        raise DomainError(f"t must lie in [0, 1], got {ts[outside][0]}")
+    rho, sigma = (np.array([pair[i].matrix for pair in pairs])[:, None] for i in (0, 1))
+    w = ts[:, None, None]
+    return _validated(((1.0 - w) * rho + w * sigma).reshape(-1, *rho.shape[-2:]))
 
 
 def transport_commutation_defect(
@@ -487,10 +514,32 @@ def transport_commutation_defect(
     theta1: float,
     theta2: float,
 ) -> float:
-    """Frobenius gap between transporting along the two directions in
-    either order; zero means a two-parameter autoparallel family exists."""
-    first = e_transport(make_geodesic(kind, sigma, direction1), theta1)
-    then = e_transport(make_geodesic(kind, first, direction2), theta2)
-    second = e_transport(make_geodesic(kind, sigma, direction2), theta2)
-    other = e_transport(make_geodesic(kind, second, direction1), theta1)
-    return frobenius(then.matrix - other.matrix)
+    """Frobenius gap between transporting along the two directions in either order; zero
+    means a two-parameter autoparallel family exists. The one-trial case of _commutation_defects."""
+    return _commutation_defects(kind, [sigma], [direction1], [direction2], [theta1], [theta2])[0]
+
+
+def _commutation_defects(
+    kind: GeodesicKind, sigmas: list[DensityMatrix], directions1, directions2, thetas1, thetas2
+) -> list[float]:
+    """transport_commutation_defect of each trial k, (sigmas[k],
+    directions1[k], directions2[k], thetas1[k], thetas2[k]), all of one dim,
+    each bitwise as if alone, from four stacked transports (_transported).
+    With more than one trial, the errors name the trial by its index."""
+    names = [""] if len(sigmas) == 1 else [f" of trial {k}" for k in range(len(sigmas))]
+    first = _transported(kind, sigmas, directions1, thetas1, names)
+    then = _transported(kind, first, directions2, thetas2, names)
+    second = _transported(kind, sigmas, directions2, thetas2, names)
+    other = _transported(kind, second, directions1, thetas1, names)
+    return [frobenius(a.matrix - b.matrix) for a, b in zip(then, other)]
+
+
+def _transported(
+    kind: GeodesicKind, bases: list[DensityMatrix], directions, thetas, names: list[str]
+) -> list[DensityMatrix]:
+    """e_transport(make_geodesic(kind, bases[k], directions[k]), thetas[k]) for each k, each
+    of make_geodesic's checks run once over the stacks (_checked_curves)."""
+    eig, directions, aux = _checked_curves(kind, bases, directions, None, names)
+    gen = None if aux is None else eig_hermitian(aux)
+    moments = MomentFunction.__new__(MomentFunction)._fill(kind.sandwich_power, directions, eig, gen)
+    return moments._states(thetas)[0]

@@ -242,6 +242,22 @@ def test_fisher_lambda_metric(capsys):
     assert len(rows) == 1
 
 
+def test_fisher_refuses_a_point_the_finite_difference_leaves(capsys, monkeypatch):
+    from qpathdiv import metrics
+
+    computed = []
+    monkeypatch.setattr(metrics, "fisher_info_mixture", lambda *args: computed.append(args))
+    # the stencil at t takes the segment at t +- 1e-4, so 0 and 1 would name -5e-05 and 1.00005
+    for points, bad in (("0,0.5,1", "0.0"), ("0.5,1", "1.0"), ("0.5,0.99995", "0.99995"), ("0:1:3", "0.0")):
+        assert main(["fisher", RHO_FIXTURE, SIGMA_FIXTURE, "--points", points]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not computed
+        assert err == f"error: ValidationError: point {bad} is outside [0.0001, 0.9999], the finite-difference range\n"
+    monkeypatch.undo()
+    assert main(["fisher", RHO_FIXTURE, SIGMA_FIXTURE, "--points", "1e-4,0.9999"]) == 0
+    assert [r["t"] for r in _rows_from_csv(capsys.readouterr().out)] == ["0.0001", "0.9999"]
+
+
 def test_fisher_bad_metric(capsys):
     assert main(["fisher", RHO_FIXTURE, SIGMA_FIXTURE, "--metric", "zeta"]) == 2
     assert main(["fisher", RHO_FIXTURE, SIGMA_FIXTURE, "--metric", "lambda=abc"]) == 2

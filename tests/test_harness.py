@@ -307,31 +307,15 @@ def test_theorem2_suite_small():
         assert by_id[claim_id].worst_slack > 1e-3
 
 
-BATCHED_CLAIMS = (
-    "m-path-monotonicity",
-    "rld-m-path-dominates",
-    "sld-m-path-below-relative-entropy",
-    "m-path-bogoljubov-matches-relative-entropy",
-    "rld-identity-e-m-bs",
-    "commuting-reduction",
-    "m-path-gap-counterexample-s",
-    "m-path-gap-counterexample-r",
-    "e-path-gap-counterexample-s",
-    "e-path-gap-counterexample-r",
-    "e-path-closed-vs-quadrature-s",
-    "e-path-closed-vs-quadrature-b",
-    "e-path-closed-vs-quadrature-r",
-    "e-path-closed-vs-quadrature-half",
-    "relative-entropy-closed-form",
-    "divergence-ordering-chain",
-    "sandwich-pvm-achieves-s-divergence",
-    "moment-curvature-matches-fisher-info",
-    "numeric-fisher-matches-mixture",
-    "e-path-additivity",
-)
+# every registered claim, batched or wrapped one trial at a time, so that a
+# claim that is registered or batched later is covered too
+BATCHED_CLAIMS = registered_claims()
 # e-path-additivity compares a divergence of qubit pairs with that of their
-# two-qubit tensor products, so it runs on qubits only
-_BATCH_DIMS = {"e-path-additivity": (2,)}
+# two-qubit tensor products, so it runs on qubits only; the two features of
+# classical-legendre-duality are affinely dependent on an alphabet of 2, where
+# some seeds (4000-4007 among them) end Newton outside the box (NotInRange);
+# the other claims run at dims 2, 3 and 4
+_BATCH_DIMS = {"e-path-additivity": (2,), "classical-legendre-duality": (3, 4)}
 
 
 @pytest.mark.parametrize(

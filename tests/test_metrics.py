@@ -415,3 +415,37 @@ def test_segment_info_names_the_pair_of_a_singular_mixture_state():
     assert str(info.value) == (
         "mixture state at t=1 has minimum eigenvalue 2.000e-13, at or below 1e-12 (measured defect 2.000000e-13)"
     )
+
+
+@pytest.mark.parametrize("family_of", ["m_geodesic", "moment_state"])
+@pytest.mark.parametrize("kind", [SLD, BOGOLJUBOV, RLD, HALF])
+def test_numeric_info_equals_fisher_info_numeric_bitwise(kind, family_of):
+    from qpathdiv.metrics import _FD_OFFSETS, _numeric_info
+    from qpathdiv.transport import GeodesicKind, solve_direction
+
+    def families():
+        # fresh states on every call, so that no decomposition is shared
+        for seed in range(40, 44):
+            rho, sigma = (random_density(RandomSpec(3, 2 * seed + t, 0.05)) for t in (0, 1))
+            if family_of == "m_geodesic":
+                yield lambda u, rho=rho, sigma=sigma: m_geodesic(rho, sigma, u)
+            else:
+                yield solve_direction(GeodesicKind(kind.label()), rho, sigma).moment.state
+
+    thetas = (0.2, 0.5, 0.8)
+    lone = [fisher_info_numeric(family, theta, kind) for family in families() for theta in thetas]
+    # every point of every family in one call
+    states = [family(theta + offset) for family in families() for theta in thetas for offset in _FD_OFFSETS]
+    assert _numeric_info(kind, states).tolist() == lone
+
+
+def test_numeric_info_names_the_point_that_is_not_full_rank():
+    from qpathdiv.metrics import _FD_OFFSETS, _numeric_info
+
+    good = random_density(RandomSpec(2, 3, 0.05))
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    states = [good] * len(_FD_OFFSETS) + [thin] * len(_FD_OFFSETS)
+    with pytest.raises(NotFullRank, match=r"^rho at point 1 has minimum eigenvalue 5\.000e-13"):
+        _numeric_info(SLD, states)
+    with pytest.raises(NotFullRank, match=r"^rho has minimum eigenvalue 5\.000e-13"):
+        _numeric_info(SLD, states[len(_FD_OFFSETS):])

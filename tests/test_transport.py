@@ -683,3 +683,80 @@ def test_kind_b_target_check_is_one_stacked_decomposition(monkeypatch, k):
     monkeypatch.setattr(linalg, "eig_hermitian", counted)
     solve_directions(GeodesicKind.BOGOLJUBOV, pairs)
     assert calls == [(k, 3, 3)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_states_on_a_grid_equal_each_lone_curve_bitwise(kind, dim):
+    from qpathdiv.states import check_pairs
+    from qpathdiv.transport import _solved_directions
+
+    seeds = range(500, 520, 5)
+    pairs = _direction_pairs(dim, seeds)
+    moments = _solved_directions(kind, pairs, check_pairs(pairs, ("rho", "sigma")))[0]
+    # each curve its own thetas, so that a row mix-up shows
+    grid = np.array([[-0.3, 0.0, 0.45, 1.0, 1.7]]) + 0.1 * np.arange(len(pairs))[:, None]
+    states, mus = moments._states(grid)
+    assert len(states) == grid.size and (mus is None) == (kind is not GeodesicKind.BOGOLJUBOV)
+    lone = [solve_direction(kind, *pair).moment for pair in _direction_pairs(dim, seeds)]
+    for k, (mf, thetas) in enumerate(zip(lone, grid)):
+        for j, theta in enumerate(thetas):
+            got, expected = states[k * grid.shape[1] + j], mf.state(float(theta))
+            assert got.matrix.tobytes() == expected.matrix.tobytes()
+            assert got.min_eigenvalue == expected.min_eigenvalue
+            if kind is GeodesicKind.BOGOLJUBOV:
+                # the kept decomposition, and mu, are those of the curve alone
+                assert "eig" in vars(got) and "eig" in vars(expected)
+                assert got.eig.eigenvalues.tobytes() == expected.eig.eigenvalues.tobytes()
+                assert got.eig.eigenvectors.tobytes() == expected.eig.eigenvectors.tobytes()
+                assert mus[k * grid.shape[1] + j] == mf.state_and_moment(float(theta))[1]
+    # one theta per curve is the grid's one-column case
+    ones, _ = moments._states(grid[:, 2])
+    assert [s.matrix.tobytes() for s in ones] == [s.matrix.tobytes() for s in states[2 :: grid.shape[1]]]
+
+
+def _commutation_trials(dim: int, count: int) -> tuple:
+    """The base states, both directions and both thetas of ``count`` trials."""
+    sigmas = [random_density(RandomSpec(dim, 900 + k, 0.05)) for k in range(count)]
+    l1 = [random_direction(dim, 950 + k) for k in range(count)]
+    l2 = [random_direction(dim, 990 + k) for k in range(count)]
+    thetas = np.random.Generator(np.random.PCG64(dim)).uniform(-1.0, 1.0, size=(2, count))
+    return sigmas, l1, l2, thetas[0], thetas[1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_commutation_defects_equal_lone_trials_bitwise(kind, dim):
+    from qpathdiv.transport import _commutation_defects
+
+    batched = _commutation_defects(kind, *_commutation_trials(dim, 6))
+    # fresh states of the same draws, each base with the decomposition it was drawn with
+    lone = [transport_commutation_defect(kind, *trial) for trial in zip(*_commutation_trials(dim, 6))]
+    assert len(batched) == 6 and all(isinstance(v, float) for v in batched)
+    assert batched == lone
+    if kind is GeodesicKind.BOGOLJUBOV:
+        assert max(batched) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_commutation_defects_name_the_bad_trial(kind):
+    from qpathdiv.transport import _commutation_defects
+
+    sigmas, l1, l2, theta1, theta2 = _commutation_trials(2, 4)
+    bad = [[0, 1], [0, 0]]
+    with pytest.raises(NotHermitian, match=r"^direction is not Hermitian within 1e-10 \(matrix 2 of 4 in the stack\)"):
+        _commutation_defects(kind, sigmas, l1[:2] + [bad] + l1[3:], l2, theta1, theta2)
+    thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
+    with pytest.raises(NotFullRank, match=r"^base of trial 3 has minimum eigenvalue 5\.000e-13"):
+        _commutation_defects(kind, sigmas[:3] + [thin], l1, l2, theta1, theta2)
+    # a batch of one, and the one-trial function, keep the one-trial messages
+    for defects in (
+        lambda *args: _commutation_defects(kind, *([a] for a in args)),
+        lambda *args: transport_commutation_defect(kind, *args),
+    ):
+        with pytest.raises(NotHermitian, match=r"^direction is not Hermitian within 1e-10 \(measured"):
+            defects(sigmas[0], np.array(bad, dtype=complex), l2[0], 0.3, 0.4)
+        with pytest.raises(NotFullRank, match=r"^base has minimum eigenvalue 5\.000e-13, at or below 1e-12 \(measured"):
+            defects(thin, l1[0], l2[0], 0.3, 0.4)
+        with pytest.raises(DimensionMismatch, match=r"^direction shape \(3, 3\) does not match state dim 2$"):
+            defects(sigmas[0], l1[0], random_direction(3, 1), 0.3, 0.4)
