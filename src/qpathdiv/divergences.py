@@ -581,24 +581,24 @@ class ExponentialFamily:
         return ConvexFunctionModel(dim=self.dim, value=self.moment, grad=self.mean_parameters)
 
 
-def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann basis of the traceless Hermitian matrices,
-    orthogonal with Tr X_i X_j = 2 delta_ij."""
-    basis: list[np.ndarray] = []
+def traceless_hermitian_basis(dim: int) -> np.ndarray:
+    """Generalized Gell-Mann basis of the traceless Hermitian matrices as a
+    read-only (dim^2 - 1, dim, dim) stack, orthogonal with Tr X_i X_j = 2
+    delta_ij: the symmetric and then the antisymmetric element of each i < j
+    in row order, then the diagonal element of each level 1..dim-1."""
+    basis = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
+    k = 0
     for i in range(dim):
         for j in range(i + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0
-            basis.append(sym)
-            skew = np.zeros((dim, dim), dtype=complex)
-            skew[i, j] = -1j
-            skew[j, i] = 1j
-            basis.append(skew)
+            basis[k, i, j] = basis[k, j, i] = 1.0
+            basis[k + 1, i, j], basis[k + 1, j, i] = -1j, 1j
+            k += 2
     for level in range(1, dim):
         d = np.zeros(dim)
         d[:level] = 1.0
         d[level] = -level
-        basis.append(np.diag(d * np.sqrt(2.0 / (level * (level + 1)))).astype(complex))
+        basis[k + level - 1] = np.diag(d * np.sqrt(2.0 / (level * (level + 1))))
+    basis.flags.writeable = False
     return basis
 
 
@@ -623,12 +623,8 @@ class QuantumExponentialFamily:
         return len(self.basis)
 
     def _generator(self, theta: np.ndarray) -> np.ndarray:
-        """sum_i theta^i X_i, added in basis order, of a point or of each row of a stack."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        for i, x in enumerate(self.basis):
-            out = out + theta[..., i, None, None] * x
-        return out
+        """sum_i theta^i X_i of a point or of each row of a stack, one sum over the basis axis."""
+        return np.sum(np.asarray(theta, dtype=float)[..., :, None, None] * self.basis, axis=-3)
 
     def moment(self, theta: np.ndarray) -> float | np.ndarray:
         # eigenvalues only, and no check: G is Hermitian by construction (real
@@ -654,7 +650,7 @@ class QuantumExponentialFamily:
 
     def _coordinates(self, rho: np.ndarray) -> np.ndarray:
         """Tr rho X_i of a matrix (k,) or of each matrix of a stack (n, k)."""
-        return np.stack([np.trace(rho @ x, axis1=-2, axis2=-1).real for x in self.basis], axis=-1)
+        return np.trace(rho[..., None, :, :] @ self.basis, axis1=-2, axis2=-1).real
 
     def model(self) -> ConvexFunctionModel:
         return ConvexFunctionModel(dim=self.k, value=self.moment, grad=self.mean_parameters)

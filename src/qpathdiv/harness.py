@@ -36,21 +36,16 @@ from .divergences import (
     bregman_divergence,
     bs_divergences,
     classical_kl,
-    e_divergence_closed,
-    e_divergence_quadrature,
     e_divergences,
     e_divergences_closed,
     legendre_model,
-    m_divergence,
-    m_divergence_detail,
     m_divergences,
-    quantum_relative_entropy,
     relative_entropies,
     von_neumann_entropy,
 )
 from .errors import ConfigError, InvalidShape, QPathDivError, UnknownClaim
 from .linalg import eig_hermitian, herm_log, tensor_product
-from .metrics import _FD_OFFSETS, BOGOLJUBOV, HALF, RLD, SLD, _numeric_info, _segment_info
+from .metrics import BOGOLJUBOV, HALF, RLD, SLD, _numeric_info, _segment_info
 from .states import (
     DensityMatrix,
     RandomSpec,
@@ -129,14 +124,11 @@ _BatchFn = Callable[[int, list[int]], list[tuple[float, dict]]]
 _REGISTRY: dict[str, tuple[ClaimSpec, _BatchFn, Callable | None]] = {}
 
 
-def _register(claim_id, dims, trials, tolerance, mode, extra_check=None, batched=False):
-    """Register a batch function, or with ``batched`` False a trial function
-    trial(dim, trial_seed) -> (measure, extras), run once per seed."""
+def _register(claim_id, dims, trials, tolerance, mode, extra_check=None):
+    """Register a batch function."""
 
     def deco(fn):
-        spec = ClaimSpec(claim_id, tuple(dims), trials, tolerance, mode)
-        batch = fn if batched else lambda dim, seeds: [fn(dim, seed) for seed in seeds]
-        _REGISTRY[claim_id] = (spec, batch, extra_check)
+        _REGISTRY[claim_id] = (ClaimSpec(claim_id, tuple(dims), trials, tolerance, mode), fn, extra_check)
         return fn
 
     return deco
@@ -241,7 +233,7 @@ def replay_witness(claim_id: str, witness: dict) -> float:
 
 
 # --------------------------------------------------------------------------
-# claim trial functions
+# claim batch functions
 # --------------------------------------------------------------------------
 
 
@@ -265,13 +257,10 @@ for _kind in _GEODESIC_KINDS:
         trials=600,
         tolerance=1e-6,
         mode="equality",
-        batched=True,
     )(_quadrature_agreement(_kind))
 
 
-@_register(
-    "relative-entropy-closed-form", dims=(2, 3, 4), trials=201, tolerance=1e-10, mode="equality", batched=True
-)
+@_register("relative-entropy-closed-form", dims=(2, 3, 4), trials=201, tolerance=1e-10, mode="equality")
 def _relative_entropy_closed_form(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
     out = []
@@ -287,7 +276,6 @@ def _relative_entropy_closed_form(dim: int, seeds: list[int]):
     trials=201,
     tolerance=1e-6,
     mode="equality",
-    batched=True,
 )
 def _m_b_matches_d(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
@@ -296,7 +284,7 @@ def _m_b_matches_d(dim: int, seeds: list[int]):
     return [(abs(m - d), {"relative_entropy": d, "m_path": m}) for d, m in zip(ds, ms)]
 
 
-@_register("rld-identity-e-m-bs", dims=(2, 3, 4), trials=201, tolerance=1e-6, mode="equality", batched=True)
+@_register("rld-identity-e-m-bs", dims=(2, 3, 4), trials=201, tolerance=1e-6, mode="equality")
 def _rld_identity(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
     closed = zip(bs_divergences(pairs), e_divergences_closed(GeodesicKind.RLD, pairs))
@@ -320,7 +308,6 @@ def _chain_genericity(spec: ClaimSpec, extras_list: list[dict]):
     tolerance=1e-8,
     mode="inequality",
     extra_check=_chain_genericity,
-    batched=True,
 )
 def _ordering_chain(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
@@ -337,7 +324,7 @@ def _ordering_chain(dim: int, seeds: list[int]):
     return out
 
 
-@_register("e-path-additivity", dims=(2,), trials=200, tolerance=1e-6, mode="equality", batched=True)
+@_register("e-path-additivity", dims=(2,), trials=200, tolerance=1e-6, mode="equality")
 def _e_additivity(dim: int, seeds: list[int]):
     # the pairs at derive_seed(seed, "first") and derive_seed(seed, "second"), then their tensor products
     pairs = _pairs(dim, [derive_seed(seed, tag) for seed in seeds for tag in ("first", "second")])
@@ -356,7 +343,7 @@ def _e_additivity(dim: int, seeds: list[int]):
     return [(w, {"joint_values": v}) for w, v in zip(worst, values)]
 
 
-@_register("m-path-monotonicity", dims=(2, 3, 4), trials=500, tolerance=1e-7, mode="inequality", batched=True)
+@_register("m-path-monotonicity", dims=(2, 3, 4), trials=500, tolerance=1e-7, mode="inequality")
 def _m_monotonicity(dim: int, seeds: list[int]):
     # style 0 (seed % 4) traces a dim-4 pair down to one qubit whatever the dim, so the
     # partial-trace trials and the channel trials each make one draw and one-dim lists
@@ -385,7 +372,7 @@ def _m_monotonicity(dim: int, seeds: list[int]):
     return [out[seed] for seed in seeds]
 
 
-@_register("rld-m-path-dominates", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality", batched=True)
+@_register("rld-m-path-dominates", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality")
 def _rld_dominates(dim: int, seeds: list[int]):
     out = []
     for (top, _), *rest in m_divergences((RLD, SLD, BOGOLJUBOV, HALF), _pairs(dim, seeds)):
@@ -393,9 +380,7 @@ def _rld_dominates(dim: int, seeds: list[int]):
     return out
 
 
-@_register(
-    "sld-m-path-below-relative-entropy", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality", batched=True
-)
+@_register("sld-m-path-below-relative-entropy", dims=(2, 3), trials=500, tolerance=1e-8, mode="inequality")
 def _sld_below_d(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
     ds = relative_entropies(pairs)
@@ -403,9 +388,7 @@ def _sld_below_d(dim: int, seeds: list[int]):
     return [(d - m_s, {"relative_entropy": d, "m_path_sld": m_s}) for d, m_s in zip(ds, ms)]
 
 
-@_register(
-    "sandwich-pvm-achieves-s-divergence", dims=(2, 3, 4), trials=201, tolerance=1e-8, mode="equality", batched=True
-)
+@_register("sandwich-pvm-achieves-s-divergence", dims=(2, 3, 4), trials=201, tolerance=1e-8, mode="equality")
 def _sandwich_equality(dim: int, seeds: list[int]):
     pairs = _pairs(dim, seeds)
     out = []
@@ -436,7 +419,7 @@ for _claim_id, _kind, _dims, _trials, _tolerance, _mode in (
     ("transport-commutation-counterexample-s", GeodesicKind.SLD, (2,), 60, 1e-3, "counterexample"),
     ("transport-commutation-counterexample-r", GeodesicKind.RLD, (2,), 60, 1e-3, "counterexample"),
 ):
-    _register(_claim_id, _dims, _trials, _tolerance, _mode, batched=True)(_commutation(_kind))
+    _register(_claim_id, _dims, _trials, _tolerance, _mode)(_commutation(_kind))
 
 
 def _gap_trial(path_divergences: Callable[[list], list[float]], above: bool) -> _BatchFn:
@@ -466,51 +449,48 @@ for _claim_id, _path_divergences, _above in (
     ("m-path-gap-counterexample-s", _m_each(SLD), False),
     ("m-path-gap-counterexample-r", _m_each(RLD), True),
 ):
-    _register(_claim_id, dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample", batched=True)(
+    _register(_claim_id, dims=(2, 3), trials=60, tolerance=1e-3, mode="counterexample")(
         _gap_trial(_path_divergences, _above)
     )
 
 
 @_register("potential-duality-bogoljubov", dims=(2,), trials=25, tolerance=1e-6, mode="equality")
-def _potential_duality(dim: int, seed: int):
+def _potential_duality(dim: int, seeds: list[int]):
     family = QuantumExponentialFamily(dim)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    theta = rng.uniform(-0.8, 0.8, size=family.k)
-    theta_bar = rng.uniform(-0.8, 0.8, size=family.k)
-    rho_bar = family.state(theta_bar)
-    rho = family.state(theta)
     mu_model = family.model()
-    d = quantum_relative_entropy(rho_bar, rho)
-    natural_defect = abs(d - bregman_divergence(mu_model, theta_bar, theta))
-    box = np.array([[-3.0, 3.0]] * family.k)
-    nu_model = legendre_model(mu_model, box)
-    eta = family.mixture_coordinates(rho)
-    eta_bar = family.mixture_coordinates(rho_bar)
-    m_b = m_divergence(BOGOLJUBOV, rho_bar, rho)
-    mixture_defect = abs(m_b - bregman_divergence(nu_model, eta, eta_bar))
-    entropy_defect = abs(
-        nu_model.value(eta) - (np.log(family.dim) - von_neumann_entropy(rho))
-    )
-    worst = max(natural_defect, mixture_defect, entropy_defect)
-    return worst, {
-        "natural_defect": natural_defect,
-        "mixture_defect": mixture_defect,
-        "entropy_defect": entropy_defect,
-    }
+    nu_model = legendre_model(mu_model, np.array([[-3.0, 3.0]] * family.k))
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    thetas = [(rng.uniform(-0.8, 0.8, size=family.k), rng.uniform(-0.8, 0.8, size=family.k)) for rng in rngs]
+    # each pair is (rho_bar, rho)
+    pairs = [(family.state(theta_bar), family.state(theta)) for theta, theta_bar in thetas]
+    out = []
+    for (theta, theta_bar), (rho_bar, rho), d, (m_b, _) in zip(
+        thetas, pairs, relative_entropies(pairs), m_divergences(BOGOLJUBOV, pairs)
+    ):
+        natural_defect = abs(d - bregman_divergence(mu_model, theta_bar, theta))
+        eta = family.mixture_coordinates(rho)
+        mixture_defect = abs(m_b - bregman_divergence(nu_model, eta, family.mixture_coordinates(rho_bar)))
+        entropy_defect = abs(nu_model.value(eta) - (np.log(family.dim) - von_neumann_entropy(rho)))
+        extras = {"natural_defect": natural_defect, "mixture_defect": mixture_defect, "entropy_defect": entropy_defect}
+        out.append((max(natural_defect, mixture_defect, entropy_defect), extras))
+    return out
 
 
 @_register("classical-mixture-path-integral", dims=(2, 3, 4, 5), trials=100, tolerance=1e-6, mode="equality")
-def _classical_mixture(dim: int, seed: int):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    p = rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim
-    q = rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim
+def _classical_mixture(dim: int, seeds: list[int]):
+    out = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        p = rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim
+        q = rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim
 
-    def weighted_info(t: np.ndarray) -> np.ndarray:
-        mix = (1.0 - t)[:, None] * p + t[:, None] * q
-        return t * np.sum((q - p) ** 2 / mix, axis=1)
+        def weighted_info(t: np.ndarray) -> np.ndarray:
+            mix = (1.0 - t)[:, None] * p + t[:, None] * q
+            return t * np.sum((q - p) ** 2 / mix, axis=1)
 
-    integral, _ = adaptive_gauss_legendre(weighted_info)
-    return abs(integral - classical_kl(p, q)), {"kl": classical_kl(p, q)}
+        integral, _ = adaptive_gauss_legendre(weighted_info)
+        out.append((abs(integral - classical_kl(p, q)), {"kl": classical_kl(p, q)}))
+    return out
 
 
 def _random_classical_family(seed: int, alphabet: int, k: int = 2):
@@ -521,29 +501,37 @@ def _random_classical_family(seed: int, alphabet: int, k: int = 2):
 
 
 @_register("classical-legendre-duality", dims=(3,), trials=50, tolerance=1e-6, mode="equality")
-def _classical_duality(dim: int, seed: int):
-    family, rng = _random_classical_family(seed, dim)
-    theta = rng.uniform(-1.0, 1.0, size=family.dim)
-    theta_bar = rng.uniform(-1.0, 1.0, size=family.dim)
-    model = family.model()
-    primal = bregman_divergence(model, theta_bar, theta)
-    box = np.array([[-5.0, 5.0]] * family.dim)
-    nu = legendre_model(model, box)
-    dual = bregman_divergence(nu, family.mean_parameters(theta), family.mean_parameters(theta_bar))
-    return abs(primal - dual), {"primal": primal, "dual": dual}
+def _classical_duality(dim: int, seeds: list[int]):
+    if dim < 3:
+        # two features on an alphabet of 2 are affinely dependent, and Newton may leave the box
+        raise InvalidShape(f"classical Legendre duality needs an alphabet of at least 3, got dim {dim}")
+    out = []
+    for seed in seeds:
+        family, rng = _random_classical_family(seed, dim)
+        theta = rng.uniform(-1.0, 1.0, size=family.dim)
+        theta_bar = rng.uniform(-1.0, 1.0, size=family.dim)
+        model = family.model()
+        primal = bregman_divergence(model, theta_bar, theta)
+        nu = legendre_model(model, np.array([[-5.0, 5.0]] * family.dim))
+        dual = bregman_divergence(nu, family.mean_parameters(theta), family.mean_parameters(theta_bar))
+        out.append((abs(primal - dual), {"primal": primal, "dual": dual}))
+    return out
 
 
 @_register("exponential-family-bregman-matches-kl", dims=(3,), trials=100, tolerance=1e-8, mode="equality")
-def _exp_family_kl(dim: int, seed: int):
-    family, rng = _random_classical_family(seed, dim)
-    theta = rng.uniform(-1.0, 1.0, size=family.dim)
-    theta_bar = rng.uniform(-1.0, 1.0, size=family.dim)
-    via_model = bregman_divergence(family.model(), theta_bar, theta)
-    via_kl = classical_kl(family.distribution(theta_bar), family.distribution(theta))
-    return abs(via_model - via_kl), {"kl": via_kl}
+def _exp_family_kl(dim: int, seeds: list[int]):
+    out = []
+    for seed in seeds:
+        family, rng = _random_classical_family(seed, dim)
+        theta = rng.uniform(-1.0, 1.0, size=family.dim)
+        theta_bar = rng.uniform(-1.0, 1.0, size=family.dim)
+        via_model = bregman_divergence(family.model(), theta_bar, theta)
+        via_kl = classical_kl(family.distribution(theta_bar), family.distribution(theta))
+        out.append((abs(via_model - via_kl), {"kl": via_kl}))
+    return out
 
 
-@_register("commuting-reduction", dims=(2, 3, 4), trials=100, tolerance=1e-10, mode="equality", batched=True)
+@_register("commuting-reduction", dims=(2, 3, 4), trials=100, tolerance=1e-10, mode="equality")
 def _commuting_reduction(dim: int, seeds: list[int]):
     pairs, kls = [], []
     for seed in seeds:
@@ -575,22 +563,29 @@ def _pinned(base: DensityMatrix, floor: float) -> DensityMatrix:
 
 
 @_register("near-boundary-commuting-reduction", dims=(2, 4, 16), trials=18, tolerance=1e-9, mode="equality")
-def _near_boundary(dim: int, seed: int):
+def _near_boundary(dim: int, seeds: list[int]):
     # every trial runs all floors; the smallest eigenvalue of rho is pinned at
     # the floor in the shared eigenbasis (random_commuting_pair's floor only lifts)
-    base, sigma = random_commuting_pair(dim, seed, _FLOOR)
-    u = base.eig.eigenvectors
-    q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
-    defects = []
-    for floor in _NEAR_BOUNDARY_FLOORS:
-        rho = _pinned(base, floor)
-        kl = classical_kl(np.diagonal(u.conj().T @ rho.matrix @ u).real, q)
-        values = [value for value, _ in m_divergence_detail(_METRIC_KINDS, rho, sigma)]
-        for kind in _GEODESIC_KINDS:
-            values += [e_divergence_quadrature(kind, rho, sigma), e_divergence_closed(kind, rho, sigma)]
-        defects.append(float(np.max(np.abs(np.array(values) - kl))) / max(1.0, kl))
-    worst = int(np.argmax(defects))  # a NaN defect is the first maximum
-    return defects[worst], {"floor": _NEAR_BOUNDARY_FLOORS[worst]}
+    pairs, kls = [], []
+    for seed in seeds:
+        base, sigma = random_commuting_pair(dim, seed, _FLOOR)
+        u = base.eig.eigenvectors
+        q = np.diagonal(u.conj().T @ sigma.matrix @ u).real
+        for floor in _NEAR_BOUNDARY_FLOORS:
+            rho = _pinned(base, floor)
+            kls.append(classical_kl(np.diagonal(u.conj().T @ rho.matrix @ u).real, q))
+            pairs.append((rho, sigma))
+    values = [[value for value, _ in rows] for rows in m_divergences(_METRIC_KINDS, pairs)]
+    for kind in _GEODESIC_KINDS:
+        for row, (quadrature, _), closed in zip(values, e_divergences(kind, pairs), e_divergences_closed(kind, pairs)):
+            row += [quadrature, closed]
+    defects = [float(np.max(np.abs(np.array(row) - kl))) / max(1.0, kl) for row, kl in zip(values, kls)]
+    out = []
+    for start in range(0, len(defects), len(_NEAR_BOUNDARY_FLOORS)):
+        trial = defects[start : start + len(_NEAR_BOUNDARY_FLOORS)]
+        worst = int(np.argmax(trial))  # a NaN defect is the first maximum
+        out.append((trial[worst], {"floor": _NEAR_BOUNDARY_FLOORS[worst]}))
+    return out
 
 
 def _kind_groups(seeds: list[int], kinds: tuple) -> list[tuple]:
@@ -599,27 +594,25 @@ def _kind_groups(seeds: list[int], kinds: tuple) -> list[tuple]:
     return [(kind, group) for kind, group in zip(kinds, groups) if group]
 
 
-@_register(
-    "moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality", batched=True
-)
+@_register("moment-curvature-matches-fisher-info", dims=(2, 3), trials=80, tolerance=1e-5, mode="equality")
 def _moment_curvature(dim: int, seeds: list[int]):
     # per kind: one solve, one _states call on every stencil point, one numeric Fisher call
     pairs = _pairs(dim, seeds)
     thetas = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    grid = (thetas[:, None] + np.array(_FD_OFFSETS)).ravel()
     out: list = [None] * len(seeds)
     for kind, group in _kind_groups(seeds, _GEODESIC_KINDS):
         group_pairs = [pairs[k] for k in group]
         moments = _solved_directions(kind, group_pairs, check_pairs(group_pairs, ("rho", "sigma")))[0]
-        states, _ = moments._states(np.broadcast_to(grid, (len(group), grid.size)))
-        infos = _numeric_info(kind.metric, states).reshape(len(group), thetas.size)
+        infos = _numeric_info(
+            kind.metric, lambda grid: moments._states(np.broadcast_to(grid, (len(group), grid.size)))[0], thetas
+        ).reshape(len(group), thetas.size)
         # max(0, ...) over a row keeps the NaN rule of a running max
         for k, gaps in zip(group, np.abs(moments._moments(thetas, 2) - infos).tolist()):
             out[k] = max(0.0, *gaps), {"kind": kind.value}
     return out
 
 
-@_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality", batched=True)
+@_register("numeric-fisher-matches-mixture", dims=(2, 3), trials=100, tolerance=1e-6, mode="equality")
 def _numeric_fisher(dim: int, seeds: list[int]):
     # per kind: one stack of mixture states at every stencil point, one numeric Fisher
     # call, and one exact call per t, as its product over a stack of t is not bitwise per t
@@ -629,8 +622,7 @@ def _numeric_fisher(dim: int, seeds: list[int]):
     for kind, group in _kind_groups(seeds, _METRIC_KINDS):
         group_pairs = [pairs[k] for k in group]
         names = check_pairs(group_pairs)
-        states = _mixture_states(group_pairs, (ts[:, None] + np.array(_FD_OFFSETS)).ravel())
-        numeric = _numeric_info(kind, states).reshape(len(group), ts.size)
+        numeric = _numeric_info(kind, lambda grid: _mixture_states(group_pairs, grid), ts).reshape(len(group), ts.size)
         exact = np.concatenate([_segment_info(group_pairs, (kind,), t, names)[:, 0] for t in ts], axis=1)
         for k, gaps in zip(group, np.abs(numeric - exact).tolist()):
             out[k] = max(0.0, *gaps), {"kind": kind.label()}

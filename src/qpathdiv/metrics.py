@@ -31,7 +31,7 @@ from .linalg import SUPPORT_EPS, HermitianEigen, _adjoint, decomposition, eig_he
 from .states import DensityMatrix, check_pair, not_full_rank, require_full_rank
 
 FD_STEP = 1e-4
-# fisher_info_numeric takes its family at theta plus each of these, in this order
+# _numeric_info takes its family at theta plus each of these, in this order
 _FD_OFFSETS = (0.0, FD_STEP / 2.0, -FD_STEP / 2.0, FD_STEP, -FD_STEP)
 
 
@@ -118,32 +118,26 @@ def _check_dim(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _kernel_frame(rho: DensityMatrix, kind: MetricKind, x: np.ndarray):
-    """rho's eigenvectors U, the operand in that basis and the kernel matrix."""
-    x = _check_dim(rho, x)
-    require_full_rank(rho, "rho")
-    u = rho.eig.eigenvectors
-    return u, u.conj().T @ x @ u, kernel_matrix(kind, rho.eig.eigenvalues)
-
-
 def e_to_m(rho: DensityMatrix, kind: MetricKind, x: np.ndarray) -> np.ndarray:
     """A = E_rho(X): exponential-side operator to mixture-side tangent."""
-    u, xp, c = _kernel_frame(rho, kind, x)
-    return u @ (c * xp) @ u.conj().T
+    x = _check_dim(rho, x)
+    require_full_rank(rho, "rho")
+    return _kernel_map(rho.eig, kind, x, np.multiply)
 
 
 def m_to_e(rho: DensityMatrix, kind: MetricKind, a: np.ndarray) -> np.ndarray:
     """X = E_rho^{-1}(A): entrywise division by the kernel in rho's eigenbasis."""
     a = _check_dim(rho, a)
     require_full_rank(rho, "rho")
-    return _m_to_e(rho.eig, kind, a)
+    return _kernel_map(rho.eig, kind, a, np.divide)
 
 
-def _m_to_e(eig: HermitianEigen, kind: MetricKind, a: np.ndarray) -> np.ndarray:
-    """m_to_e at the state of decomposition ``eig``, or at each state of a
-    stacked ``eig`` for a stack of tangents."""
+def _kernel_map(eig: HermitianEigen, kind: MetricKind, a: np.ndarray, op: Callable) -> np.ndarray:
+    """E_rho (op np.multiply) or E_rho^{-1} (op np.divide) of ``a`` at the
+    state of decomposition ``eig``, or at each state of a stacked ``eig``
+    for a stack of operands: op of ``a`` in that eigenbasis and the kernel."""
     u = eig.eigenvectors
-    return u @ ((_adjoint(u) @ a @ u) / kernel_matrix(kind, eig.eigenvalues)) @ _adjoint(u)
+    return u @ op(_adjoint(u) @ a @ u, kernel_matrix(kind, eig.eigenvalues)) @ _adjoint(u)
 
 
 def e_inner(rho: DensityMatrix, kind: MetricKind, y: np.ndarray, x: np.ndarray) -> complex:
@@ -220,22 +214,26 @@ def fisher_info_numeric(family: Callable[[float], DensityMatrix], theta: float, 
     then takes its squared mixture-side norm at family(theta). The one-point
     case of _numeric_info.
     """
-    return float(_numeric_info(kind, [family(theta + offset) for offset in _FD_OFFSETS])[0])
+    return float(_numeric_info(kind, lambda grid: [family(u) for u in grid.tolist()], [theta])[0])
 
 
-def _numeric_info(kind: MetricKind, states: list[DensityMatrix]) -> np.ndarray:
-    """fisher_info_numeric at several points of one dim, given the family's
-    states at theta + _FD_OFFSETS of each point, point by point, each value
-    bitwise as if alone: the Richardson difference A runs elementwise, and
-    Re Tr X^* A with X = m_to_e(A) over one decomposition of the states at
-    the points. With more than one point, NotFullRank names the point."""
+def _numeric_info(kind: MetricKind, family: Callable[[np.ndarray], list[DensityMatrix]], points) -> np.ndarray:
+    """fisher_info_numeric at each of ``points``, each value bitwise as if
+    alone. ``family`` maps the stencil grid, theta + _FD_OFFSETS of each
+    point in point order, to the states there, all of one dim; it may give
+    one such run of states after another (one run per curve, say), and the
+    values then come run by run. The Richardson difference A runs
+    elementwise, and Re Tr X^* A with X = E_rho^{-1}(A) over one
+    decomposition of the states at the points. With more than one point,
+    NotFullRank names the point."""
+    states = family((np.asarray(points, dtype=float)[:, None] + np.array(_FD_OFFSETS)).ravel())
     n, width = states[0].dim, len(_FD_OFFSETS)
     m = np.array([state.matrix for state in states]).reshape(-1, width, n, n)
     # the central differences over steps FD_STEP / 2 and FD_STEP, then Richardson
     half, full = ((m[:, i] - m[:, i + 1]) / (2.0 * step) for i, step in ((1, FD_STEP / 2.0), (3, FD_STEP)))
     d = (4.0 * half - full) / 3.0
-    points = states[::width]
-    for k, rho in enumerate(points):
-        require_full_rank(rho, "rho" if len(points) == 1 else f"rho at point {k}")
-    x = _m_to_e(decomposition(points), kind, d)
+    at = states[::width]
+    for k, rho in enumerate(at):
+        require_full_rank(rho, "rho" if len(at) == 1 else f"rho at point {k}")
+    x = _kernel_map(decomposition(at), kind, d, np.divide)
     return np.trace(_adjoint(x) @ d, 0, -2, -1).real

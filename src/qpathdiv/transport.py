@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Sequence
+import weakref
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,9 +374,9 @@ def sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, Densit
     """sandwich_record of each (rho, sigma) in ``pairs``, each bitwise as if alone.
 
     The pairs are of one dim (check_pairs). Each record is built once per
-    (kind, rho) and kept on sigma, so it dies with sigma. The pairs whose
-    record is not kept yet are built in one pass over (pairs, d, d) stacks
-    (plain (d, d) arrays for one pair).
+    (kind, rho) and kept on sigma while rho lives, so it dies with sigma or
+    with rho. The pairs whose record is not kept yet are built in one pass
+    over (pairs, d, d) stacks (plain (d, d) arrays for one pair).
     When the inner power is 0 (kind half), X is rho and its decomposition is
     rho's; when the outer power is 0 (kind r), F = X^{1/2} and F's
     decomposition is X's with square-rooted eigenvalues, checked against F
@@ -415,9 +416,17 @@ def _sandwich_records(kind: GeodesicKind, pairs: list[tuple[DensityMatrix, Densi
             for record, eig_k in zip(records, split(eig)):
                 SandwichOperator.eig.keep(record, eig_k)
         for rho, sigma, record in zip(rhos, sigmas, records):
-            # the entry holds rho, so no other state can take its id while sigma keeps it
-            sigma.__dict__.setdefault("_sandwiches", {})[kind, id(rho)] = (rho, record)
+            # rho is held weakly, and its entry goes as rho dies, before another state can take its id
+            key = kind, id(rho)
+            sigma.__dict__.setdefault("_sandwiches", {})[key] = (weakref.ref(rho, _dropper(sigma, key)), record)
     return [sigma.__dict__["_sandwiches"][kind, id(rho)][1] for rho, sigma in pairs]
+
+
+def _dropper(sigma: DensityMatrix, key: tuple) -> Callable:
+    """The weakref callback that drops sigma's sandwich entry ``key``; it holds
+    sigma weakly, so that no cycle outlives sigma."""
+    held = weakref.ref(sigma)
+    return lambda _: (kept := held()) is not None and kept.__dict__["_sandwiches"].pop(key, None)
 
 
 def solve_direction(kind: GeodesicKind, rho: DensityMatrix, sigma: DensityMatrix) -> Geodesic:

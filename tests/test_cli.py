@@ -397,6 +397,14 @@ def test_verify_dim_one_direction_override_exit_code(tmp_path, capsys):
     assert "InvalidShape: a unit traceless direction needs dim >= 2, got dim 1" in capsys.readouterr().err
 
 
+def test_verify_legendre_alphabet_of_two_override_exit_code(tmp_path, capsys):
+    claim = "classical-legendre-duality"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"overrides": {claim: {"dims": [2]}}}))
+    assert main(["verify", "--claims", claim, "--config", str(config_path)]) == 2
+    assert "InvalidShape: classical Legendre duality needs an alphabet of at least 3, got dim 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "entry",
     [

@@ -504,6 +504,48 @@ def test_traceless_basis_and_dual():
         assert np.abs(gram - 2.0 * np.eye(len(basis))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_traceless_basis_is_one_read_only_stack_in_gell_mann_order(dim):
+    basis = traceless_hermitian_basis(dim)
+    assert basis.shape == (dim * dim - 1, dim, dim) and basis.dtype == complex
+    assert not basis.flags.writeable
+    # the symmetric and then the antisymmetric element of each i < j, then one diagonal element per level
+    expected = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for upper, lower in ((1.0, 1.0), (-1j, 1j)):
+                x = np.zeros((dim, dim), dtype=complex)
+                x[i, j], x[j, i] = upper, lower
+                expected.append(x)
+    for level in range(1, dim):
+        d = np.zeros(dim)
+        d[:level] = 1.0
+        d[level] = -level
+        expected.append(np.diag(d * np.sqrt(2.0 / (level * (level + 1)))).astype(complex))
+    assert basis.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_family_generator_and_coordinates_of_a_stack_equal_each_point_bitwise(dim):
+    family = QuantumExponentialFamily(dim)
+    thetas = np.random.Generator(np.random.PCG64(dim)).uniform(-0.8, 0.8, size=(6, family.k))
+    thetas[0, 0] = 0.0
+    generators = family._generator(thetas)
+    assert generators.shape == (6, dim, dim)
+    for theta, g in zip(thetas, generators):
+        # the basis added one element at a time, in basis order
+        loop = np.zeros((dim, dim), dtype=complex)
+        for t, x in zip(theta, family.basis):
+            loop = loop + t * x
+        assert g.tobytes() == family._generator(theta).tobytes() == loop.tobytes()
+    rhos = np.array([random_density(RandomSpec(dim, 900 + k, 0.05)).matrix for k in range(6)])
+    coordinates = family._coordinates(rhos)
+    assert coordinates.shape == (6, family.k)
+    for rho, eta in zip(rhos, coordinates):
+        loop = np.array([np.trace(rho @ x).real for x in family.basis])
+        assert eta.tobytes() == family._coordinates(rho).tobytes() == loop.tobytes()
+
+
 def test_quantum_exponential_family_round_trip():
     family = QuantumExponentialFamily(2)
     theta = np.array([0.3, -0.5, 0.7])

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qpathdiv import harness
-from qpathdiv.errors import ConfigError, QuadratureNotConverged, UnknownClaim
+from qpathdiv.errors import ConfigError, InvalidShape, QuadratureNotConverged, UnknownClaim
 from qpathdiv.harness import (
     ClaimSpec,
     HarnessConfig,
@@ -191,6 +191,14 @@ def test_legendre_duality_replays_stalled_seed():
     assert run_claim("classical-legendre-duality", 110, spec).passed
 
 
+def test_legendre_duality_refuses_an_alphabet_of_two():
+    # two features on two letters are affinely dependent: a dim the claim cannot
+    # take is a config error, not a failed claim with a NaN witness
+    spec = dataclasses.replace(default_spec("classical-legendre-duality"), dims=(2,))
+    with pytest.raises(InvalidShape, match="^classical Legendre duality needs an alphabet of at least 3, got dim 2$"):
+        run_claim("classical-legendre-duality", spec=spec)
+
+
 @pytest.mark.parametrize("claim", ["potential-duality-bogoljubov", "classical-legendre-duality"])
 def test_legendre_dual_maximizes_once_per_point(monkeypatch, claim):
     from qpathdiv import divergences
@@ -307,14 +315,12 @@ def test_theorem2_suite_small():
         assert by_id[claim_id].worst_slack > 1e-3
 
 
-# every registered claim, batched or wrapped one trial at a time, so that a
-# claim that is registered or batched later is covered too
+# every registered claim, so that a claim that is registered later is covered too
 BATCHED_CLAIMS = registered_claims()
 # e-path-additivity compares a divergence of qubit pairs with that of their
 # two-qubit tensor products, so it runs on qubits only; the two features of
-# classical-legendre-duality are affinely dependent on an alphabet of 2, where
-# some seeds (4000-4007 among them) end Newton outside the box (NotInRange);
-# the other claims run at dims 2, 3 and 4
+# classical-legendre-duality are affinely dependent on an alphabet of 2, which
+# it refuses; the other claims run at dims 2, 3 and 4
 _BATCH_DIMS = {"e-path-additivity": (2,), "classical-legendre-duality": (3, 4)}
 
 

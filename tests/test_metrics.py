@@ -417,10 +417,26 @@ def test_segment_info_names_the_pair_of_a_singular_mixture_state():
     )
 
 
+@pytest.mark.parametrize("dim", [2, 3, 16])
+@pytest.mark.parametrize("kind", [SLD, BOGOLJUBOV, RLD, HALF, lambda_kind(0.3)])
+def test_kernel_map_of_a_stack_equals_each_state_bitwise(kind, dim):
+    from qpathdiv.linalg import decomposition
+    from qpathdiv.metrics import _kernel_map
+
+    floor = 0.05 if dim < 16 else 1e-3
+    states = [validate_density(random_density(RandomSpec(dim, 60 + k, floor)).matrix) for k in range(4)]
+    operands = np.array([random_hermitian(dim, 80 + k) + 1j * random_hermitian(dim, 90 + k) for k in range(4)])
+    # one decomposition of the stack, which each state then keeps
+    eig = decomposition(states)
+    for op, one in ((np.multiply, e_to_m), (np.divide, m_to_e)):
+        expected = np.array([one(rho, kind, x) for rho, x in zip(states, operands)])
+        assert _kernel_map(eig, kind, operands, op).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("family_of", ["m_geodesic", "moment_state"])
 @pytest.mark.parametrize("kind", [SLD, BOGOLJUBOV, RLD, HALF])
 def test_numeric_info_equals_fisher_info_numeric_bitwise(kind, family_of):
-    from qpathdiv.metrics import _FD_OFFSETS, _numeric_info
+    from qpathdiv.metrics import _numeric_info
     from qpathdiv.transport import GeodesicKind, solve_direction
 
     def families():
@@ -434,18 +450,24 @@ def test_numeric_info_equals_fisher_info_numeric_bitwise(kind, family_of):
 
     thetas = (0.2, 0.5, 0.8)
     lone = [fisher_info_numeric(family, theta, kind) for family in families() for theta in thetas]
-    # every point of every family in one call
-    states = [family(theta + offset) for family in families() for theta in thetas for offset in _FD_OFFSETS]
-    assert _numeric_info(kind, states).tolist() == lone
+    # every point of every family in one call: one run of stencil states per family
+    def stencils(grid):
+        return [family(u) for family in families() for u in grid.tolist()]
+
+    assert _numeric_info(kind, stencils, thetas).tolist() == lone
 
 
 def test_numeric_info_names_the_point_that_is_not_full_rank():
-    from qpathdiv.metrics import _FD_OFFSETS, _numeric_info
+    from qpathdiv.metrics import _numeric_info
 
     good = random_density(RandomSpec(2, 3, 0.05))
     thin = validate_density(np.diag([1.0 - 5e-13, 5e-13]))
-    states = [good] * len(_FD_OFFSETS) + [thin] * len(_FD_OFFSETS)
+
+    def family(grid):
+        # good about 0, thin about 1
+        return [good if u < 0.5 else thin for u in grid.tolist()]
+
     with pytest.raises(NotFullRank, match=r"^rho at point 1 has minimum eigenvalue 5\.000e-13"):
-        _numeric_info(SLD, states)
+        _numeric_info(SLD, family, [0.0, 1.0])
     with pytest.raises(NotFullRank, match=r"^rho has minimum eigenvalue 5\.000e-13"):
-        _numeric_info(SLD, states[len(_FD_OFFSETS):])
+        _numeric_info(SLD, family, [1.0])

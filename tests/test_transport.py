@@ -584,6 +584,20 @@ def test_sandwich_records_are_kept_and_built_once(monkeypatch, kind):
     assert [np.shape(h) for h in decomposed] == [(3, 3)] * (kind != GeodesicKind.HALF)
 
 
+@pytest.mark.parametrize("kind", [GeodesicKind.SLD, GeodesicKind.RLD, GeodesicKind.HALF])
+def test_sandwich_records_forget_a_rho_that_died(kind):
+    import gc
+
+    (rho, sigma), (other, _) = _fresh_pairs((3, 3))
+    kept = sandwich_records(kind, [(rho, sigma), (other, sigma)])[1]
+    assert len(sigma.__dict__["_sandwiches"]) == 2
+    del rho
+    gc.collect()
+    # sigma keeps no dead rho alive: only the living rho's entry is left
+    assert list(sigma.__dict__["_sandwiches"]) == [(kind, id(other))]
+    assert sandwich_record(kind, other, sigma) is kept
+
+
 def _direction_pairs(dim: int, seeds) -> list:
     """The pair (rho, sigma) drawn at seeds s and s + 1, for each s; every
     third pair is rebuilt from its matrices, so it holds no decomposition yet."""
