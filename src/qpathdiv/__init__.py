@@ -12,6 +12,7 @@ from .divergences import (
     ExponentialFamily,
     QuadratureConfig,
     bregman_divergence,
+    bregman_divergences,
     bs_divergence,
     classical_kl,
     e_divergence_closed,
@@ -75,6 +76,7 @@ __all__ = [
     "apply_channel",
     "apply_fn",
     "bregman_divergence",
+    "bregman_divergences",
     "bs_divergence",
     "classical_kl",
     "commutation_defect",

@@ -21,7 +21,7 @@ e_divergences solves its pairs' directions in one stacked pass
 whose rows are the curves of one transport.MomentFunction. Each one-pair
 function is its list form on one pair.
 
-Convex duality (ConvexFunctionModel, bregman_divergence, legendre_model)
+Convex duality (ConvexFunctionModel, bregman_divergence(s), legendre_model)
 serves two families:
 
   ExponentialFamily          classical, over a finite alphabet; with
@@ -439,9 +439,9 @@ def classical_kl(p: np.ndarray, q: np.ndarray) -> float:
 class ConvexFunctionModel:
     """A twice-differentiable strictly convex function with its gradient.
 
-    ``grad`` takes a point (dim,) or a stack of points (n, dim) and gives
-    (dim,), resp. (n, dim); ``hessian`` calls it on a stack. ``value``
-    takes a point and gives (); the library calls it on single points only.
+    ``value`` and ``grad`` take a point (dim,) or a stack of points (n, dim)
+    and give () and (dim,), resp. (n,) and (n, dim); ``hessian`` and the
+    Legendre maximizer call them on stacks.
     """
 
     dim: int
@@ -452,96 +452,146 @@ class ConvexFunctionModel:
         return np.asarray(self.grad(np.asarray(theta, dtype=float)), dtype=float)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """Central differences with steps h_i = 1e-6 (1 + |theta_i|): one
-        gradient call on the 2 dim points theta + h_i e_i, then theta - h_i e_i."""
+        """Central differences with steps h_i = 1e-6 (1 + |theta_i|) at a point
+        or at each row of a stack: one gradient call on the 2 dim points
+        theta + h_i e_i, then theta - h_i e_i, of each row in turn."""
         theta = np.asarray(theta, dtype=float)
         h = 1e-6 * (1.0 + np.abs(theta))
-        g = self.gradient(np.concatenate([theta + np.diag(h), theta - np.diag(h)]))
-        out = ((g[: self.dim] - g[self.dim :]) / (2.0 * h[:, None])).T
-        return (out + out.T) / 2.0
+        steps = h[..., :, None] * np.eye(self.dim)
+        points = theta[..., None, :] + np.concatenate([steps, -steps], axis=-2)
+        g = self.gradient(points.reshape(-1, self.dim)).reshape(points.shape)
+        out = ((g[..., : self.dim, :] - g[..., self.dim :, :]) / (2.0 * h[..., :, None])).swapaxes(-1, -2)
+        return (out + out.swapaxes(-1, -2)) / 2.0
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of two points, or of each row pair of two stacks: one BLAS dot per row of
+    contiguous copies, whatever the stack a row is in or the strides it came with."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def bregman_divergence(model: ConvexFunctionModel, theta_bar: np.ndarray, theta: np.ndarray) -> float:
-    """grad(theta_bar) . (theta_bar - theta) - value(theta_bar) + value(theta)."""
-    theta_bar = np.asarray(theta_bar, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    """grad(theta_bar) . (theta_bar - theta) - value(theta_bar) + value(theta):
+    the one-pair case of bregman_divergences."""
+    theta_bar, theta = np.asarray(theta_bar, dtype=float), np.asarray(theta, dtype=float)
     if theta_bar.shape != (model.dim,) or theta.shape != (model.dim,):
-        raise DomainError(
-            f"points must have shape ({model.dim},), got {theta_bar.shape} and {theta.shape}"
-        )
-    g = model.gradient(theta_bar)
-    out = float(g @ (theta_bar - theta) - model.value(theta_bar) + model.value(theta))
-    if not np.isfinite(out):
-        raise DomainError("model evaluated to a non-finite value")
-    return out
+        raise DomainError(f"points must have shape ({model.dim},), got {theta_bar.shape} and {theta.shape}")
+    return bregman_divergences(model, theta_bar[None], theta[None])[0]
+
+
+def bregman_divergences(model: ConvexFunctionModel, theta_bars: np.ndarray, thetas: np.ndarray) -> list[float]:
+    """bregman_divergence of each row pair (theta_bar, theta) of two (n, dim)
+    stacks, each bitwise as if alone, from one ``value`` call on the 2 n
+    points, theta_bars then thetas, and one ``grad`` call on theta_bars.
+    With more than one pair, DomainError names the pair by its row."""
+    theta_bars, thetas = np.asarray(theta_bars, dtype=float), np.asarray(thetas, dtype=float)
+    if theta_bars.ndim != 2 or theta_bars.shape[1] != model.dim or thetas.shape != theta_bars.shape:
+        raise DomainError(f"points must be two (n, {model.dim}) stacks, got {theta_bars.shape} and {thetas.shape}")
+    n = len(thetas)
+    values = np.asarray(model.value(np.concatenate([theta_bars, thetas])), dtype=float)
+    out = _dots(model.gradient(theta_bars), theta_bars - thetas) - values[:n] + values[n:]
+    for k in np.flatnonzero(~np.isfinite(out))[:1]:
+        raise DomainError("model evaluated to a non-finite value" + (f" at pair {k}" if n > 1 else ""))
+    return out.tolist()
 
 
 def _maximize_dual(model: ConvexFunctionModel, eta: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float]:
-    """The maximizer theta over the box of eta . theta - value(theta), and that maximum.
+    """The maximizer over the box of eta . theta - value(theta), and the maximum: _maximize_duals of one point."""
+    theta, value = _maximize_duals(model, np.asarray(eta, dtype=float).reshape(model.dim), box)
+    return theta, float(value)
 
-    Damped Newton on the stationarity equation grad(theta) = eta, started at
-    the box centre; NotInRange when no interior solution exists.
+
+def _maximize_duals(model: ConvexFunctionModel, etas: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_maximize_dual of a point eta (dim,), or of each row of a stack (n, dim)
+    bitwise as if alone: maximizers and maxima, (dim,) and (), resp. (n, dim)
+    and (n,). A point is passed to the model as a point.
+
+    Damped Newton on the stationarity equation grad(theta) = eta from the box
+    centre, all rows in lockstep: each step makes one gradient call, one
+    Hessian and one stacked solve (_newton_steps) over the rows still moving,
+    and each halving of its line search one ``value`` call on the rows still
+    searching. A row stops where it would alone: within the gradient
+    tolerance, when its line search stalls, or at the step budget. NotInRange
+    when a row has no interior solution, naming the point of a stack.
     """
-    eta = np.asarray(eta, dtype=float)
+    point = np.ndim(etas) == 1
+    etas = np.asarray(etas, dtype=float).reshape(-1, model.dim)
     box = np.asarray(box, dtype=float).reshape(model.dim, 2)
+    n = len(etas)
 
-    def objective(th: np.ndarray) -> float:
-        return float(eta @ th - model.value(th))
+    def at(f: Callable, th: np.ndarray) -> np.ndarray:
+        return np.asarray(f(th[0]))[None] if point else np.asarray(f(th))
 
-    theta = box.mean(axis=1)
-    scale = 1.0 + float(np.max(np.abs(eta)))
+    def objective(rows: np.ndarray, th: np.ndarray) -> np.ndarray:
+        return _dots(etas[rows], th) - at(model.value, th)
+
+    thetas = np.repeat(box.mean(axis=1)[None], n, axis=0)
+    scales = 1.0 + np.max(np.abs(etas), axis=1)
+    live = np.arange(n)
     for _ in range(_LEGENDRE_MAX_NEWTON):
-        residual = model.gradient(theta) - eta
-        if float(np.max(np.abs(residual))) <= _LEGENDRE_TOL * scale:
+        residuals = at(model.gradient, thetas[live]) - etas[live]
+        moving = ~(np.max(np.abs(residuals), axis=1) <= _LEGENDRE_TOL * scales[live])
+        live, residuals = live[moving], residuals[moving]
+        if not len(live):
             break
-        hess = model.hessian(theta)
-        try:
-            step = -np.linalg.solve(hess, residual)
-        except np.linalg.LinAlgError:
-            step = -np.linalg.solve(hess + 1e-10 * np.eye(model.dim), residual)
-        alpha = 1.0
-        base = objective(theta)
-        while alpha > 1e-8:
-            candidate = theta + alpha * step
-            if objective(candidate) >= base - 1e-15:
-                theta = candidate
-                break
+        steps = -_newton_steps(at(model.hessian, thetas[live]), residuals)
+        bases = objective(live, thetas[live])
+        searching, moved, alpha = np.arange(len(live)), np.zeros(len(live), dtype=bool), 1.0
+        while alpha > 1e-8 and len(searching):
+            rows = live[searching]
+            candidates = thetas[rows] + alpha * steps[searching]
+            better = objective(rows, candidates) >= bases[searching] - 1e-15
+            thetas[rows[better]] = candidates[better]
+            moved[searching[better]] = True
+            searching = searching[~better]
             alpha /= 2.0
-        else:
+        live = live[moved]  # a row whose line search stalled stops
+        if not len(live):
             break
-    outside = float(np.max(np.maximum(box[:, 0] - theta, theta - box[:, 1])))
-    if outside > 0.0:
-        raise NotInRange(f"Newton ends {outside:.3e} outside the box", outside)
-    residual = float(np.max(np.abs(model.gradient(theta) - eta)))
-    if residual > 1e-6 * scale:
-        raise NotInRange(
-            f"no stationary point in the box (gradient residual {residual:.3e})",
-            residual,
-        )
-    return theta, objective(theta)
+    where = f" at point {{}} of {n}" if n > 1 else ""
+    outside = np.max(np.maximum(box[:, 0] - thetas, thetas - box[:, 1]), axis=1)
+    for k in np.flatnonzero(outside > 0.0)[:1]:
+        raise NotInRange(f"Newton ends {outside[k]:.3e} outside the box{where.format(k)}", float(outside[k]))
+    residuals = np.max(np.abs(at(model.gradient, thetas) - etas), axis=1)
+    for k in np.flatnonzero(residuals > 1e-6 * scales)[:1]:
+        message = f"no stationary point in the box (gradient residual {residuals[k]:.3e})"
+        raise NotInRange(message + where.format(k), float(residuals[k]))
+    values = objective(np.arange(n), thetas)
+    return (thetas[0], values[0]) if point else (thetas, values)
+
+
+def _newton_steps(hessians: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """H^-1 r of each (H, r) of a stack by one stacked solve; when a Hessian of
+    the stack is singular, each row alone, with 1e-10 I added to the singular ones."""
+    try:
+        return np.linalg.solve(hessians, residuals[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(hessians) > 1:
+            return np.concatenate([_newton_steps(h[None], r[None]) for h, r in zip(hessians, residuals)])
+        return np.linalg.solve(hessians + 1e-10 * np.eye(hessians.shape[-1]), residuals[..., None])[..., 0]
 
 
 def legendre_model(model: ConvexFunctionModel, box: np.ndarray) -> ConvexFunctionModel:
     """The Legendre-transformed model: its value at eta is the max over theta
     in the box of eta . theta - model.value(theta), and its gradient is the
-    maximizer (_maximize_dual; NotInRange when no interior solution exists).
-    A stack of points runs one maximization per row, and ``value`` and
-    ``grad`` share one maximization per distinct point (a memo of this
-    model, keyed by the point's bytes)."""
+    maximizer (NotInRange when no interior solution exists). ``value`` and
+    ``grad`` share one maximization per distinct point (a memo of this model,
+    keyed by the point's bytes), and solve a stack's points that are not in
+    the memo yet in one _maximize_duals call."""
     memo: dict[bytes, tuple[np.ndarray, float]] = {}
-
-    def maximize(eta: np.ndarray) -> tuple[np.ndarray, float]:
-        key = eta.tobytes()
-        if key not in memo:
-            theta, value = _maximize_dual(model, eta, box)
-            theta.flags.writeable = False  # every caller at this point gets this array
-            memo[key] = theta, value
-        return memo[key]
 
     def rowwise(part: int) -> Callable[[np.ndarray], float | np.ndarray]:
         def f(eta: np.ndarray) -> float | np.ndarray:
             eta = np.asarray(eta, dtype=float)
-            out = [maximize(row)[part] for row in eta.reshape(-1, model.dim)]
+            keys = [row.tobytes() for row in eta.reshape(-1, model.dim)]
+            missing = {key: row for key, row in zip(keys, eta.reshape(-1, model.dim)) if key not in memo}
+            if missing:
+                thetas, values = _maximize_duals(model, eta if eta.ndim == 1 else np.array([*missing.values()]), box)
+                for key, theta, value in zip(missing, thetas.reshape(-1, model.dim), np.reshape(values, -1)):
+                    theta.flags.writeable = False  # every caller at this point gets this array
+                    memo[key] = theta, float(value)
+            out = [memo[key][part] for key in keys]
             return out[0] if eta.ndim == 1 else np.array(out)
 
         return f

@@ -34,6 +34,7 @@ from .divergences import (
     QuantumExponentialFamily,
     adaptive_gauss_legendre,
     bregman_divergence,
+    bregman_divergences,
     bs_divergences,
     classical_kl,
     e_divergences,
@@ -55,7 +56,7 @@ from .states import (
     random_commuting_pair,
     random_densities,
     random_direction,
-    validate_density,
+    validate_densities,
 )
 from .transport import GeodesicKind, _commutation_defects, _mixture_states, _solved_directions
 
@@ -329,10 +330,10 @@ def _e_additivity(dim: int, seeds: list[int]):
     # the pairs at derive_seed(seed, "first") and derive_seed(seed, "second"), then their tensor products
     pairs = _pairs(dim, [derive_seed(seed, tag) for seed in seeds for tag in ("first", "second")])
     firsts, seconds = pairs[::2], pairs[1::2]
-    joints = [
-        tuple(validate_density(tensor_product(a.matrix, b.matrix)) for a, b in zip(first, second))
-        for first, second in zip(firsts, seconds)
-    ]
+    # the (rho, sigma) of each joint pair, from one stacked product validated as one stack
+    left, right = (np.array([state.matrix for pair in half for state in pair]) for half in (firsts, seconds))
+    joint_states = validate_densities(tensor_product(left, right))
+    joints = list(zip(joint_states[::2], joint_states[1::2]))
     n = len(seeds)
     worst, values = [0.0] * n, [{} for _ in seeds]
     for kind in _GEODESIC_KINDS:
@@ -463,14 +464,17 @@ def _potential_duality(dim: int, seeds: list[int]):
     thetas = [(rng.uniform(-0.8, 0.8, size=family.k), rng.uniform(-0.8, 0.8, size=family.k)) for rng in rngs]
     # each pair is (rho_bar, rho)
     pairs = [(family.state(theta_bar), family.state(theta)) for theta, theta_bar in thetas]
+    natural_thetas, natural_theta_bars = (np.array(column) for column in zip(*thetas))
+    naturals = bregman_divergences(mu_model, natural_theta_bars, natural_thetas)
+    eta_bars, etas = (np.array([family.mixture_coordinates(state) for state in column]) for column in zip(*pairs))
+    mixtures = bregman_divergences(nu_model, etas, eta_bars)
     out = []
-    for (theta, theta_bar), (rho_bar, rho), d, (m_b, _) in zip(
-        thetas, pairs, relative_entropies(pairs), m_divergences(BOGOLJUBOV, pairs)
+    for (rho_bar, rho), d, (m_b, _), natural, mixture, nu in zip(
+        pairs, relative_entropies(pairs), m_divergences(BOGOLJUBOV, pairs), naturals, mixtures, nu_model.value(etas)
     ):
-        natural_defect = abs(d - bregman_divergence(mu_model, theta_bar, theta))
-        eta = family.mixture_coordinates(rho)
-        mixture_defect = abs(m_b - bregman_divergence(nu_model, eta, family.mixture_coordinates(rho_bar)))
-        entropy_defect = abs(nu_model.value(eta) - (np.log(family.dim) - von_neumann_entropy(rho)))
+        natural_defect = abs(d - natural)
+        mixture_defect = abs(m_b - mixture)
+        entropy_defect = abs(nu - (np.log(family.dim) - von_neumann_entropy(rho)))
         extras = {"natural_defect": natural_defect, "mixture_defect": mixture_defect, "entropy_defect": entropy_defect}
         out.append((max(natural_defect, mixture_defect, entropy_defect), extras))
     return out

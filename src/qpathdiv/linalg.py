@@ -86,8 +86,11 @@ def log_partition(z: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product A (x) B of two matrices, or of each pair of matrices
+    of a (k, m, m) and a (k, n, n) stack, with np.kron's elementwise products."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    m, n = a.shape[-1], b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], m * n, m * n)
 
 
 @dataclass(frozen=True)

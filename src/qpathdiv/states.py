@@ -103,14 +103,14 @@ def _check_psd(w: np.ndarray) -> None:
 
 def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Check the density-matrix invariants of one matrix whose spectrum is not
-    known, PSD by an eigvalsh minimum, and wrap the hermitized matrix."""
+    known, PSD by an eigvalsh minimum: the one-matrix case of validate_densities."""
     if np.ndim(m) != 2:
         raise InvalidShape(f"expected a square matrix, got shape {np.shape(m)}")
-    return _validated(m, tol)[0]
+    return validate_densities(m, tol)[0]
 
 
-def _validated(m: np.ndarray, tol: float = DENSITY_TOL) -> list[DensityMatrix]:
-    """validate_density of a matrix, or of each matrix of a stack (k, n, n)
+def validate_densities(m: np.ndarray, tol: float = DENSITY_TOL) -> list[DensityMatrix]:
+    """validate_density of each matrix of a stack (k, n, n), or of a matrix,
     with its checks run once over the stack, naming the worst matrix."""
     h = _hermitized_density(m, tol)
     w = np.linalg.eigvalsh(h)

@@ -59,10 +59,10 @@ from .states import (
     DensityMatrix,
     _checked_basis,
     _states_from_eig,
-    _validated,
     check_pair,
     check_pairs,
     require_full_rank,
+    validate_densities,
 )
 
 AUX_RELATION_TOL = 1e-9
@@ -295,7 +295,7 @@ class MomentFunction:
         f = (u * np.exp((z - z.max(-1, keepdims=True)) / 2.0)[..., None, :]) @ _adjoint(u)
         t = self._outer[:, None] @ f @ self._inner[:, None] @ f @ self._outer[:, None]
         t = hermitian_part(t / np.trace(t, 0, -2, -1).real[..., None, None])
-        return _validated(t.reshape(-1, *t.shape[-2:])), None
+        return validate_densities(t.reshape(-1, *t.shape[-2:])), None
 
     def _moments(self, theta: float | np.ndarray, order: int) -> np.ndarray:
         """mu (order 0), mu' (order 1) or mu'' (order 2) of each curve at
@@ -512,7 +512,7 @@ def _mixture_states(pairs: list[tuple[DensityMatrix, DensityMatrix]], ts) -> lis
         raise DomainError(f"t must lie in [0, 1], got {ts[outside][0]}")
     rho, sigma = (np.array([pair[i].matrix for pair in pairs])[:, None] for i in (0, 1))
     w = ts[:, None, None]
-    return _validated(((1.0 - w) * rho + w * sigma).reshape(-1, *rho.shape[-2:]))
+    return validate_densities(((1.0 - w) * rho + w * sigma).reshape(-1, *rho.shape[-2:]))
 
 
 def transport_commutation_defect(

@@ -12,6 +12,7 @@ from qpathdiv.divergences import (
     QuantumExponentialFamily,
     adaptive_gauss_legendre,
     bregman_divergence,
+    bregman_divergences,
     bs_divergence,
     bs_divergences,
     classical_kl,
@@ -590,7 +591,7 @@ def test_legendre_not_in_range():
         value=lambda t: np.logaddexp(0.0, t[..., 0]),
         grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
     )
-    with pytest.raises(NotInRange):
+    with pytest.raises(NotInRange, match=r"^Newton ends 3\.900e\+11 outside the box \(measured defect 3\.900000e\+11\)$"):
         legendre_model(model, np.array([[-20.0, 20.0]])).value(np.array([1.5]))
 
 
@@ -983,6 +984,178 @@ def test_quantum_dual_stacks_at_most_2k_matrices_and_one_eig_per_hessian(monkeyp
     assert all(eig_shapes[i] == (6, 2, 2) for i in hessians)
     assert set(eig_shapes) == {(2, 2), (6, 2, 2)}
 
+
+def _dual_models():
+    """(model, box, points inside the box) of the quantum families at dims 2-4
+    and classical families of 2-4 features, whose duals the tests solve."""
+    rng = np.random.Generator(np.random.PCG64(1201))
+    out = []
+    for dim in (2, 3, 4):
+        family = QuantumExponentialFamily(dim)
+        thetas = rng.uniform(-0.8, 0.8, size=(6, family.k))
+        out.append(pytest.param(family.model(), np.array([[-3.0, 3.0]] * family.k), thetas, id=f"quantum-{dim}"))
+    for k in (2, 3, 4):
+        family = _classical_family(1202 + k, alphabet=k + 2, k=k)
+        thetas = rng.uniform(-1.0, 1.0, size=(6, k))
+        out.append(pytest.param(family.model(), np.array([[-5.0, 5.0]] * k), thetas, id=f"classical-{k}"))
+    return out
+
+
+@pytest.mark.parametrize("model, box, thetas", _dual_models())
+def test_maximize_duals_rows_equal_each_point_alone_bitwise(model, box, thetas):
+    from qpathdiv.divergences import _maximize_dual, _maximize_duals
+
+    # the first row is stationary at the box centre, and Newton stops there at once
+    etas = model.gradient(np.concatenate([box.mean(axis=1)[None], thetas]))
+    stacked, values = _maximize_duals(model, etas, box)
+    assert stacked.shape == etas.shape and values.shape == (len(etas),)
+    assert np.array_equal(stacked[0], box.mean(axis=1))
+    for eta, theta, value in zip(etas, stacked, values):
+        alone, alone_value = _maximize_dual(model, eta, box)
+        assert isinstance(alone_value, float)
+        assert theta.tobytes() == alone.tobytes() and value.tobytes() == np.float64(alone_value).tobytes()
+    # a point's result does not depend on the strides it came with
+    strided = np.asfortranarray(etas)
+    for eta, theta, value in zip(strided, stacked, values):
+        alone, alone_value = _maximize_dual(model, eta, box)
+        assert theta.tobytes() == alone.tobytes() and value.tobytes() == np.float64(alone_value).tobytes()
+
+
+def _kinked_model() -> ConvexFunctionModel:
+    """Two logistic coordinates and a third whose gradient, -sqrt(0.1 - t) left
+    of 0.1, is flat on [0.1, 0.5]: Newton from 0 towards eta_3 = 0 lands at 0.2,
+    where the Hessian is singular. Its value is NaN where t_1 > 0 > t_2, so a
+    line search that heads there from the centre stalls."""
+
+    def value(t):
+        t3 = t[..., 2]
+        flat = (2.0 / 3.0) * np.maximum(0.1 - t3, 0.0) ** 1.5 + np.maximum(t3 - 0.5, 0.0) ** 2
+        return np.logaddexp(0.0, t[..., :2]).sum(-1) + flat + np.where((t[..., 0] > 0) & (t[..., 1] < 0), np.nan, 0.0)
+
+    def grad(t):
+        g3 = -np.sqrt(np.maximum(0.1 - t[..., 2], 0.0)) + 2.0 * np.maximum(t[..., 2] - 0.5, 0.0)
+        return np.concatenate([1.0 / (1.0 + np.exp(-t[..., :2])), g3[..., None]], axis=-1)
+
+    return ConvexFunctionModel(dim=3, value=value, grad=grad)
+
+
+def test_maximize_duals_freezes_stalled_and_singular_rows_as_alone(monkeypatch):
+    from qpathdiv.divergences import _maximize_dual, _maximize_duals
+
+    model, box = _kinked_model(), np.array([[-5.0, 5.0]] * 3)
+    centre_eta = model.gradient(np.zeros(3))
+    etas = np.array(
+        [
+            centre_eta,  # stationary at the box centre
+            [0.7, 0.8, -0.5],
+            [0.5 + 1e-8, 0.5 - 1e-8, centre_eta[2]],  # its line search stalls at the centre
+            [0.3, 0.6, 0.0],  # its Hessian turns singular after one step
+            [0.2, 0.9, -0.6],
+        ]
+    )
+    singular = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    stacked, values = _maximize_duals(model, etas, box)
+    # the stack fell back row by row, and only the singular row was regularized
+    assert (5, 3, 3) not in singular and (3, 3, 3) in singular and (1, 3, 3) in singular
+    assert singular.count((1, 3, 3)) == singular.count((3, 3, 3))
+    assert np.array_equal(stacked[0], np.zeros(3)) and np.array_equal(stacked[2], np.zeros(3))
+    assert np.max(np.abs(model.gradient(stacked[2]) - etas[2])) > 1e-9  # stopped by the stall, not converged
+    assert model.hessian(stacked[3])[2, 2] == 0.0
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    for eta, theta, value in zip(etas, stacked, values):
+        alone, alone_value = _maximize_dual(model, eta, box)
+        assert theta.tobytes() == alone.tobytes() and value.tobytes() == np.float64(alone_value).tobytes()
+
+
+@pytest.mark.parametrize("model, box, thetas", _dual_models())
+def test_stacked_hessian_equals_each_point_bitwise(model, box, thetas):
+    nu = legendre_model(model, box)
+    etas = model.gradient(thetas[:3])
+    for m, points in ((model, thetas), (nu, etas)):
+        stacked = m.hessian(points)
+        assert stacked.shape == (len(points), model.dim, model.dim)
+        assert all(h.tobytes() == m.hessian(point).tobytes() for h, point in zip(stacked, points))
+
+
+def test_quantum_dual_of_n_points_takes_one_decomposition_of_at_most_2kn_matrices_per_hessian(monkeypatch):
+    from qpathdiv import divergences
+
+    family = QuantumExponentialFamily(2)
+    etas = family.mean_parameters(np.array([[0.4, -0.3, 0.6], [-0.7, 0.1, 0.2], [0.05, 0.5, -0.45], [0.0, 0.0, 0.0]]))
+    box = np.array([[-3.0, 3.0]] * 3)
+    expected = [legendre_model(family.model(), box).gradient(eta) for eta in etas]
+    eig, hessian = divergences.eig_hermitian, ConvexFunctionModel.hessian
+    eig_shapes, hessians = [], []
+
+    def counted_eig(h):
+        eig_shapes.append(h.shape)
+        return eig(h)
+
+    def counted_hessian(self, theta):
+        hessians.append((len(eig_shapes), len(theta)))
+        return hessian(self, theta)
+
+    monkeypatch.setattr(divergences, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(ConvexFunctionModel, "hessian", counted_hessian)
+    got = legendre_model(family.model(), box).gradient(etas)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+    # each Hessian is one decomposition of the 2 k points of each row still
+    # moving, taken right after it starts, and no other decomposition is as large
+    assert hessians and all(eig_shapes[i] == (2 * family.k * n, 2, 2) for i, n in hessians)
+    assert sum(shape[0] > len(etas) for shape in eig_shapes) == len(hessians)
+    assert max(shape[0] for shape in eig_shapes) <= 2 * family.k * len(etas)
+    assert hessians[0][1] == 3  # the row at the maximally mixed state is stationary at the centre
+
+
+def test_maximize_duals_names_the_point_that_is_not_in_range():
+    from qpathdiv.divergences import _maximize_duals
+
+    # the gradient of log(1 + e^t) lives in (0, 1): 1.5 is unreachable
+    model = ConvexFunctionModel(
+        dim=1,
+        value=lambda t: np.logaddexp(0.0, t[..., 0]),
+        grad=lambda t: 1.0 / (1.0 + np.exp(-t)),
+    )
+    box = np.array([[-20.0, 20.0]])
+    with pytest.raises(NotInRange) as alone:
+        _maximize_duals(model, np.array([1.5]), box)
+    assert " at point" not in str(alone.value)
+    with pytest.raises(NotInRange) as stacked:
+        _maximize_duals(model, np.array([[0.3], [1.5], [0.7]]), box)
+    assert str(stacked.value) == str(alone.value).replace(" (measured", " at point 1 of 3 (measured")
+    assert stacked.value.defect == alone.value.defect
+
+
+@pytest.mark.parametrize("model, box, thetas", _dual_models())
+def test_bregman_divergences_equal_each_pair_bitwise(model, box, thetas):
+    nu = legendre_model(model, box)
+    etas = model.gradient(thetas)
+    for m, points in ((model, thetas), (nu, etas)):
+        bars, others = points[::2], points[1::2]
+        values = bregman_divergences(m, bars, others)
+        assert all(isinstance(v, float) for v in values)
+        assert values == [bregman_divergence(m, bar, other) for bar, other in zip(bars, others)]
+    with pytest.raises(DomainError, match=r"^points must be two \(n, \d+\) stacks"):
+        bregman_divergences(model, thetas[0], thetas[1])
+
+
+def test_bregman_divergences_name_the_pair_that_is_not_finite():
+    model = ConvexFunctionModel(dim=1, value=lambda t: np.where(t[..., 0] > 1.0, np.inf, t[..., 0] ** 2), grad=lambda t: 2 * t)
+    assert bregman_divergences(model, np.array([[0.5]]), np.array([[0.25]])) == [0.0625]
+    with pytest.raises(DomainError, match="^model evaluated to a non-finite value at pair 1$"):
+        bregman_divergences(model, np.array([[0.5], [0.5]]), np.array([[0.25], [2.0]]))
+    with pytest.raises(DomainError, match="^model evaluated to a non-finite value$"):
+        bregman_divergence(model, np.array([0.5]), np.array([2.0]))
 
 
 def test_m_divergences_refine_only_the_open_pairs(monkeypatch):

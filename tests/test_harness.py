@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qpathdiv import harness
@@ -204,13 +205,13 @@ def test_legendre_dual_maximizes_once_per_point(monkeypatch, claim):
     from qpathdiv import divergences
 
     points = []
-    maximize = divergences._maximize_dual
+    maximize = divergences._maximize_duals
 
-    def counted(model, eta, box):
-        points.append(eta.tobytes())
-        return maximize(model, eta, box)
+    def counted(model, etas, box):
+        points.extend(row.tobytes() for row in np.reshape(etas, (-1, model.dim)))
+        return maximize(model, etas, box)
 
-    monkeypatch.setattr(divergences, "_maximize_dual", counted)
+    monkeypatch.setattr(divergences, "_maximize_duals", counted)
     spec = dataclasses.replace(default_spec(claim), trials=1)
     assert run_claim(claim, spec=spec).passed
     # value and gradient at eta share one run; eta_bar takes the other
@@ -353,3 +354,41 @@ def test_batches_hold_at_most_batch_trials(monkeypatch):
     assert run_claim(claim_id, 3, spec) == whole
     # seven trials of each dim, in batches of 3, 3 and 1
     assert sizes == [(2, 3), (2, 3), (2, 1), (3, 3), (3, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_every_potential_duality_trial_measures_the_same_in_a_batch_and_alone(dim):
+    claim_id = "potential-duality-bogoljubov"
+    _, batch, _ = harness._registered(claim_id)
+    seeds = [derive_seed(harness.DEFAULT_GLOBAL_SEED, claim_id, dim, t) for t in range(default_spec(claim_id).trials)]
+    assert repr(batch(dim, seeds)) == repr([batch(dim, [seed])[0] for seed in seeds])
+
+
+def test_a_potential_duality_batch_with_a_point_outside_its_box_reruns_one_seed_at_a_time(monkeypatch):
+    from qpathdiv.errors import NotInRange
+
+    claim_id = "potential-duality-bogoljubov"
+    _, batch, _ = harness._registered(claim_id)
+    legendre_model = harness.legendre_model
+    # a box of [-0.7, 0.7]: the trials whose parameters all lie inside it pass, the others are refused
+    monkeypatch.setattr(harness, "legendre_model", lambda model, box: legendre_model(model, box * 0.7 / 3.0))
+    errors = {}
+    for seed in range(5000, 5012):
+        try:
+            batch(2, [seed])
+        except NotInRange as exc:
+            errors[seed] = f"NotInRange: {exc}"
+    refused = min(errors)
+    passing = [seed for seed in range(5000, 5012) if seed not in errors][:4]
+    seeds = passing[:2] + [refused] + passing[2:]
+    assert len(seeds) == 5
+    # the batch's 10 points are solved in one pass, and the first one out of range is named
+    with pytest.raises(NotInRange, match=r" at point \d+ of 10 "):
+        batch(2, seeds)
+    results = harness._batch_results(batch, 2, seeds)
+    assert [refused for _, _, refused in results] == [False, False, True, False, False]
+    # the refused trial keeps the error of its own two points
+    assert results[2][:2] == (pytest.approx(float("nan"), nan_ok=True), {"error": errors[refused]})
+    assert " at point 0 of 2 " in errors[refused] or " at point 1 of 2 " in errors[refused]
+    for seed, (value, extras, _) in zip(passing, results[:2] + results[3:]):
+        assert repr((value, extras)) == repr(batch(2, [seed])[0])

@@ -142,6 +142,20 @@ def test_tensor_diagonal():
     assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2)])
+def test_tensor_product_of_stacks_equals_kron_of_each_pair_bitwise(m, n):
+    rng = np.random.default_rng(31 + m * n)
+    a = rng.standard_normal((4, m, m)) + 1j * rng.standard_normal((4, m, m))
+    b = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    out = tensor_product(a, b)
+    assert out.shape == (4, m * n, m * n)
+    for k in range(4):
+        assert out[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+        assert tensor_product(a[k], b[k]).tobytes() == np.kron(a[k], b[k]).tobytes()
+    real = (a[0].real, b[0].real)
+    assert tensor_product(*real).tobytes() == np.kron(*(x.astype(complex) for x in real)).tobytes()
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tensor_trace_multiplicative(seed):
     a = random_hermitian(2, seed)

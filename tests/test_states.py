@@ -30,6 +30,7 @@ from qpathdiv.states import (
     random_direction,
     require_full_rank,
     state_from_eig,
+    validate_densities,
     validate_density,
     validate_distribution,
 )
@@ -233,6 +234,22 @@ def test_stacked_checks_report_the_worst_matrix():
     stack = np.stack([np.diag([1.05, -0.05]), np.diag([0.5, 0.5]), np.diag([1.2, -0.2])]).astype(complex)
     with pytest.raises(NotPSD, match=r"-2\.000e-01 below .*\(matrix 2 of 3 in the stack\)"):
         _states_from_eig(stack, eig_hermitian(stack))
+
+
+def test_validate_densities_of_a_stack_equal_validate_density_of_each_matrix():
+    stack = _state_stack(4, 3, 830)
+    states = validate_densities(stack)
+    assert len(states) == 4
+    for state, m in zip(states, stack):
+        single = validate_density(m)
+        assert state.matrix.tobytes() == single.matrix.tobytes()
+        assert state.min_eigenvalue == single.min_eigenvalue
+    (one,) = validate_densities(stack[0])
+    assert one.matrix.tobytes() == states[0].matrix.tobytes()
+    bad = stack.copy()
+    bad[2] = np.diag([1.1, -0.05, -0.05])
+    with pytest.raises(NotPSD, match=r"\(matrix 2 of 4 in the stack\)"):
+        validate_densities(bad)
 
 
 def test_validate_density_rejects_a_stack_and_an_empty_matrix():
